@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from tmcsignal import rl as rl_mod
@@ -16,14 +17,12 @@ from tmcsignal.experiment import (
 )
 from tmcsignal.model import read_geometries
 from tmcsignal.sim import SimConfig, evaluate, write_queue_series, write_summary
-from tmcsignal.signals import build_program, read_program, write_program
+from tmcsignal.signals import POLICIES, build_program, read_program, write_program
 from tmcsignal.sumo_io import write_routes, write_tls
 from tmcsignal.trafficgen import (
     PATTERNS,
-    BimodalProfile,
     DemandSpec,
     MinuteTmc,
-    TurnRatio,
     generate_demand,
     read_demand_spec,
     read_departures,
@@ -52,17 +51,12 @@ def _geometry(args):
 def cmd_gen(args) -> int:
     if args.demand_spec:
         spec = read_demand_spec(args.demand_spec)
-        if args.seed is not None:
-            spec = DemandSpec(spec.profile, spec.pattern, spec.ratios, args.seed, spec.mode)
     else:
         if args.pattern.upper() not in PATTERNS:
             raise ValueError(f"unknown pattern {args.pattern!r}")
-        spec = DemandSpec(
-            profile=BimodalProfile(),
-            pattern=PATTERNS[args.pattern.upper()],
-            ratios=TurnRatio.default(),
-            seed=args.seed if args.seed is not None else 0,
-        )
+        spec = DemandSpec(pattern=PATTERNS[args.pattern.upper()])
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     plans, minute_tmc = generate_demand(spec)
     out = _out_dir(args)
     write_departures(plans, out / "departures.csv")
@@ -82,18 +76,17 @@ def cmd_tmc(args) -> int:
 
 def cmd_plan(args) -> int:
     minute_tmc = read_minute_tmc(args.tmc)
+    q = None
     if args.policy == "rl":
         if not args.weights:
             raise ValueError("--weights is required for the rl policy (see rl-train)")
         q = rl_mod.QFunction.load(args.weights)
-        program = rl_mod.build_rl_program(q, minute_tmc, args.cycle, args.yellow)
-    else:
-        peaks = None
-        if args.peak_start is not None or args.peak_end is not None:
-            if args.peak_start is None or args.peak_end is None:
-                raise ValueError("give both --peak-start and --peak-end, or neither")
-            peaks = range(args.peak_start, args.peak_end)
-        program = build_program(minute_tmc, args.policy, args.cycle, args.yellow, peaks)
+    peaks = None
+    if args.peak_start is not None or args.peak_end is not None:
+        if args.peak_start is None or args.peak_end is None:
+            raise ValueError("give both --peak-start and --peak-end, or neither")
+        peaks = range(args.peak_start, args.peak_end)
+    program = build_program(minute_tmc, args.policy, args.cycle, args.yellow, peaks, q=q)
     write_program(program, args.out)
     print(f"{args.policy} program, {len(program)} minutes, cycle {args.cycle}s -> {args.out}")
     return 0
@@ -136,16 +129,7 @@ def cmd_export_sumo(args) -> int:
 def cmd_experiment(args) -> int:
     spec = read_experiment_spec(args.spec) if args.spec else ExperimentSpec()
     if args.seed is not None:
-        spec = ExperimentSpec(
-            geometry_ids=spec.geometry_ids,
-            patterns=spec.patterns,
-            policies=spec.policies,
-            cycles=spec.cycles,
-            seed=args.seed,
-            profile=spec.profile,
-            rl_episodes=spec.rl_episodes,
-            geometry_file=spec.geometry_file,
-        )
+        spec = replace(spec, seed=args.seed)
     matrix = run_experiment(spec)
     out = _out_dir(args)
     write_report(matrix, out / "report.csv")
@@ -193,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="build a per-minute signal program from a TMC file")
     plan.add_argument("--tmc", required=True, help="per-minute TMC CSV")
-    plan.add_argument("--policy", required=True, choices=("static", "dynamic", "hybrid", "rl"))
+    plan.add_argument("--policy", required=True, choices=POLICIES)
     plan.add_argument("--cycle", type=int, default=90)
     plan.add_argument("--yellow", type=int, default=3)
     plan.add_argument("--peak-start", type=int, default=None, help="first hybrid peak minute")
@@ -206,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--geometry", required=True, help="intersection id, e.g. INT1")
     simulate.add_argument("--geometry-file", default=None, help="geometry CSV (default: bundled)")
     simulate.add_argument("--departures", required=True, help="departures CSV from gen")
-    simulate.add_argument("--policy", required=True, choices=("static", "dynamic", "hybrid", "rl"))
+    simulate.add_argument("--policy", required=True, choices=POLICIES)
     simulate.add_argument("--cycle", type=int, default=90)
     simulate.add_argument("--yellow", type=int, default=3)
     simulate.add_argument("--horizon", type=int, default=None, help="seconds (default: cover departures)")

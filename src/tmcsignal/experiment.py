@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from tmcsignal import rl as rl_mod
-from tmcsignal.model import IntersectionGeometry, read_geometries
+from tmcsignal.model import read_geometries
 from tmcsignal.sim import SimConfig, SimResult, run
-from tmcsignal.signals import build_program
+from tmcsignal.signals import POLICIES, build_program
 from tmcsignal.trafficgen import (
     PATTERNS,
     BimodalProfile,
     DemandSpec,
     TurnRatio,
     generate_demand,
+    parse_keyed,
+    profile_from_fields,
 )
 
-POLICIES = ("static", "dynamic", "hybrid", "rl")
 DEFAULT_CYCLES = (60, 90, 120, 150)
 WINNER_TIE_THRESHOLD = 0.005
 
@@ -68,15 +68,7 @@ class ExperimentMatrix:
 
 def parse_experiment_spec(text: str) -> ExperimentSpec:
     """Keyed-text grid file: geometries/patterns/policies/cycles/seed lines."""
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        fields[key.lower()] = value
+    fields = parse_keyed(text)
 
     def split(value: str) -> tuple[str, ...]:
         return tuple(v.strip() for v in value.split(",") if v.strip())
@@ -97,15 +89,7 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
         kwargs["rl_episodes"] = int(fields.pop("rl_episodes"))
     if "geometry_file" in fields:
         kwargs["geometry_file"] = fields.pop("geometry_file")
-    profile_keys = {"mu_offpeak", "sigma_offpeak", "mu_peak", "sigma_peak", "hours"}
-    if profile_keys & set(fields):
-        kwargs["profile"] = BimodalProfile(
-            mu_offpeak=float(fields.pop("mu_offpeak", 2500)),
-            sigma_offpeak=float(fields.pop("sigma_offpeak", 300)),
-            mu_peak=float(fields.pop("mu_peak", 20000)),
-            sigma_peak=float(fields.pop("sigma_peak", 400)),
-            hours=tuple(fields.pop("hours", "offpeak,peak,peak,offpeak").replace(" ", "").split(",")),
-        )
+    kwargs["profile"] = profile_from_fields(fields)
     if fields:
         raise ValueError(f"unknown experiment spec keys: {sorted(fields)}")
     return ExperimentSpec(**kwargs)
@@ -132,7 +116,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
         geometries = {g: geometries[g] for g in spec.geometry_ids}
 
     horizon = 3600 * len(spec.profile.hours)
-    minutes = horizon // 60
     cfg = SimConfig(horizon=horizon)
 
     demands = {}
@@ -163,12 +146,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
                 for cycle in spec.cycles:
                     key = (geo_id, pattern, policy, cycle)
                     try:
-                        if policy == "rl":
-                            program = rl_mod.build_rl_program(
-                                allocators[pattern], minute_tmcs, cycle
-                            )
-                        else:
-                            program = build_program(minute_tmcs, policy, cycle)
+                        program = build_program(minute_tmcs, policy, cycle, q=allocators.get(pattern))
                         results[key] = run(geometry, plans, program, cfg)
                     except Exception as exc:
                         raise ExperimentError(

@@ -146,9 +146,6 @@ class TmcTable:
     def total(self) -> int:
         return sum(self.counts)
 
-    def __add__(self, other: TmcTable) -> TmcTable:
-        return TmcTable(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
 
 @dataclass(frozen=True)
 class CapacityReport:

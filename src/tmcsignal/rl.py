@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tmcsignal.model import TmcTable, Zone
+from tmcsignal.model import TmcTable
 from tmcsignal.signals import (
     DEFAULT_YELLOW,
     MIN_GREEN,

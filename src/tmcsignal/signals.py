@@ -61,7 +61,7 @@ class PhasePlan:
 
     def __post_init__(self) -> None:
         total = sum(p.green + p.yellow for p in self.phases)
-        if abs(total - self.cycle) > 2:
+        if total != self.cycle:
             raise ValueError(f"phase durations sum to {total}, cycle is {self.cycle}")
 
     @property
@@ -227,6 +227,7 @@ def _protected_left_plan(greens: Sequence[int], yellow: int, cycle: int) -> Phas
 
 
 DEFAULT_PEAK_MINUTES = frozenset(range(60, 180))
+POLICIES = ("static", "dynamic", "hybrid", "rl")
 
 
 def build_program(
@@ -235,14 +236,22 @@ def build_program(
     cycle: int,
     yellow: int = DEFAULT_YELLOW,
     peak_minutes: Iterable[int] | None = None,
+    q=None,
 ) -> SignalProgram:
     """Per-minute program under the requested policy.
 
     static: one equal-split plan repeated; dynamic: per-minute proportional
     plans; hybrid: dynamic inside ``peak_minutes`` (default: minutes 60-179 of
-    a four-hour run), static elsewhere.
+    a four-hour run), static elsewhere; rl: the greedy split-phasing plans of
+    the trained allocator ``q``.
     """
-    if policy not in ("static", "dynamic", "hybrid"):
+    if policy == "rl":
+        if q is None:
+            raise ValueError("the rl policy needs a trained allocator")
+        from tmcsignal import rl as rl_mod
+
+        return rl_mod.build_rl_program(q, minute_tmcs, cycle, yellow)
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     peaks = DEFAULT_PEAK_MINUTES if peak_minutes is None else frozenset(peak_minutes)
     fixed = static_plan(cycle, yellow)
@@ -260,13 +269,25 @@ def build_program(
 # --- CSV interchange ------------------------------------------------------------------
 
 PROGRAM_FIELDS = ("minute", "g1", "y1", "g2", "y2", "g3", "y3", "g4", "y4")
+SPLIT_PROGRAM_FIELDS = ("minute", "gWB", "yWB", "gNB", "yNB", "gEB", "yEB", "gSB", "ySB")
+
+# The header of a program file names its phase layout: protected lefts, or one
+# phase per approach (WB, NB, EB, SB).
+_LAYOUTS = {
+    PROGRAM_FIELDS: (PHASE_SERVED, _protected_left_plan),
+    SPLIT_PROGRAM_FIELDS: (SPLIT_PHASE_SERVED, split_phase_plan),
+}
 
 
 def write_program(program: SignalProgram, path: str | Path) -> None:
-    """Export as CSV, one row of greens/yellows per minute."""
+    """Export as CSV, one row of greens/yellows per minute, the header naming the layout."""
+    layouts = {tuple(phase.served for phase in plan.phases) for plan in program.plans}
+    header = next((h for h, (served, _) in _LAYOUTS.items() if layouts == {served}), None)
+    if header is None:
+        raise ValueError("program plans do not share one known phase layout")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PROGRAM_FIELDS)
+        writer.writerow(header)
         for minute, plan in enumerate(program.plans):
             row = [minute]
             for phase in plan.phases:
@@ -274,18 +295,21 @@ def write_program(program: SignalProgram, path: str | Path) -> None:
             writer.writerow(row)
 
 
-def read_program(path: str | Path, split_phasing: bool = False) -> SignalProgram:
-    """Read a program CSV; phase movement sets are implied by the layout flag."""
+def read_program(path: str | Path) -> SignalProgram:
+    """Read a program CSV; the header says which phase layout the rows hold."""
     plans = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            greens = tuple(int(row[f"g{i}"]) for i in range(1, 5))
-            yellows = tuple(int(row[f"y{i}"]) for i in range(1, 5))
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header not in _LAYOUTS:
+            raise ValueError(f"unrecognized program header {','.join(header)!r}")
+        _, make_plan = _LAYOUTS[header]
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
+            greens = tuple(int(v) for v in row[1::2])
+            yellows = tuple(int(v) for v in row[2::2])
             if len(set(yellows)) != 1:
                 raise ValueError("per-phase yellows must be equal")
-            cycle = sum(greens) + sum(yellows)
-            if split_phasing:
-                plans.append(split_phase_plan(greens, yellows[0], cycle))
-            else:
-                plans.append(_protected_left_plan(greens, yellows[0], cycle))
+            plans.append(make_plan(greens, yellows[0], sum(greens) + sum(yellows)))
     return SignalProgram(tuple(plans))

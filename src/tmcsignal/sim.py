@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from tmcsignal import rl as rl_mod
 from tmcsignal.apportion import largest_remainder
 from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone
 from tmcsignal.signals import DEFAULT_YELLOW, SignalProgram, build_program
-from tmcsignal.trafficgen import MinuteTmc, VehiclePlan, aggregate_per_minute
+from tmcsignal.trafficgen import VehiclePlan, aggregate_per_minute
 
 # Relative service weight of the (left, through, right) lane groups when an
 # approach's lanes are shared fractionally.
@@ -34,7 +35,6 @@ class SimConfig:
     horizon: int = 3600
     saturation_headway: float = 2.0
     permissive_left_factor: float = 0.5
-    record_discharges: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -63,7 +63,6 @@ class SimResult:
     total_wait: int
     nwt: float
     queue_series: tuple[tuple[int, int, int, int], ...]
-    discharges: tuple[tuple[int, int, int], ...] = field(default=(), repr=False)
 
 
 def assign_lanes(geo: IntersectionGeometry) -> LaneAssignment:
@@ -147,8 +146,6 @@ def run(
     served = 0
     n_minutes = minutes_needed
     zone_max = [[0, 0, 0, 0] for _ in range(n_minutes)]
-    discharges: list[tuple[int, int, int]] = []
-    record = cfg.record_discharges
 
     for t in range(cfg.horizon):
         new = arrivals.get(t)
@@ -165,14 +162,10 @@ def run(
                     n = int(c)
                     if n >= q:
                         served += q
-                        if record:
-                            discharges.append((t, m, q))
                         queues[m] = 0
                         credit[m] = 0.0
                     elif n:
                         served += n
-                        if record:
-                            discharges.append((t, m, n))
                         queues[m] = q - n
                         credit[m] = c - n
                     else:
@@ -196,7 +189,6 @@ def run(
         total_wait=total_wait,
         nwt=total_wait / max(1, injected),
         queue_series=tuple(tuple(row) for row in zone_max),
-        discharges=tuple(discharges),
     )
 
 
@@ -207,34 +199,19 @@ def evaluate(
     cycle: int,
     cfg: SimConfig,
     yellow: int = DEFAULT_YELLOW,
-    peak_minutes=None,
-    rl_q=None,
     rl_seed: int = 0,
     rl_episodes: int = 30,
 ) -> SimResult:
     """Build the program for ``policy`` from the plans' own per-minute TMC, then run.
 
-    ``rl`` trains a fresh allocator on the scenario's minute stream unless a
-    trained one is passed in.
+    ``rl`` first trains a fresh allocator on the scenario's minute stream.
     """
-    minutes = math.ceil(cfg.horizon / 60)
-    minute_tmcs = aggregate_per_minute(plans, minutes=minutes)
+    minute_tmcs = aggregate_per_minute(plans, minutes=math.ceil(cfg.horizon / 60))
+    q = None
     if policy == "rl":
-        from tmcsignal import rl as rl_mod
-
-        q = rl_q or rl_mod.train(minute_tmcs, episodes=rl_episodes, seed=rl_seed, cycle=cycle, yellow=yellow)
-        program = rl_mod.build_rl_program(q, minute_tmcs, cycle, yellow)
-    else:
-        program = build_program(minute_tmcs, policy, cycle, yellow, peak_minutes)
+        q = rl_mod.train(minute_tmcs, episodes=rl_episodes, seed=rl_seed, cycle=cycle, yellow=yellow)
+    program = build_program(minute_tmcs, policy, cycle, yellow, q=q)
     return run(geo, plans, program, cfg)
-
-
-def service_times(result: SimResult) -> list[tuple[int, int]]:
-    """Flatten recorded discharges to one (tick, movement) entry per served vehicle."""
-    out = []
-    for t, m, n in result.discharges:
-        out.extend([(t, m)] * n)
-    return out
 
 
 def write_summary(result: SimResult, path: str | Path) -> None:

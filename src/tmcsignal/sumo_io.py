@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from tmcsignal.model import MOVEMENTS, Movement
+from tmcsignal.model import MOVEMENTS, Movement, Zone
 from tmcsignal.signals import PhasePlan, SignalProgram
 from tmcsignal.trafficgen import VehiclePlan
 
@@ -113,9 +113,7 @@ def _movement_from_edges(edge_in: str, edge_out: str) -> Movement:
         destination = int(edge_out[:-1])
         if edge_in[-1] != "i" or edge_out[-1] != "o":
             raise ValueError
-        return _EDGE_LOOKUP[
-            (type(MOVEMENTS[0].origin)(origin), type(MOVEMENTS[0].origin)(destination))
-        ]
+        return _EDGE_LOOKUP[(Zone(origin), Zone(destination))]
     except (ValueError, KeyError, IndexError):
         raise ValueError(f"unrecognized edge pair {edge_in!r} {edge_out!r}") from None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
@@ -264,8 +265,11 @@ def generate_demand(spec: DemandSpec) -> tuple[list[VehiclePlan], MinuteTmc]:
     return plans, aggregate_per_minute(plans, minutes=60 * len(totals))
 
 
-def parse_demand_spec(text: str) -> DemandSpec:
-    """Parse the keyed-text demand file (``key = value`` lines, '#' comments)."""
+def parse_keyed(text: str) -> dict[str, str]:
+    """Read ``key = value`` lines ('#' starts a comment) into a dict with lower-case keys.
+
+    A line without '=' or a key given twice raises ``ValueError`` naming the line.
+    """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -274,18 +278,31 @@ def parse_demand_spec(text: str) -> DemandSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        fields[key.lower()] = value
+        key = key.lower()
+        if key in fields:
+            raise ValueError(f"line {lineno}: key {key!r} given twice")
+        fields[key] = value
+    return fields
+
+
+def profile_from_fields(fields: dict[str, str]) -> BimodalProfile:
+    """Pop the profile keys out of parsed keyed text; absent keys keep the dataclass defaults."""
+    kwargs: dict = {}
+    for f in dataclasses.fields(BimodalProfile):
+        if f.name in fields:
+            value = fields.pop(f.name)
+            kwargs[f.name] = tuple(value.replace(" ", "").split(",")) if f.name == "hours" else float(value)
+    return BimodalProfile(**kwargs)
+
+
+def parse_demand_spec(text: str) -> DemandSpec:
+    """Parse the keyed-text demand file (``key = value`` lines, '#' comments)."""
+    fields = parse_keyed(text)
 
     def floats(value: str) -> list[float]:
         return [float(v) for v in value.split(",")]
 
-    profile = BimodalProfile(
-        mu_offpeak=float(fields.pop("mu_offpeak", 2500)),
-        sigma_offpeak=float(fields.pop("sigma_offpeak", 300)),
-        mu_peak=float(fields.pop("mu_peak", 20000)),
-        sigma_peak=float(fields.pop("sigma_peak", 400)),
-        hours=tuple(fields.pop("hours", ",".join(DEFAULT_HOURS)).replace(" ", "").split(",")),
-    )
+    profile = profile_from_fields(fields)
     if "pattern" in fields and "weights" in fields:
         raise ValueError("give either 'pattern' or 'weights', not both")
     if "weights" in fields:

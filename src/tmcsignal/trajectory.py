@@ -1,4 +1,4 @@
-"""Trajectory-file analytics: box overlap, LCSS similarity, typical-path classification."""
+"""Trajectory-file analytics: LCSS similarity and typical-path classification."""
 
 from __future__ import annotations
 
@@ -16,21 +16,6 @@ VEHICLE = 1
 
 DEFAULT_EPS = 25.0
 DEFAULT_MIN_SIMILARITY = 0.6
-DEFAULT_IOU_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned pixel box (top-left corner plus size)."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError("box width and height must be positive")
 
 
 @dataclass(frozen=True)
@@ -58,48 +43,19 @@ class TypicalPath:
             raise ValueError("a typical path needs at least two points")
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection area over union area, in [0, 1]."""
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    # Clamp: rounding in the corner arithmetic can push inter a few ulps past
-    # the union for (near-)identical boxes.
-    return min(1.0, inter / (a.w * a.h + b.w * b.h - inter))
-
-
-def boxes_match(a: BBox, b: BBox, threshold: float = DEFAULT_IOU_THRESHOLD) -> bool:
-    """Tracking match rule: overlap strictly above the threshold."""
-    return iou(a, b) > threshold
-
-
-def lcss(
-    a: Sequence[Point],
-    b: Sequence[Point],
-    eps: float,
-    window: int | None = None,
-) -> int:
+def lcss(a: Sequence[Point], b: Sequence[Point], eps: float) -> int:
     """Longest common subsequence length with Chebyshev matching radius ``eps``.
 
-    Two points match when max(|dx|, |dy|) <= eps. ``window`` optionally
-    restricts matches to index offsets |i - j| <= window (classic temporal
-    constraint, off by default). O(len(a) * len(b)).
+    Two points match when max(|dx|, |dy|) <= eps. O(len(a) * len(b)).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if window is not None and window < 0:
-        raise ValueError("window must be non-negative")
     na, nb = len(a), len(b)
     prev = [0] * (nb + 1)
     for i in range(1, na + 1):
         ax, ay = a[i - 1]
         cur = [0] * (nb + 1)
         for j in range(1, nb + 1):
-            if window is not None and abs(i - j) > window:
-                cur[j] = max(cur[j - 1], prev[j])
-                continue
             bx, by = b[j - 1]
             dx = ax - bx
             dy = ay - by
@@ -111,14 +67,9 @@ def lcss(
     return prev[nb]
 
 
-def similarity(
-    a: Sequence[Point],
-    b: Sequence[Point],
-    eps: float,
-    window: int | None = None,
-) -> float:
+def similarity(a: Sequence[Point], b: Sequence[Point], eps: float) -> float:
     """LCSS normalized by the shorter sequence, robust to unequal path lengths."""
-    return lcss(a, b, eps, window) / min(len(a), len(b))
+    return lcss(a, b, eps) / min(len(a), len(b))
 
 
 def classify(
@@ -126,7 +77,6 @@ def classify(
     paths: Sequence[TypicalPath],
     eps: float = DEFAULT_EPS,
     min_sim: float = DEFAULT_MIN_SIMILARITY,
-    window: int | None = None,
 ) -> Movement | None:
     """Best-matching movement, or None when nothing reaches ``min_sim``.
 
@@ -138,7 +88,7 @@ def classify(
     best: Movement | None = None
     best_sim = -1.0
     for path in sorted(paths, key=lambda p: p.movement):
-        s = similarity(trajectory.points, path.points, eps, window)
+        s = similarity(trajectory.points, path.points, eps)
         if s > best_sim:
             best, best_sim = path.movement, s
     return best if best_sim >= min_sim else None
@@ -149,14 +99,13 @@ def count_movements(
     paths: Sequence[TypicalPath],
     eps: float = DEFAULT_EPS,
     min_sim: float = DEFAULT_MIN_SIMILARITY,
-    window: int | None = None,
 ) -> TmcTable:
     """Tally classified vehicle trajectories; pedestrians and unmatched are dropped."""
     counts = [0] * 12
     for t in trajectories:
         if t.class_label != VEHICLE:
             continue
-        movement = classify(t, paths, eps, min_sim, window)
+        movement = classify(t, paths, eps, min_sim)
         if movement is not None:
             counts[movement] += 1
     return TmcTable(tuple(counts))

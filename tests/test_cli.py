@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from tmcsignal.cli import main
@@ -103,11 +105,21 @@ def test_rl_train_and_plan(tmp_path):
         "plan", "--tmc", tmc_file, "--policy", "rl", "--weights", weights,
         "--cycle", 90, "--out", program_csv,
     ) == 0
-    program = read_program(program_csv, split_phasing=True)
+    program = read_program(program_csv)
     assert len(program) == 10
     assert program.plan_at(0).phases[0].served == frozenset(
         {Movement.WBL, Movement.WBT, Movement.WBR}
     )
+
+    sumo_dir = tmp_path / "sumo"
+    departures = tmp_path / "departures.csv"
+    departures.write_text("id,depart,movement\nv0,0,WBT\n")
+    assert run_cli(
+        "export-sumo", "--departures", departures, "--program", program_csv,
+        "--out-dir", sumo_dir,
+    ) == 0
+    first_phase = ET.parse(sumo_dir / "tls.add.xml").getroot().find("tlLogic/phase")
+    assert first_phase.get("state") == "GGGrrrrrrrrr"
 
 
 def test_experiment_subcommand(tmp_path):

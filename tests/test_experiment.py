@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from tmcsignal.experiment import (
@@ -75,6 +77,10 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             ExperimentSpec(cycles=())
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="line 2: key 'cycles' given twice"):
+            parse_experiment_spec("cycles = 60\ncycles = 90")
+
 
 @pytest.fixture(scope="module")
 def small_matrix():
@@ -117,6 +123,25 @@ class TestGrid:
         keys = [tuple(line.split(",")[:4]) for line in lines[1:]]
         assert keys == sorted(keys)
         assert len(lines) == 1 + len(matrix.results)
+
+    def test_small_grid_golden_digests(self, tmp_path):
+        # Digests of the outputs this grid produced before the policy dispatch
+        # and the keyed-text parser were merged; a refactor must not move them.
+        spec = parse_experiment_spec(
+            "geometries = INT1\npatterns = PA, PC\npolicies = static, dynamic, hybrid, rl\n"
+            "cycles = 60, 90\nhours = offpeak\nrl_episodes = 3\n"
+        )
+        matrix = run_experiment(spec)
+        write_report(matrix, tmp_path / "report.csv")
+        write_winners(matrix, spec, tmp_path / "winners.csv")
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("report.csv", "winners.csv")
+        }
+        assert digests == {
+            "report.csv": "76332836f06f2a2229e74103225c1df90a24da4e4ac2294a42a356a16ae2b7d4",
+            "winners.csv": "00f277118a26b48a582861d87d7d99f90105417561dddb43bd5bd42a4ac72e6e",
+        }
 
     def test_unknown_geometry_id(self):
         with pytest.raises(ValueError):

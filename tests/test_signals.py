@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcsignal import rl
 from tmcsignal.model import Movement, TmcTable
 from tmcsignal.signals import (
     DEFAULT_PEAK_MINUTES,
@@ -193,6 +194,14 @@ class TestBuildProgram:
         with pytest.raises(ValueError):
             build_program(minute_tmcs, "adaptive", 90)
 
+    def test_rl_dispatches_to_the_allocator(self, minute_tmcs):
+        q = rl.QFunction(seed=4)
+        assert build_program(minute_tmcs, "rl", 120, 4, q=q) == rl.build_rl_program(q, minute_tmcs, 120, 4)
+
+    def test_rl_without_allocator_rejected(self, minute_tmcs):
+        with pytest.raises(ValueError):
+            build_program(minute_tmcs, "rl", 90)
+
 
 class TestProgramStructure:
     def test_split_phase_plan_serves_one_approach_per_phase(self):
@@ -209,6 +218,8 @@ class TestProgramStructure:
             Phase(frozenset({Movement.WBL}), green=3)
         with pytest.raises(ValueError):
             PhasePlan(tuple(Phase(frozenset(), 10) for _ in range(4)), cycle=90)
+        with pytest.raises(ValueError):
+            PhasePlan(tuple(Phase(frozenset(), 20) for _ in range(4)), cycle=91)
 
     def test_program_needs_uniform_cycle(self):
         with pytest.raises(ValueError):
@@ -221,3 +232,19 @@ def test_program_csv_roundtrip(tmp_path):
     path = tmp_path / "program.csv"
     write_program(program, path)
     assert read_program(path) == program
+
+
+def test_split_phase_program_csv_roundtrip(tmp_path):
+    tables = MinuteTmc(tuple(TmcTable(tuple(range(i, i + 12))) for i in range(10)))
+    program = build_program(tables, "rl", 90, q=rl.QFunction(seed=0))
+    path = tmp_path / "program.csv"
+    write_program(program, path)
+    assert path.read_text().startswith("minute,gWB,yWB,")
+    assert read_program(path) == program
+
+
+def test_program_csv_unknown_header_rejected(tmp_path):
+    path = tmp_path / "program.csv"
+    path.write_text("minute,a1,b1,a2,b2,a3,b3,a4,b4\n0,20,3,20,3,19,3,19,3\n")
+    with pytest.raises(ValueError):
+        read_program(path)

@@ -14,7 +14,6 @@ from tmcsignal.sim import (
     assign_lanes,
     evaluate,
     run,
-    service_times,
     write_queue_series,
     write_summary,
 )
@@ -129,20 +128,6 @@ class TestConservationAndDeterminism:
 
 
 class TestFifoAndMonotonicity:
-    def test_fifo_within_movement(self, geometries):
-        rng = np.random.default_rng(3)
-        raw = [(int(t), Movement.SBT) for t in rng.integers(0, 1800, size=120)]
-        plans = sorted_plans(raw)
-        cfg = SimConfig(horizon=3600, record_discharges=True)
-        result = run(geometries["INT4"], plans, static_program(), cfg)
-        assert result.served == len(plans)
-        times = [t for t, m in service_times(result) if m == Movement.SBT]
-        # service order equals arrival order: the k-th arrival leaves at the
-        # k-th discharge, and discharge ticks are non-decreasing
-        assert times == sorted(times)
-        for arrival, leave in zip(plans, times):
-            assert leave >= arrival.depart
-
     def test_longer_serving_green_never_hurts_movement(self, geometries):
         # Same cycle: the north-south through phase grows at the expense of
         # the last phase, so its window starts no later and lasts longer.

@@ -236,6 +236,10 @@ class TestDemandSpecFile:
         with pytest.raises(ValueError):
             parse_demand_spec("pattern = PA\nweights = 0.25,0.25,0.25,0.25")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="line 2: key 'seed' given twice"):
+            parse_demand_spec("seed = 1\nSeed = 2")
+
 
 def test_minute_tmc_roundtrip(tmp_path):
     _, minute_tmc = generate_demand(DemandSpec(seed=3, profile=BimodalProfile(50, 5, 100, 5)))

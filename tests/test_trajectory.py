@@ -1,4 +1,4 @@
-"""Tests for box overlap, LCSS, and typical-path classification."""
+"""Tests for LCSS and typical-path classification."""
 
 from __future__ import annotations
 
@@ -11,12 +11,9 @@ from hypothesis import strategies as st
 
 from tmcsignal.model import Movement, TmcTable
 from tmcsignal.trajectory import (
-    BBox,
     Trajectory,
-    boxes_match,
     classify,
     count_movements,
-    iou,
     lcss,
     read_trajectories,
     read_typical_paths,
@@ -24,14 +21,6 @@ from tmcsignal.trajectory import (
     synthetic_typical_paths,
     write_trajectories,
     write_typical_paths,
-)
-
-boxes = st.builds(
-    BBox,
-    st.floats(-100, 100),
-    st.floats(-100, 100),
-    st.floats(0.1, 50),
-    st.floats(0.1, 50),
 )
 
 points = st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map(
@@ -71,32 +60,6 @@ def brute_force_lcss(a, b, eps):
     return 0
 
 
-class TestIou:
-    def test_identical_boxes(self):
-        b = BBox(3, 4, 10, 5)
-        assert iou(b, b) == 1.0
-
-    def test_disjoint_boxes(self):
-        assert iou(BBox(0, 0, 2, 2), BBox(10, 10, 2, 2)) == 0.0
-
-    def test_partial_overlap(self):
-        assert iou(BBox(0, 0, 2, 2), BBox(1, 0, 2, 2)) == pytest.approx(2 / 6)
-
-    def test_match_rule_threshold(self):
-        assert boxes_match(BBox(0, 0, 2, 2), BBox(0, 0, 2, 2))
-        assert not boxes_match(BBox(0, 0, 2, 2), BBox(1, 0, 2, 2))
-
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError):
-            BBox(0, 0, 0, 2)
-
-    @given(boxes, boxes)
-    def test_symmetry_and_range(self, a, b):
-        ab = iou(a, b)
-        assert ab == iou(b, a)
-        assert 0.0 <= ab <= 1.0
-
-
 class TestLcss:
     def test_self_similarity(self):
         s = [(0.0, 0.0), (5.0, 1.0), (9.0, 3.0)]
@@ -112,12 +75,6 @@ class TestLcss:
         b = [(0.0, 1.0), (20.0, 0.0), (10.0, 1.0)]
         assert brute_force_lcss(a, b, 2.0) == 2
         assert lcss(a, b, eps=2.0) == 2
-
-    def test_window_constraint(self):
-        a = [(0.0, 0.0), (50.0, 50.0), (50.0, 50.0), (50.0, 50.0)]
-        b = [(50.0, 50.0), (1.0, 1.0), (2.0, 2.0), (0.0, 0.0)]
-        assert lcss(a, b, eps=2.5) == 1
-        assert lcss(a, b, eps=2.5, window=0) == 0
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
