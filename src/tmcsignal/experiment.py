@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from tmcsignal import rl as rl_mod
-from tmcsignal.model import read_geometries
-from tmcsignal.sim import SimConfig, SimResult, run
+from tmcsignal.model import read_geometries, write_csv
+from tmcsignal.sim import SUMMARY_FIELDS, SimConfig, SimResult, run, summary_row
 from tmcsignal.signals import POLICIES, build_program
 from tmcsignal.trafficgen import (
     PATTERNS,
@@ -27,7 +26,7 @@ WINNER_TIE_THRESHOLD = 0.005
 CellKey = tuple[str, str, str, int]  # geometry id, pattern, policy, cycle
 
 
-class ExperimentError(RuntimeError):
+class ExperimentError(ValueError):
     """A grid cell failed; the message carries the cell coordinates."""
 
 
@@ -148,7 +147,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
                     try:
                         program = build_program(minute_tmcs, policy, cycle, q=allocators.get(pattern))
                         results[key] = run(geometry, plans, program, cfg)
-                    except Exception as exc:
+                    except ValueError as exc:
                         raise ExperimentError(
                             f"cell geometry={geo_id} pattern={pattern} "
                             f"policy={policy} cycle={cycle}: {exc}"
@@ -185,46 +184,16 @@ def winners(matrix: ExperimentMatrix, spec: ExperimentSpec) -> dict[tuple[str, s
     return out
 
 
-REPORT_FIELDS = (
-    "geometry",
-    "pattern",
-    "policy",
-    "cycle",
-    "injected",
-    "served",
-    "residual_queue",
-    "total_wait",
-    "nwt",
-)
+REPORT_FIELDS = ("geometry", "pattern", "policy", "cycle", *SUMMARY_FIELDS)
 
 
 def write_report(matrix: ExperimentMatrix, path: str | Path) -> None:
     """Deterministic CSV sorted by (geometry, pattern, policy, cycle)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_FIELDS)
-        for key in sorted(matrix.results):
-            geo_id, pattern, policy, cycle = key
-            r = matrix.results[key]
-            writer.writerow(
-                (
-                    geo_id,
-                    pattern,
-                    policy,
-                    cycle,
-                    r.injected,
-                    r.served,
-                    r.residual_queue,
-                    r.total_wait,
-                    f"{r.nwt:.6f}",
-                )
-            )
+    rows = ((*key, *summary_row(matrix.results[key])) for key in sorted(matrix.results))
+    write_csv(path, REPORT_FIELDS, rows)
 
 
 def write_winners(matrix: ExperimentMatrix, spec: ExperimentSpec, path: str | Path) -> None:
     table = winners(matrix, spec)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("geometry", "pattern", "winner"))
-        for (geo_id, pattern), policy in sorted(table.items()):
-            writer.writerow((geo_id, pattern, policy))
+    rows = ((geo_id, pattern, policy) for (geo_id, pattern), policy in sorted(table.items()))
+    write_csv(path, ("geometry", "pattern", "winner"), rows)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class Zone(IntEnum):
@@ -185,19 +188,68 @@ def zone_capacity_rates(geo: IntersectionGeometry, tmc: TmcTable) -> CapacityRep
     return CapacityReport(inflow, outflow, total)
 
 
-# --- geometry / TMC file interchange -------------------------------------------------
+# --- CSV file interchange -----------------------------------------------------------
 
-GEOMETRY_FIELDS = (
-    "id",
-    "lanes_1i",
-    "lanes_1o",
-    "lanes_2i",
-    "lanes_2o",
-    "lanes_3i",
-    "lanes_3o",
-    "lanes_4i",
-    "lanes_4o",
-)
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write ``header`` and then ``rows`` as one CSV file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path: str | Path, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], list[list[str]]]:
+    """The header and the rows of a CSV file whose header must be one of ``headers``.
+
+    Raises ``ValueError`` naming the file for another header, or naming the line
+    for a row with another field count.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header not in headers:
+            expected = " or ".join(",".join(h) for h in headers)
+            raise ValueError(f"{path}: header {','.join(header)!r} is not {expected!r}")
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}, line {line}: expected {len(header)} fields, got {len(row)}")
+    return header, rows
+
+
+def movement_named(name: str) -> Movement:
+    """The movement labelled ``name`` (e.g. 'WBT'); ``ValueError`` for an unknown label."""
+    if name not in Movement.__members__:
+        raise ValueError(f"unknown movement label {name!r}")
+    return Movement[name]
+
+
+def check_unique_ids(path: str | Path, rows: Sequence[Sequence[str]]) -> None:
+    """Raise ``ValueError`` naming an id (a row's first field) given more than once."""
+    if repeated := [key for key, n in Counter(row[0] for row in rows).items() if n > 1]:
+        raise ValueError(f"{path}: id {repeated[0]!r} appears more than once")
+
+
+def check_minutes(path: str | Path, rows: Sequence[Sequence[str]]) -> None:
+    """Raise ``ValueError`` unless the rows' first fields count minutes 0, 1, 2, ... in order."""
+    for minute, row in enumerate(rows):
+        if row[0] != str(minute):
+            raise ValueError(f"{path}, line {minute + 2}: minute {row[0]!r}, expected {minute}")
+
+
+def group_rows(path: str | Path, rows: Sequence[Sequence[str]]) -> dict[str, list[Sequence[str]]]:
+    """Rows grouped by their first field; ``ValueError`` when one key's rows are split apart."""
+    groups: dict[str, list[Sequence[str]]] = {}
+    for key, group in groupby(rows, itemgetter(0)):
+        if key in groups:
+            raise ValueError(f"{path}: the rows of {key!r} are not contiguous")
+        groups[key] = list(group)
+    return groups
+
+
+GEOMETRY_FIELDS = ("id", *(f"lanes_{z.value}{side}" for z in Zone for side in "io"))
+TMC_TABLE_FIELDS = ("id", *(m.name for m in MOVEMENTS))
 
 
 def _bundled(name: str):
@@ -205,39 +257,30 @@ def _bundled(name: str):
 
 
 def read_geometries(path: str | Path | None = None) -> dict[str, IntersectionGeometry]:
-    """Load intersection geometries from a CSV config (bundled fixtures when ``path`` is None)."""
-    source = Path(path).read_text() if path is not None else _bundled("intersections.csv").read_text()
-    out: dict[str, IntersectionGeometry] = {}
-    reader = csv.DictReader(source.splitlines())
-    missing = set(GEOMETRY_FIELDS) - set(reader.fieldnames or ())
-    if missing:
-        raise ValueError(f"geometry file missing columns: {sorted(missing)}")
-    for row in reader:
-        geo = IntersectionGeometry(
-            id=row["id"],
-            lanes_in=tuple(int(row[f"lanes_{z.value}i"]) for z in Zone),
-            lanes_out=tuple(int(row[f"lanes_{z.value}o"]) for z in Zone),
-        )
-        out[geo.id] = geo
-    return out
+    """Load intersection geometries from a CSV config (bundled fixtures when ``path`` is None).
+
+    Header ``id,lanes_1i,lanes_1o,...,lanes_4o``. ``ValueError`` for another header or
+    field count, an id given twice, or a lane count that is not an integer >= 1.
+    """
+    source = path if path is not None else _bundled("intersections.csv")
+    _, rows = read_csv(source, GEOMETRY_FIELDS)
+    check_unique_ids(source, rows)
+    lanes = {row[0]: [int(v) for v in row[1:]] for row in rows}
+    return {gid: IntersectionGeometry(gid, tuple(n[0::2]), tuple(n[1::2])) for gid, n in lanes.items()}
 
 
 def write_geometries(geos: Iterable[IntersectionGeometry], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GEOMETRY_FIELDS)
-        for g in geos:
-            row: list[object] = [g.id]
-            for z in Zone:
-                row += [g.lanes_in_at(z), g.lanes_out_at(z)]
-            writer.writerow(row)
+    rows = ([g.id, *(n for z in Zone for n in (g.lanes_in_at(z), g.lanes_out_at(z)))] for g in geos)
+    write_csv(path, GEOMETRY_FIELDS, rows)
 
 
 def read_tmc_tables(path: str | Path | None = None) -> dict[str, TmcTable]:
-    """Load per-intersection hourly TMC tables (bundled observed counts when ``path`` is None)."""
-    source = Path(path).read_text() if path is not None else _bundled("tmc_counts.csv").read_text()
-    out: dict[str, TmcTable] = {}
-    reader = csv.DictReader(source.splitlines())
-    for row in reader:
-        out[row["id"]] = TmcTable(tuple(int(row[m.name]) for m in MOVEMENTS))
-    return out
+    """Load per-intersection hourly TMC tables (bundled observed counts when ``path`` is None).
+
+    Header ``id,WBL,WBT,...,SBR``. ``ValueError`` for another header or field
+    count, an id given twice, or a count that is not an integer >= 0.
+    """
+    source = path if path is not None else _bundled("tmc_counts.csv")
+    _, rows = read_csv(source, TMC_TABLE_FIELDS)
+    check_unique_ids(source, rows)
+    return {row[0]: TmcTable(tuple(int(v) for v in row[1:])) for row in rows}

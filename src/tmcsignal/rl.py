@@ -7,7 +7,6 @@ negative total delay (volume over allocated green, summed over directions).
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tmcsignal.model import TmcTable
+from tmcsignal.model import TmcTable, write_csv
 from tmcsignal.signals import (
     DEFAULT_YELLOW,
     MIN_GREEN,
@@ -144,6 +143,8 @@ class QFunction:
         for line in lines[:4]:
             key, _, value = line.partition(" ")
             header[key] = value
+        if missing := [k for k in ("layers", "seed", "episodes", "norm") if k not in header]:
+            raise ValueError(f"{path}: snapshot header has no {missing[0]!r} line")
         sizes = tuple(int(s) for s in header["layers"].split())
         if len(sizes) != 4 or sizes[0] != 4 or sizes[-1] != N_ACTIONS:
             raise ValueError(f"unexpected layer sizes {sizes}")
@@ -257,11 +258,8 @@ def train(
 
     q.episodes_trained = episodes
     if log_path is not None:
-        with open(log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("episode", "epsilon", "mean_reward"))
-            for episode, eps, mean_reward in log_rows:
-                writer.writerow((episode, f"{eps:.6f}", f"{mean_reward:.6f}"))
+        rows = ((episode, f"{eps:.6f}", f"{mean_reward:.6f}") for episode, eps, mean_reward in log_rows)
+        write_csv(log_path, ("episode", "epsilon", "mean_reward"), rows)
     return q
 
 

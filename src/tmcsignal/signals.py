@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import Movement, TmcTable
+from tmcsignal.model import Movement, TmcTable, check_minutes, read_csv, write_csv
 from tmcsignal.trafficgen import MinuteTmc
 
 DEFAULT_YELLOW = 3
@@ -285,31 +284,28 @@ def write_program(program: SignalProgram, path: str | Path) -> None:
     header = next((h for h, (served, _) in _LAYOUTS.items() if layouts == {served}), None)
     if header is None:
         raise ValueError("program plans do not share one known phase layout")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for minute, plan in enumerate(program.plans):
-            row = [minute]
-            for phase in plan.phases:
-                row += [phase.green, phase.yellow]
-            writer.writerow(row)
+    rows = (
+        [minute, *(d for phase in plan.phases for d in (phase.green, phase.yellow))]
+        for minute, plan in enumerate(program.plans)
+    )
+    write_csv(path, header, rows)
 
 
 def read_program(path: str | Path) -> SignalProgram:
-    """Read a program CSV; the header says which phase layout the rows hold."""
+    """Read a program CSV whose header, ``PROGRAM_FIELDS`` or ``SPLIT_PROGRAM_FIELDS``, names its layout.
+
+    ``ValueError`` for another header or field count, minutes that do not count
+    0, 1, 2, ... in order, a non-integer duration, unequal yellows in a row, or
+    a green under ``MIN_GREEN``.
+    """
+    header, rows = read_csv(path, *_LAYOUTS)
+    check_minutes(path, rows)
+    _, make_plan = _LAYOUTS[header]
     plans = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header not in _LAYOUTS:
-            raise ValueError(f"unrecognized program header {','.join(header)!r}")
-        _, make_plan = _LAYOUTS[header]
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            greens = tuple(int(v) for v in row[1::2])
-            yellows = tuple(int(v) for v in row[2::2])
-            if len(set(yellows)) != 1:
-                raise ValueError("per-phase yellows must be equal")
-            plans.append(make_plan(greens, yellows[0], sum(greens) + sum(yellows)))
+    for row in rows:
+        greens = tuple(int(v) for v in row[1::2])
+        yellows = tuple(int(v) for v in row[2::2])
+        if len(set(yellows)) != 1:
+            raise ValueError("per-phase yellows must be equal")
+        plans.append(make_plan(greens, yellows[0], sum(greens) + sum(yellows)))
     return SignalProgram(tuple(plans))

@@ -9,7 +9,6 @@ tick. Everything is deterministic.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from tmcsignal import rl as rl_mod
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone
+from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone, write_csv
 from tmcsignal.signals import DEFAULT_YELLOW, SignalProgram, build_program
 from tmcsignal.trafficgen import VehiclePlan, aggregate_per_minute
 
@@ -214,20 +213,20 @@ def evaluate(
     return run(geo, plans, program, cfg)
 
 
+SUMMARY_FIELDS = ("injected", "served", "residual_queue", "total_wait", "nwt")
+
+
+def summary_row(r: SimResult) -> tuple:
+    """The ``SUMMARY_FIELDS`` of one result, NWT to six decimals."""
+    return (r.injected, r.served, r.residual_queue, r.total_wait, f"{r.nwt:.6f}")
+
+
 def write_summary(result: SimResult, path: str | Path) -> None:
     """One-row CSV with the headline measurements."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("injected", "served", "residual_queue", "total_wait", "nwt"))
-        writer.writerow(
-            (result.injected, result.served, result.residual_queue, result.total_wait, f"{result.nwt:.6f}")
-        )
+    write_csv(path, SUMMARY_FIELDS, [summary_row(result)])
 
 
 def write_queue_series(result: SimResult, path: str | Path) -> None:
     """Per-minute maximum queue length per zone."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("minute", "west", "north", "east", "south"))
-        for minute, row in enumerate(result.queue_series):
-            writer.writerow((minute, *row))
+    rows = ((minute, *row) for minute, row in enumerate(result.queue_series))
+    write_csv(path, ("minute", "west", "north", "east", "south"), rows)

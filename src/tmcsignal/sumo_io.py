@@ -7,13 +7,12 @@ connection order differs must remap the columns.
 
 from __future__ import annotations
 
-import csv
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from tmcsignal.model import MOVEMENTS, Movement, Zone
+from tmcsignal.model import MOVEMENTS, Movement, Zone, write_csv
 from tmcsignal.signals import PhasePlan, SignalProgram
 from tmcsignal.trafficgen import VehiclePlan
 
@@ -157,7 +156,4 @@ def read_routes(path: str | Path) -> list[VehiclePlan]:
 def write_tls(program: SignalProgram, xml_path: str | Path, schedule_path: str | Path) -> None:
     docs, schedule = emit_tls(program)
     Path(xml_path).write_text(tls_to_xml(docs), encoding="utf-8")
-    with open(schedule_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("minute", "program_id"))
-        writer.writerows(schedule)
+    write_csv(schedule_path, ("minute", "program_id"), schedule)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,6 +11,7 @@ import numpy as np
 
 from tmcsignal.apportion import proportional_split
 from tmcsignal.model import MOVEMENTS, Movement, TmcTable, Zone
+from tmcsignal.model import check_minutes, check_unique_ids, movement_named, read_csv, write_csv
 
 HourKind = Literal["offpeak", "peak"]
 SplitMode = Literal["deterministic", "sampled"]
@@ -338,42 +338,36 @@ def read_demand_spec(path: str | Path) -> DemandSpec:
 # --- CSV interchange ------------------------------------------------------------------
 
 MINUTE_TMC_FIELDS = ("minute", *[m.name for m in MOVEMENTS])
+DEPARTURE_FIELDS = ("id", "depart", "movement")
 
 
 def write_minute_tmc(minute_tmc: MinuteTmc, path: str | Path) -> None:
     """Export per-minute TMC as CSV with columns minute,WBL,...,SBR."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MINUTE_TMC_FIELDS)
-        for minute, table in enumerate(minute_tmc.tables):
-            writer.writerow([minute, *table.counts])
+    rows = ([minute, *table.counts] for minute, table in enumerate(minute_tmc.tables))
+    write_csv(path, MINUTE_TMC_FIELDS, rows)
 
 
 def read_minute_tmc(path: str | Path) -> MinuteTmc:
-    rows: dict[int, TmcTable] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows[int(row["minute"])] = TmcTable(
-                tuple(int(row[m.name]) for m in MOVEMENTS)
-            )
-    if sorted(rows) != list(range(len(rows))):
-        raise ValueError("minute column must cover 0..N-1 contiguously")
-    return MinuteTmc(tuple(rows[m] for m in range(len(rows))))
+    """Read a per-minute TMC CSV with header ``minute,WBL,WBT,...,SBR``.
+
+    ``ValueError`` for another header or field count, minutes that do not count
+    0, 1, 2, ... in order, or a count that is not an integer >= 0.
+    """
+    _, rows = read_csv(path, MINUTE_TMC_FIELDS)
+    check_minutes(path, rows)
+    return MinuteTmc(tuple(TmcTable(tuple(int(v) for v in row[1:])) for row in rows))
 
 
 def write_departures(plans: Iterable[VehiclePlan], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("id", "depart", "movement"))
-        for p in plans:
-            writer.writerow((p.id, p.depart, p.movement.name))
+    write_csv(path, DEPARTURE_FIELDS, ((p.id, p.depart, p.movement.name) for p in plans))
 
 
 def read_departures(path: str | Path) -> list[VehiclePlan]:
-    plans = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            plans.append(
-                VehiclePlan(row["id"], int(row["depart"]), Movement[row["movement"]])
-            )
-    return plans
+    """Read a departures CSV with header ``id,depart,movement``.
+
+    ``ValueError`` for another header or field count, an id given twice, a
+    departure that is not an integer >= 0, or an unknown movement label.
+    """
+    _, rows = read_csv(path, DEPARTURE_FIELDS)
+    check_unique_ids(path, rows)
+    return [VehiclePlan(vid, int(depart), movement_named(name)) for vid, depart, name in rows]

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from tmcsignal.model import MOVEMENTS, Movement, TmcTable
+from tmcsignal.model import MOVEMENTS, Movement, TmcTable, group_rows, movement_named, read_csv, write_csv
 
 Point = tuple[float, float]
 
@@ -146,54 +145,54 @@ def synthetic_typical_paths(
 # --- file interchange -----------------------------------------------------------------
 
 
+TRAJECTORY_FIELDS = ("id", "class", "frame", "x", "y")
+PATH_FIELDS = ("movement", "x", "y")
+
+
 def read_trajectories(path: str | Path) -> list[Trajectory]:
-    """Read the tracker export: CSV ``id,class,frame,x,y`` sorted by (id, frame)."""
-    rows: dict[str, list[tuple[int, float, float]]] = {}
-    labels: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            tid = row["id"]
-            labels[tid] = int(row["class"])
-            rows.setdefault(tid, []).append(
-                (int(row["frame"]), float(row["x"]), float(row["y"]))
-            )
+    """Read the tracker export: CSV ``id,class,frame,x,y``, one block of rows per track.
+
+    ``ValueError`` for another header or field count, a track split apart by
+    another, a class that changes within a track, frames out of order, a
+    non-numeric field, or a track of fewer than two points.
+    """
+    _, rows = read_csv(path, TRAJECTORY_FIELDS)
     out = []
-    for tid, samples in rows.items():
-        frames = [f for f, _, _ in samples]
+    for tid, samples in group_rows(path, rows).items():
+        labels = {int(row[1]) for row in samples}
+        if len(labels) != 1:
+            raise ValueError(f"{path}: trajectory {tid} changes class")
+        frames = [int(row[2]) for row in samples]
         if frames != sorted(frames):
-            raise ValueError(f"trajectory {tid}: frames out of order")
-        out.append(Trajectory(tid, labels[tid], tuple((x, y) for _, x, y in samples)))
+            raise ValueError(f"{path}: trajectory {tid}: frames out of order")
+        points = tuple((float(row[3]), float(row[4])) for row in samples)
+        out.append(Trajectory(tid, labels.pop(), points))
     return out
 
 
 def write_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("id", "class", "frame", "x", "y"))
-        for t in trajectories:
-            for frame, (x, y) in enumerate(t.points):
-                writer.writerow((t.id, t.class_label, frame, x, y))
+    rows = (
+        (t.id, t.class_label, frame, x, y) for t in trajectories for frame, (x, y) in enumerate(t.points)
+    )
+    write_csv(path, TRAJECTORY_FIELDS, rows)
 
 
 def read_typical_paths(path: str | Path) -> tuple[TypicalPath, ...]:
-    """Read the reference-path file: CSV ``movement,x,y`` ordered per movement."""
-    rows: dict[str, list[Point]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.setdefault(row["movement"], []).append((float(row["x"]), float(row["y"])))
-    paths = []
-    for name, pts in rows.items():
-        if name not in Movement.__members__:
-            raise ValueError(f"unknown movement label {name!r}")
-        paths.append(TypicalPath(Movement[name], tuple(pts)))
+    """Read the reference-path file: CSV ``movement,x,y``, one block of rows per movement.
+
+    Paths come back in movement order. ``ValueError`` for another header or field
+    count, an unknown movement, a path split apart by another, a non-numeric
+    coordinate, or a path of fewer than two points.
+    """
+    _, rows = read_csv(path, PATH_FIELDS)
+    paths = [
+        TypicalPath(movement_named(name), tuple((float(x), float(y)) for _, x, y in samples))
+        for name, samples in group_rows(path, rows).items()
+    ]
     paths.sort(key=lambda p: p.movement)
     return tuple(paths)
 
 
 def write_typical_paths(paths: Iterable[TypicalPath], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("movement", "x", "y"))
-        for p in paths:
-            for x, y in p.points:
-                writer.writerow((p.movement.name, x, y))
+    rows = ((p.movement.name, x, y) for p in paths for x, y in p.points)
+    write_csv(path, PATH_FIELDS, rows)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +181,67 @@ class TestValidationFailures:
             "--out", tmp_path / "p.csv",
         )
         assert code == 1
+
+
+class TestMalformedInputs:
+    """Each bad input ends in exit code 1 and one ``error:`` line, never a traceback."""
+
+    def assert_one_error_line(self, capsys, code, *fragments):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_tmc_file_without_a_wbt_column(self, tmp_path, capsys):
+        tmc_file = tmp_path / "tmc.csv"
+        tmc_file.write_text("minute,WBL,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\n0,1,1,1,1,1,1,1,1,1,1,1\n")
+        code = run_cli("plan", "--tmc", tmc_file, "--policy", "static", "--out", tmp_path / "p.csv")
+        self.assert_one_error_line(capsys, code, "tmc.csv", "header")
+
+    def test_departure_with_an_unknown_movement(self, tmp_path, capsys):
+        departures = tmp_path / "departures.csv"
+        departures.write_text("id,depart,movement\nv0,0,WBT\nv1,4,XYZ\n")
+        code = run_cli(
+            "simulate", "--geometry", "INT1", "--departures", departures,
+            "--policy", "static", "--out-dir", tmp_path / "sim",
+        )
+        self.assert_one_error_line(capsys, code, "'XYZ'")
+
+    def test_failing_grid_cell(self, tmp_path, capsys):
+        spec = tmp_path / "grid.txt"
+        spec.write_text("geometries = INT1\npatterns = PA\npolicies = static\ncycles = 20\nhours = offpeak\n")
+        code = run_cli("experiment", "--spec", spec, "--out-dir", tmp_path / "exp")
+        self.assert_one_error_line(capsys, code, "cell geometry=INT1 pattern=PA policy=static cycle=20")
+
+    def test_truncated_rl_snapshot(self, tmp_path, capsys):
+        from tmcsignal.model import TmcTable
+        from tmcsignal.rl import QFunction
+        from tmcsignal.trafficgen import MinuteTmc
+
+        tmc_file = tmp_path / "tmc.csv"
+        write_minute_tmc(MinuteTmc((TmcTable.zero(),)), tmc_file)
+        weights = tmp_path / "weights.txt"
+        QFunction(hidden_width=4).save(weights)
+        weights.write_text("".join(weights.read_text().splitlines(keepends=True)[:3]))
+        code = run_cli(
+            "plan", "--tmc", tmc_file, "--policy", "rl", "--weights", weights, "--out", tmp_path / "p.csv"
+        )
+        self.assert_one_error_line(capsys, code, "'norm'")
+
+
+def test_benchmark_traced_names_are_still_importable(monkeypatch):
+    # perfbench/tracing.py wraps these module attributes by name; a moved name
+    # would otherwise surface only as a missing span in a benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{site}.{layer.attr}"
+        for layer in tracing.LAYERS
+        for site in layer.sites
+        if not hasattr(importlib.import_module(site), layer.attr)
+    ]
+    assert len(tracing.LAYERS) > 0 and missing == []

@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 
 from tmcsignal.model import (
     MOVEMENTS,
+    TMC_TABLE_FIELDS,
     IntersectionGeometry,
     Movement,
     TmcTable,
     Zone,
     inflow_count,
+    movement_named,
     movements_into,
     outflow_count,
+    read_csv,
     read_geometries,
     read_tmc_tables,
     round_half_away,
+    write_csv,
     zone_capacity_rates,
 )
 
@@ -160,3 +164,65 @@ def test_geometry_file_rejects_missing_columns(tmp_path):
     bad.write_text("id,lanes_1i\nINT1,6\n")
     with pytest.raises(ValueError):
         read_geometries(bad)
+
+
+GEOMETRY_HEADER = "id,lanes_1i,lanes_1o,lanes_2i,lanes_2o,lanes_3i,lanes_3o,lanes_4i,lanes_4o"
+TMC_HEADER = "id,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(f"{GEOMETRY_HEADER}\nINT1,6,4,5,3,6,4,6\n", id="short-row"),
+        pytest.param(f"{GEOMETRY_HEADER}\nINT1,6,4,5,3,6,4,6,x\n", id="non-integer-lane-count"),
+        pytest.param(f"{GEOMETRY_HEADER}\nINT1,6,4,5,3,6,4,6,3\nINT1,5,4,3,2,5,4,3,2\n", id="repeated-id"),
+        pytest.param(f"{GEOMETRY_HEADER},extra\nINT1,6,4,5,3,6,4,6,3,1\n", id="extra-column"),
+    ],
+)
+def test_geometry_file_rejects_malformed_rows(tmp_path, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(ValueError):
+        read_geometries(bad)
+
+
+def test_tmc_tables_roundtrip(tmp_path, fixtures):
+    _, tables = fixtures
+    out = tmp_path / "tmc.csv"
+    write_csv(out, TMC_TABLE_FIELDS, ([tid, *t.counts] for tid, t in tables.items()))
+    assert read_tmc_tables(out) == tables
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("id,WBL,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\nA,1,1,1,1,1,1,1,1,1,1,1\n", id="no-wbt"),
+        pytest.param(f"{TMC_HEADER}\nA,1,1,1,1,1,1,1,1,1,1,1,1\nA,2,2,2,2,2,2,2,2,2,2,2,2\n", id="repeated-id"),
+        pytest.param(f"{TMC_HEADER}\nA,1,1,1,1,1,1,1,1,1,1,1,1.5\n", id="non-integer-count"),
+    ],
+)
+def test_tmc_table_file_rejects_malformed_rows(tmp_path, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(ValueError):
+        read_tmc_tables(bad)
+
+
+def test_read_csv_names_the_file_and_the_line(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("a,b\n1,2\n")
+    assert read_csv(path, ("x",), ("a", "b")) == (("a", "b"), [["1", "2"]])
+    with pytest.raises(ValueError, match="f.csv: header 'a,b' is not 'a'"):
+        read_csv(path, ("a",))
+    path.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(ValueError, match="f.csv, line 3: expected 2 fields, got 1"):
+        read_csv(path, ("a", "b"))
+    path.write_text("")
+    with pytest.raises(ValueError, match="header ''"):
+        read_csv(path, ("a", "b"))
+
+
+def test_movement_named():
+    assert [movement_named(m.name) for m in MOVEMENTS] == list(MOVEMENTS)
+    with pytest.raises(ValueError, match="'XYZ'"):
+        movement_named("XYZ")

@@ -220,3 +220,15 @@ def test_weights_roundtrip(tmp_path):
         assert np.array_equal(a, b)
     state = (1.0, 0.1, 0.1, 0.1)
     assert loaded.greedy_action(state) == q.greedy_action(state)
+
+
+def test_snapshot_header_lines_in_any_order_but_all_present(tmp_path):
+    q = QFunction(hidden_width=4, seed=2, norm=50.0)
+    path = tmp_path / "weights.txt"
+    q.save(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([lines[3], lines[0], lines[2], lines[1], *lines[4:]]))
+    assert QFunction.load(path).norm == 50.0
+    path.write_text("".join(lines[:3]))
+    with pytest.raises(ValueError, match="'norm'"):
+        QFunction.load(path)

@@ -248,3 +248,37 @@ def test_program_csv_unknown_header_rejected(tmp_path):
     path.write_text("minute,a1,b1,a2,b2,a3,b3,a4,b4\n0,20,3,20,3,19,3,19,3\n")
     with pytest.raises(ValueError):
         read_program(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(tmc_tables, min_size=1, max_size=4),
+    cycles,
+    st.integers(0, 5),
+    st.booleans(),
+)
+def test_program_csv_roundtrip_property(tmp_path_factory, tables, cycle, yellow, split):
+    plans = [dynamic_plan(t, cycle, yellow) for t in tables]
+    if split:
+        plans = [split_phase_plan(p.greens, yellow, cycle) for p in plans]
+    program = SignalProgram(tuple(plans))
+    path = tmp_path_factory.mktemp("p") / "program.csv"
+    write_program(program, path)
+    assert read_program(path) == program
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4\n0,21,3,21,3,21,3,21\n", id="dropped-column"),
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,21,3\n1,21,3,21,3,21,3,21\n", id="short-row"),
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,2x,3\n", id="non-integer-green"),
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,21,3\n0,21,3,21,3,21,3,21,3\n", id="repeated-minute"),
+        pytest.param("minute,gWB,yWB,gNB,yNB,gEB,yEB,gSB,ySB\n1,21,3,21,3,21,3,21,3\n", id="first-minute-is-not-0"),
+    ],
+)
+def test_program_csv_rejects_malformed_rows(tmp_path, text):
+    path = tmp_path / "program.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_program(path)

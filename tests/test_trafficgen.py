@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmcsignal.model import Movement, TmcTable, Zone
+from tmcsignal.model import MOVEMENTS, Movement, TmcTable, Zone
 from tmcsignal.trafficgen import (
     PATTERNS,
     UNIVERSAL_WEIGHTS,
@@ -21,10 +21,12 @@ from tmcsignal.trafficgen import (
     hourly_counts,
     parse_demand_spec,
     pattern_library,
+    read_departures,
     read_minute_tmc,
     schedule_departures,
     split_by_movement,
     split_by_zone,
+    write_departures,
     write_minute_tmc,
 )
 
@@ -246,3 +248,74 @@ def test_minute_tmc_roundtrip(tmp_path):
     out = tmp_path / "m.csv"
     write_minute_tmc(minute_tmc, out)
     assert read_minute_tmc(out) == minute_tmc
+
+
+def test_departures_roundtrip(tmp_path):
+    plans, _ = generate_demand(DemandSpec(seed=3, profile=BimodalProfile(50, 5, 100, 5)))
+    out = tmp_path / "d.csv"
+    write_departures(plans, out)
+    assert read_departures(out) == plans
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 10**6)] * 12), max_size=5))
+def test_minute_tmc_roundtrip_property(tmp_path_factory, counts):
+    minute_tmc = MinuteTmc(tuple(TmcTable(c) for c in counts))
+    out = tmp_path_factory.mktemp("m") / "m.csv"
+    write_minute_tmc(minute_tmc, out)
+    assert read_minute_tmc(out) == minute_tmc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.text(min_size=1, max_size=6), st.integers(0, 10**6), st.sampled_from(MOVEMENTS)),
+        max_size=8,
+        unique_by=lambda p: p[0],
+    )
+)
+def test_departures_roundtrip_property(tmp_path_factory, rows):
+    plans = [VehiclePlan(*row) for row in rows]
+    out = tmp_path_factory.mktemp("d") / "d.csv"
+    write_departures(plans, out)
+    assert read_departures(out) == plans
+
+
+MINUTE_HEADER = "minute,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR"
+ONES = ",".join(["1"] * 12)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(f"{MINUTE_HEADER.replace(',WBT', '')}\n0,{ONES[2:]}\n", id="dropped-column"),
+        pytest.param(f"{MINUTE_HEADER}\n0,{ONES}\n1,{ONES[2:]}\n", id="short-row"),
+        pytest.param(f"{MINUTE_HEADER}\n0,{ONES[:-1]}x\n", id="non-integer-count"),
+        pytest.param(f"{MINUTE_HEADER}\n0,{ONES}\n0,{ONES}\n", id="repeated-minute"),
+        pytest.param(f"{MINUTE_HEADER}\n1,{ONES}\n0,{ONES}\n", id="minutes-out-of-order"),
+        pytest.param(f"{MINUTE_HEADER}\n0,{ONES}\n2,{ONES}\n", id="missing-minute"),
+    ],
+)
+def test_minute_tmc_file_rejects_malformed_rows(tmp_path, text):
+    bad = tmp_path / "m.csv"
+    bad.write_text(text)
+    with pytest.raises(ValueError):
+        read_minute_tmc(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("id,depart\nv0,0\n", id="dropped-column"),
+        pytest.param("id,depart,movement\nv0,0,WBT\nv1,5\n", id="short-row"),
+        pytest.param("id,depart,movement\nv0,0.5,WBT\n", id="non-integer-departure"),
+        pytest.param("id,depart,movement\nv0,0,WBT\nv0,5,NBT\n", id="repeated-id"),
+        pytest.param("id,depart,movement\nv0,0,XYZ\n", id="unknown-movement"),
+        pytest.param("depart,id,movement\n0,v0,WBT\n", id="reordered-columns"),
+    ],
+)
+def test_departures_file_rejects_malformed_rows(tmp_path, text):
+    bad = tmp_path / "d.csv"
+    bad.write_text(text)
+    with pytest.raises(ValueError):
+        read_departures(bad)

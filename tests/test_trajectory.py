@@ -217,3 +217,40 @@ def test_typical_path_file_rejects_unknown_movement(tmp_path):
     file.write_text("movement,x,y\nXYZ,0,0\nXYZ,1,1\n")
     with pytest.raises(ValueError):
         read_typical_paths(file)
+
+
+TRACKS = "id,class,frame,x,y\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("id,class,x,y\na,1,0,0\na,1,1,1\n", id="dropped-column"),
+        pytest.param(TRACKS + "a,1,0,0,0\na,1,1,1\n", id="short-row"),
+        pytest.param(TRACKS + "a,1,0,0,0\na,1,one,1,1\n", id="non-integer-frame"),
+        pytest.param(TRACKS + "a,1,0,0,0\nb,1,0,5,5\na,1,1,1,1\nb,1,1,6,6\n", id="track-a-split-apart-by-b"),
+        pytest.param(TRACKS + "a,1,0,0,0\na,0,1,1,1\n", id="class-changes-partway"),
+        pytest.param(TRACKS + "a,1,1,0,0\na,1,0,1,1\n", id="frames-out-of-order"),
+    ],
+)
+def test_trajectory_file_rejects_malformed_rows(tmp_path, text):
+    file = tmp_path / "trajs.csv"
+    file.write_text(text)
+    with pytest.raises(ValueError):
+        read_trajectories(file)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("movement,x\nWBL,0\nWBL,1\n", id="dropped-column"),
+        pytest.param("movement,x,y\nWBL,0,0\nWBL,1\n", id="short-row"),
+        pytest.param("movement,x,y\nWBL,0,0\nWBT,0,0\nWBL,1,1\nWBT,1,1\n", id="path-wbl-split-apart-by-wbt"),
+        pytest.param("movement,x,y\nWBL,0,0\nWBL,1,y\n", id="non-numeric-coordinate"),
+    ],
+)
+def test_typical_path_file_rejects_malformed_rows(tmp_path, text):
+    file = tmp_path / "paths.csv"
+    file.write_text(text)
+    with pytest.raises(ValueError):
+        read_typical_paths(file)
