@@ -99,13 +99,14 @@ def read_experiment_spec(path: str | Path) -> ExperimentSpec:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
-    """Simulate every grid cell deterministically.
+    """Simulate every grid cell deterministically, all cells in one batch.
 
     Demand is drawn once per pattern (seeded from the grid seed and the
     pattern's index) and shared across intersections, policies, and cycles.
     The RL allocator is likewise trained once per pattern: its delay objective
     scales uniformly with the usable green, so the greedy allocation does not
-    depend on the cycle time.
+    depend on the cycle time. Programs are built while the kernel reads them,
+    so one program is held at a time.
     """
     geometries = read_geometries(spec.geometry_file)
     if spec.geometry_ids:
@@ -137,22 +138,32 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
                 minute_tmcs, episodes=spec.rl_episodes, seed=pattern_seed
             )
 
-    results: dict[CellKey, SimResult] = {}
-    for geo_id, geometry in geometries.items():
-        for pattern in spec.patterns:
-            plans, minute_tmcs, _ = demands[pattern]
-            for policy in spec.policies:
-                for cycle in spec.cycles:
-                    key = (geo_id, pattern, policy, cycle)
-                    try:
-                        program = build_program(minute_tmcs, policy, cycle, q=allocators.get(pattern))
-                        results[key] = run(geometry, plans, program, cfg)
-                    except ValueError as exc:
-                        raise ExperimentError(
-                            f"cell geometry={geo_id} pattern={pattern} "
-                            f"policy={policy} cycle={cycle}: {exc}"
-                        ) from exc
-    return ExperimentMatrix(results, horizon)
+    keys = [
+        (geo_id, pattern, policy, cycle)
+        for geo_id in geometries
+        for pattern in spec.patterns
+        for policy in spec.policies
+        for cycle in spec.cycles
+    ]
+
+    def programs():
+        for geo_id, pattern, policy, cycle in keys:
+            try:
+                program = build_program(demands[pattern][1], policy, cycle, q=allocators.get(pattern))
+            except ValueError as exc:
+                raise ExperimentError(
+                    f"cell geometry={geo_id} pattern={pattern} "
+                    f"policy={policy} cycle={cycle}: {exc}"
+                ) from exc
+            yield program
+
+    results = run(
+        [geometries[key[0]] for key in keys],
+        [demands[key[1]][0] for key in keys],
+        programs(),
+        cfg,
+    )
+    return ExperimentMatrix(dict(zip(keys, results)), horizon)
 
 
 def best_by_policy(

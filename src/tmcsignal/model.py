@@ -11,7 +11,7 @@ from importlib import resources
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 
 class Zone(IntEnum):
@@ -218,6 +218,24 @@ def read_csv(path: str | Path, *headers: tuple[str, ...]) -> tuple[tuple[str, ..
     return header, rows
 
 
+T = TypeVar("T")
+
+
+def convert_rows(path: str | Path, rows: Sequence[Sequence[str]], convert: Callable[[Sequence[str]], T]) -> list[T]:
+    """``convert(row)`` for each row of a ``read_csv`` result.
+
+    A ``ValueError`` from ``convert``, e.g. a field that is not a number, is
+    raised again prefixed with ``<path>, line <n>:``.
+    """
+    out = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            out.append(convert(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from exc
+    return out
+
+
 def movement_named(name: str) -> Movement:
     """The movement labelled ``name`` (e.g. 'WBT'); ``ValueError`` for an unknown label."""
     if name not in Movement.__members__:
@@ -238,9 +256,9 @@ def check_minutes(path: str | Path, rows: Sequence[Sequence[str]]) -> None:
             raise ValueError(f"{path}, line {minute + 2}: minute {row[0]!r}, expected {minute}")
 
 
-def group_rows(path: str | Path, rows: Sequence[Sequence[str]]) -> dict[str, list[Sequence[str]]]:
+def group_rows(path: str | Path, rows: Sequence[Sequence]) -> dict[str, list[Sequence]]:
     """Rows grouped by their first field; ``ValueError`` when one key's rows are split apart."""
-    groups: dict[str, list[Sequence[str]]] = {}
+    groups: dict[str, list[Sequence]] = {}
     for key, group in groupby(rows, itemgetter(0)):
         if key in groups:
             raise ValueError(f"{path}: the rows of {key!r} are not contiguous")
@@ -265,8 +283,12 @@ def read_geometries(path: str | Path | None = None) -> dict[str, IntersectionGeo
     source = path if path is not None else _bundled("intersections.csv")
     _, rows = read_csv(source, GEOMETRY_FIELDS)
     check_unique_ids(source, rows)
-    lanes = {row[0]: [int(v) for v in row[1:]] for row in rows}
-    return {gid: IntersectionGeometry(gid, tuple(n[0::2]), tuple(n[1::2])) for gid, n in lanes.items()}
+    geometries = convert_rows(
+        source,
+        rows,
+        lambda row: IntersectionGeometry(row[0], tuple(map(int, row[1::2])), tuple(map(int, row[2::2]))),
+    )
+    return {geo.id: geo for geo in geometries}
 
 
 def write_geometries(geos: Iterable[IntersectionGeometry], path: str | Path) -> None:
@@ -283,4 +305,4 @@ def read_tmc_tables(path: str | Path | None = None) -> dict[str, TmcTable]:
     source = path if path is not None else _bundled("tmc_counts.csv")
     _, rows = read_csv(source, TMC_TABLE_FIELDS)
     check_unique_ids(source, rows)
-    return {row[0]: TmcTable(tuple(int(v) for v in row[1:])) for row in rows}
+    return dict(convert_rows(source, rows, lambda row: (row[0], TmcTable(tuple(map(int, row[1:]))))))

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import Movement, TmcTable, check_minutes, read_csv, write_csv
+from tmcsignal.model import Movement, TmcTable, check_minutes, convert_rows, read_csv, write_csv
 from tmcsignal.trafficgen import MinuteTmc
 
 DEFAULT_YELLOW = 3
@@ -301,11 +301,12 @@ def read_program(path: str | Path) -> SignalProgram:
     header, rows = read_csv(path, *_LAYOUTS)
     check_minutes(path, rows)
     _, make_plan = _LAYOUTS[header]
-    plans = []
-    for row in rows:
-        greens = tuple(int(v) for v in row[1::2])
-        yellows = tuple(int(v) for v in row[2::2])
+
+    def plan(row: Sequence[str]) -> PhasePlan:
+        greens = tuple(map(int, row[1::2]))
+        yellows = tuple(map(int, row[2::2]))
         if len(set(yellows)) != 1:
             raise ValueError("per-phase yellows must be equal")
-        plans.append(make_plan(greens, yellows[0], sum(greens) + sum(yellows)))
-    return SignalProgram(tuple(plans))
+        return make_plan(greens, yellows[0], sum(greens) + sum(yellows))
+
+    return SignalProgram(tuple(convert_rows(path, rows, plan)))

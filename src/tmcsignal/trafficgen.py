@@ -11,7 +11,7 @@ import numpy as np
 
 from tmcsignal.apportion import proportional_split
 from tmcsignal.model import MOVEMENTS, Movement, TmcTable, Zone
-from tmcsignal.model import check_minutes, check_unique_ids, movement_named, read_csv, write_csv
+from tmcsignal.model import check_minutes, check_unique_ids, convert_rows, movement_named, read_csv, write_csv
 
 HourKind = Literal["offpeak", "peak"]
 SplitMode = Literal["deterministic", "sampled"]
@@ -355,7 +355,7 @@ def read_minute_tmc(path: str | Path) -> MinuteTmc:
     """
     _, rows = read_csv(path, MINUTE_TMC_FIELDS)
     check_minutes(path, rows)
-    return MinuteTmc(tuple(TmcTable(tuple(int(v) for v in row[1:])) for row in rows))
+    return MinuteTmc(tuple(convert_rows(path, rows, lambda row: TmcTable(tuple(map(int, row[1:]))))))
 
 
 def write_departures(plans: Iterable[VehiclePlan], path: str | Path) -> None:
@@ -370,4 +370,4 @@ def read_departures(path: str | Path) -> list[VehiclePlan]:
     """
     _, rows = read_csv(path, DEPARTURE_FIELDS)
     check_unique_ids(path, rows)
-    return [VehiclePlan(vid, int(depart), movement_named(name)) for vid, depart, name in rows]
+    return convert_rows(path, rows, lambda row: VehiclePlan(row[0], int(row[1]), movement_named(row[2])))

@@ -6,7 +6,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from tmcsignal.model import MOVEMENTS, Movement, TmcTable, group_rows, movement_named, read_csv, write_csv
+from tmcsignal.model import (
+    MOVEMENTS,
+    Movement,
+    TmcTable,
+    convert_rows,
+    group_rows,
+    movement_named,
+    read_csv,
+    write_csv,
+)
 
 Point = tuple[float, float]
 
@@ -157,15 +166,16 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
     non-numeric field, or a track of fewer than two points.
     """
     _, rows = read_csv(path, TRAJECTORY_FIELDS)
+    rows = convert_rows(path, rows, lambda row: (row[0], int(row[1]), int(row[2]), float(row[3]), float(row[4])))
     out = []
     for tid, samples in group_rows(path, rows).items():
-        labels = {int(row[1]) for row in samples}
+        labels = {row[1] for row in samples}
         if len(labels) != 1:
             raise ValueError(f"{path}: trajectory {tid} changes class")
-        frames = [int(row[2]) for row in samples]
+        frames = [row[2] for row in samples]
         if frames != sorted(frames):
             raise ValueError(f"{path}: trajectory {tid}: frames out of order")
-        points = tuple((float(row[3]), float(row[4])) for row in samples)
+        points = tuple((row[3], row[4]) for row in samples)
         out.append(Trajectory(tid, labels.pop(), points))
     return out
 
@@ -185,9 +195,10 @@ def read_typical_paths(path: str | Path) -> tuple[TypicalPath, ...]:
     coordinate, or a path of fewer than two points.
     """
     _, rows = read_csv(path, PATH_FIELDS)
+    rows = convert_rows(path, rows, lambda row: (row[0], movement_named(row[0]), float(row[1]), float(row[2])))
     paths = [
-        TypicalPath(movement_named(name), tuple((float(x), float(y)) for _, x, y in samples))
-        for name, samples in group_rows(path, rows).items()
+        TypicalPath(samples[0][1], tuple((x, y) for _, _, x, y in samples))
+        for samples in group_rows(path, rows).values()
     ]
     paths.sort(key=lambda p: p.movement)
     return tuple(paths)

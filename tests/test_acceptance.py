@@ -11,14 +11,12 @@ import time
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from tmcsignal.experiment import ExperimentSpec, run_experiment
 from tmcsignal.model import (
     IntersectionGeometry,
     Movement,
     TmcTable,
-    Zone,
     read_geometries,
     read_tmc_tables,
     zone_capacity_rates,
@@ -213,7 +211,7 @@ def test_criterion_6_conservation_and_trace():
         ]
         cycle = int(rng.choice([60, 90]))
         program = SignalProgram((static_plan(cycle, 3),) * math.ceil(horizon / 60))
-        result = run(geo, plans, program, SimConfig(horizon=horizon))
+        result = run([geo], [plans], [program], SimConfig(horizon=horizon))[0]
         injected = sum(1 for p in plans if p.depart < horizon)
         ok &= result.injected == injected
         ok &= result.served + result.residual_queue == injected
@@ -221,11 +219,11 @@ def test_criterion_6_conservation_and_trace():
     geo = read_geometries()["INT1"]
     program = SignalProgram((static_plan(90, 3),) * 60)
     trace = run(
-        geo,
-        [VehiclePlan("v0", 0, Movement.NBT)],
-        program,
+        [geo],
+        [[VehiclePlan("v0", 0, Movement.NBT)]],
+        [program],
         SimConfig(horizon=3600),
-    )
+    )[0]
     ok &= 46 <= trace.total_wait <= 48 and trace.served == 1
     report(6, f"conservation on 1000 scenarios; trace wait {trace.total_wait}s in [46,48]", ok)
 

@@ -229,15 +229,61 @@ class TestMalformedInputs:
         )
         self.assert_one_error_line(capsys, code, "'norm'")
 
+    VALID_INPUTS = {
+        "tmc.csv": "minute,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\n0,1,1,1,1,1,1,1,1,1,1,1,1\n",
+        "departures.csv": "id,depart,movement\nv0,0,WBT\nv1,4,NBT\n",
+        "geometries.csv": "id,lanes_1i,lanes_1o,lanes_2i,lanes_2o,lanes_3i,lanes_3o,lanes_4i,lanes_4o\nX,2,2,2,2,2,2,2,2\n",
+        "program.csv": "minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,21,3\n",
+        "trajectories.csv": "id,class,frame,x,y\na,1,0,0,0\na,1,1,1,1\n",
+        "paths.csv": "movement,x,y\nWBL,0,0\nWBL,1,1\n",
+    }
+    COMMANDS = {
+        "plan": ("plan", "--tmc", "tmc.csv", "--policy", "static", "--out", "out.csv"),
+        "simulate": ("simulate", "--geometry", "INT1", "--departures", "departures.csv", "--policy", "static",
+                     "--out-dir", "sim"),
+        "simulate-x": ("simulate", "--geometry", "X", "--geometry-file", "geometries.csv", "--departures",
+                       "departures.csv", "--policy", "static", "--out-dir", "sim"),
+        "export-sumo": ("export-sumo", "--departures", "departures.csv", "--program", "program.csv",
+                        "--out-dir", "sumo"),
+        "tmc": ("tmc", "--trajectories", "trajectories.csv", "--paths", "paths.csv", "--out", "out.csv"),
+    }
 
-def test_benchmark_traced_names_are_still_importable(monkeypatch):
-    # perfbench/tracing.py wraps these module attributes by name; a moved name
-    # would otherwise surface only as a missing span in a benchmark run.
+    @pytest.mark.parametrize(
+        "command, name, text, line",
+        [
+            pytest.param("plan", "tmc.csv", "0,1,1,1,1,1,1,1,1,1,1,1,x\n", 2, id="minute-tmc-count-x"),
+            pytest.param("simulate", "departures.csv", "v0,0,WBT\nv1,x,NBT\n", 3, id="departure-second-x"),
+            pytest.param("simulate", "departures.csv", "v0,0,WBT\nv1,4,XYZ\n", 3, id="departure-movement-xyz"),
+            pytest.param("simulate-x", "geometries.csv", "X,2,2,2,2,2,2,2,x\n", 2, id="geometry-lanes-x"),
+            pytest.param("export-sumo", "program.csv", "0,x,3,21,3,21,3,21,3\n", 2, id="program-green-x"),
+            pytest.param("tmc", "trajectories.csv", "a,1,0,0,0\na,1,one,1,1\n", 3, id="trajectory-frame-one"),
+            pytest.param("tmc", "paths.csv", "WBL,0,0\nWBL,1,y\n", 3, id="path-coordinate-y"),
+        ],
+    )
+    def test_bad_field_names_the_file_and_the_line(self, tmp_path, capsys, monkeypatch, command, name, text, line):
+        for file_name, content in self.VALID_INPUTS.items():
+            (tmp_path / file_name).write_text(content)
+        header = self.VALID_INPUTS[name].splitlines(keepends=True)[0]
+        (tmp_path / name).write_text(header + text)
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(*self.COMMANDS[command])
+        self.assert_one_error_line(capsys, code, f"{name}, line {line}: ")
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    """The benchmark's span tracer, perfbench/tracing.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_traced_names_are_still_importable(tracing):
+    # perfbench/tracing.py wraps these module attributes by name; a moved name
+    # would otherwise surface only as a missing span in a benchmark run.
     missing = [
         f"{site}.{layer.attr}"
         for layer in tracing.LAYERS
@@ -245,3 +291,20 @@ def test_benchmark_traced_names_are_still_importable(monkeypatch):
         if not hasattr(importlib.import_module(site), layer.attr)
     ]
     assert len(tracing.LAYERS) > 0 and missing == []
+
+
+def test_benchmark_traced_experiment_pass(tmp_path, tracing):
+    # The traced benchmark pass counts cell ticks from sim.run's arguments; a
+    # kernel signature it cannot read would otherwise fail only in a benchmark run.
+    spec = tmp_path / "grid.txt"
+    spec.write_text(
+        "geometries = INT1\npatterns = PA\npolicies = static, rl\ncycles = 60, 90\n"
+        "hours = offpeak\nrl_episodes = 2\n"
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code = run_cli("experiment", "--spec", spec, "--out-dir", tmp_path / "exp")
+    runs = [span for span in tracer.spans if span.name == "sim.run"]
+    assert code == 0 and tracer.unpatched == []
+    assert runs and all(span.counts.get("cell_ticks") == 3600 for span in runs)
+    assert tracing.nesting_errors(tracer.spans) == []

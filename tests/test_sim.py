@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmcsignal.model import IntersectionGeometry, Movement, TmcTable, Zone
+from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone
 from tmcsignal.sim import (
-    LaneAssignment,
     SimConfig,
+    SimResult,
     assign_lanes,
     evaluate,
     run,
@@ -18,8 +21,128 @@ from tmcsignal.sim import (
     write_summary,
 )
 from tmcsignal.model import read_geometries
-from tmcsignal.signals import SignalProgram, split_phase_plan, static_plan
+from tmcsignal.signals import (
+    PHASE_PERMISSIVE,
+    PHASE_SERVED,
+    Phase,
+    PhasePlan,
+    SignalProgram,
+    allocate_greens,
+    split_phase_plan,
+    static_plan,
+)
 from tmcsignal.trafficgen import VehiclePlan
+
+
+# --- the scalar reference: one cell, one second, one movement at a time ---------------
+#
+# This is the simulator loop the batched kernel replaced, kept unchanged as the
+# oracle that the kernel must match field for field.
+
+
+def _service_rates(
+    geo: IntersectionGeometry,
+    program: SignalProgram,
+    cfg: SimConfig,
+) -> list[list[float]]:
+    """Per-second, per-movement discharge rates implied by the signal program.
+
+    Phases cycle continuously; a minute plan takes effect at the first cycle
+    boundary inside that minute, so phases are never truncated mid-green.
+    """
+    lanes = assign_lanes(geo)
+    rates = np.zeros((cfg.horizon, 12))
+    full = np.array([lanes[m] / cfg.saturation_headway for m in MOVEMENTS])
+    t = 0
+    while t < cfg.horizon:
+        plan = program.plan_at(min(t // 60, len(program) - 1))
+        for phase in plan.phases:
+            end = min(t + phase.green, cfg.horizon)
+            if end > t:
+                for m in phase.served:
+                    rates[t:end, m] = full[m]
+                for m in phase.permissive:
+                    rates[t:end, m] = cfg.permissive_left_factor * full[m]
+            t += phase.green + phase.yellow
+            if t >= cfg.horizon:
+                break
+    return rates.tolist()
+
+
+def scalar_run(
+    geo: IntersectionGeometry,
+    plans: Sequence[VehiclePlan],
+    program: SignalProgram,
+    cfg: SimConfig,
+) -> SimResult:
+    """Simulate the horizon tick by tick and report waiting/queue measurements."""
+    minutes_needed = math.ceil(cfg.horizon / 60)
+    if len(program) < minutes_needed:
+        raise ValueError(
+            f"program covers {len(program)} minutes, horizon needs {minutes_needed}"
+        )
+    arrivals: dict[int, list[int]] = {}
+    injected = 0
+    last = -1
+    for p in plans:
+        if p.depart < last:
+            raise ValueError("vehicle plans must be sorted by departure time")
+        last = p.depart
+        if p.depart < cfg.horizon:
+            arrivals.setdefault(p.depart, []).append(int(p.movement))
+            injected += 1
+
+    rates = _service_rates(geo, program, cfg)
+    queues = [0] * 12
+    credit = [0.0] * 12
+    total_wait = 0
+    served = 0
+    n_minutes = minutes_needed
+    zone_max = [[0, 0, 0, 0] for _ in range(n_minutes)]
+
+    for t in range(cfg.horizon):
+        new = arrivals.get(t)
+        if new is not None:
+            for m in new:
+                queues[m] += 1
+        rate_row = rates[t]
+        for m in range(12):
+            q = queues[m]
+            if q:
+                r = rate_row[m]
+                if r > 0.0:
+                    c = credit[m] + r
+                    n = int(c)
+                    if n >= q:
+                        served += q
+                        queues[m] = 0
+                        credit[m] = 0.0
+                    elif n:
+                        served += n
+                        queues[m] = q - n
+                        credit[m] = c - n
+                    else:
+                        credit[m] = c
+                else:
+                    credit[m] = 0.0
+            else:
+                credit[m] = 0.0
+        total_wait += sum(queues)
+        row = zone_max[t // 60]
+        for z in range(4):
+            zq = queues[3 * z] + queues[3 * z + 1] + queues[3 * z + 2]
+            if zq > row[z]:
+                row[z] = zq
+
+    residual = sum(queues)
+    return SimResult(
+        injected=injected,
+        served=served,
+        residual_queue=residual,
+        total_wait=total_wait,
+        nwt=total_wait / max(1, injected),
+        queue_series=tuple(tuple(row) for row in zone_max),
+    )
 
 
 def static_program(cycle: int = 90, minutes: int = 60) -> SignalProgram:
@@ -62,14 +185,14 @@ class TestAssignLanes:
 
 class TestRunBasics:
     def test_no_vehicles(self, geometries):
-        result = run(geometries["INT1"], [], static_program(), SimConfig(horizon=3600))
+        result = run([geometries["INT1"]], [[]], [static_program()], SimConfig(horizon=3600))[0]
         assert result.nwt == 0.0
         assert result.injected == result.served == result.residual_queue == 0
         assert all(row == (0, 0, 0, 0) for row in result.queue_series)
 
     def test_immediate_service_at_green_onset(self, geometries):
         plans = [VehiclePlan("v0", 0, Movement.EBT)]
-        result = run(geometries["INT1"], plans, static_program(), SimConfig(horizon=3600))
+        result = run([geometries["INT1"]], [plans], [static_program()], SimConfig(horizon=3600))[0]
         assert result.total_wait <= 2  # within one saturation headway
         assert result.served == 1
 
@@ -77,22 +200,22 @@ class TestRunBasics:
         # P1 green 20 + yellow 3 + P2 green 20 + yellow 3 pass before the
         # north-south through phase opens at t=46.
         plans = [VehiclePlan("v0", 0, Movement.NBT)]
-        result = run(geometries["INT1"], plans, static_program(), SimConfig(horizon=3600))
+        result = run([geometries["INT1"]], [plans], [static_program()], SimConfig(horizon=3600))[0]
         assert 46 <= result.total_wait <= 48
         assert result.served == 1
 
     def test_program_must_cover_horizon(self, geometries):
         with pytest.raises(ValueError):
-            run(geometries["INT1"], [], static_program(minutes=30), SimConfig(horizon=3600))
+            run([geometries["INT1"]], [[]], [static_program(minutes=30)], SimConfig(horizon=3600))[0]
 
     def test_rejects_unsorted_plans(self, geometries):
         plans = [VehiclePlan("a", 50, Movement.WBT), VehiclePlan("b", 10, Movement.WBT)]
         with pytest.raises(ValueError):
-            run(geometries["INT1"], plans, static_program(), SimConfig(horizon=3600))
+            run([geometries["INT1"]], [plans], [static_program()], SimConfig(horizon=3600))[0]
 
     def test_nwt_definition(self, geometries):
         plans = sorted_plans([(i * 7 % 600, Movement((i * 5) % 12)) for i in range(200)])
-        result = run(geometries["INT2"], plans, static_program(), SimConfig(horizon=1200))
+        result = run([geometries["INT2"]], [plans], [static_program()], SimConfig(horizon=1200))[0]
         assert result.nwt == pytest.approx(result.total_wait / max(1, result.injected), abs=1e-9)
 
 
@@ -115,15 +238,15 @@ class TestConservationAndDeterminism:
         horizon = data.draw(st.integers(60, 700))
         cycle = data.draw(st.sampled_from([60, 90]))
         program = SignalProgram((static_plan(cycle, 3),) * 12)
-        result = run(geo, plans, program, SimConfig(horizon=horizon))
+        result = run([geo], [plans], [program], SimConfig(horizon=horizon))[0]
         assert result.injected == sum(1 for p in plans if p.depart < horizon)
         assert result.served + result.residual_queue == result.injected
 
     def test_bit_identical_reruns(self, geometries):
         plans = sorted_plans([(i * 13 % 3600, Movement(i % 12)) for i in range(500)])
         cfg = SimConfig(horizon=3600)
-        first = run(geometries["INT3"], plans, static_program(), cfg)
-        second = run(geometries["INT3"], plans, static_program(), cfg)
+        first = run([geometries["INT3"]], [plans], [static_program()], cfg)[0]
+        second = run([geometries["INT3"]], [plans], [static_program()], cfg)[0]
         assert first == second
 
 
@@ -145,8 +268,8 @@ class TestFifoAndMonotonicity:
             )
             return SignalProgram((PhasePlan(phases, sum(greens) + 12),) * 90)
 
-        base = run(geometries["INT1"], plans, program_with((20, 20, 19, 19)), cfg)
-        wider = run(geometries["INT1"], plans, program_with((20, 20, 25, 13)), cfg)
+        base = run([geometries["INT1"]], [plans], [program_with((20, 20, 19, 19))], cfg)[0]
+        wider = run([geometries["INT1"]], [plans], [program_with((20, 20, 25, 13))], cfg)[0]
         assert wider.total_wait <= base.total_wait
 
 
@@ -176,13 +299,13 @@ class TestEvaluate:
     def test_split_phase_program_serves_all_movements(self, geometries):
         plans = sorted_plans([(i % 300, Movement(i % 12)) for i in range(60)])
         program = SignalProgram((split_phase_plan((20, 20, 19, 19), 3, 90),) * 20)
-        result = run(geometries["INT1"], plans, program, SimConfig(horizon=1200))
+        result = run([geometries["INT1"]], [plans], [program], SimConfig(horizon=1200))[0]
         assert result.served == 60
 
 
 def test_result_csv_exports(tmp_path, geometries):
     plans = sorted_plans([(i, Movement.WBT) for i in range(30)])
-    result = run(geometries["INT1"], plans, static_program(), SimConfig(horizon=120))
+    result = run([geometries["INT1"]], [plans], [static_program()], SimConfig(horizon=120))[0]
     summary, series = tmp_path / "summary.csv", tmp_path / "queues.csv"
     write_summary(result, summary)
     write_queue_series(result, series)
@@ -190,3 +313,65 @@ def test_result_csv_exports(tmp_path, geometries):
     assert lines[0] == "injected,served,residual_queue,total_wait,nwt"
     assert lines[1].startswith(f"{result.injected},{result.served}")
     assert len(series.read_text().splitlines()) == 1 + len(result.queue_series)
+
+
+# --- the batched kernel against the scalar oracle -------------------------------------
+
+
+@st.composite
+def protected_left_plans(draw, cycle: int) -> PhasePlan:
+    greens = allocate_greens(draw(st.lists(st.integers(0, 50), min_size=4, max_size=4)), cycle - 12)
+    return PhasePlan(
+        tuple(Phase(PHASE_SERVED[i], greens[i], 3, PHASE_PERMISSIVE[i]) for i in range(4)), cycle
+    )
+
+
+@st.composite
+def split_phase_plans(draw, cycle: int) -> PhasePlan:
+    greens = allocate_greens(draw(st.lists(st.integers(0, 50), min_size=4, max_size=4)), cycle - 12)
+    return split_phase_plan(greens, 3, cycle)
+
+
+@st.composite
+def batches(draw):
+    """A batch of cells: geometries, shared demands (one empty) and programs of both layouts."""
+    horizon = draw(st.integers(1, 700))
+    cfg = SimConfig(
+        horizon=horizon,
+        saturation_headway=draw(st.sampled_from([2.0, 1.7, 2.5])),
+        permissive_left_factor=draw(st.sampled_from([0.5, 0.0, 1.0, 0.37])),
+    )
+    demands = [[]] + [
+        sorted_plans(
+            draw(st.lists(st.tuples(st.integers(0, horizon + 120), st.sampled_from(list(Movement))), max_size=120))
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    lanes = st.tuples(*[st.integers(1, 6)] * 4)
+    geometries, cell_demands, programs = [], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        geometries.append(IntersectionGeometry("X", draw(lanes), draw(lanes)))
+        cell_demands.append(demands[draw(st.integers(0, len(demands) - 1))])
+        cycle = draw(st.sampled_from([60, 90]))
+        plans = draw(st.sampled_from([protected_left_plans, split_phase_plans]))(cycle)
+        minutes = math.ceil(horizon / 60) + draw(st.integers(0, 2))
+        programs.append(SignalProgram(tuple(draw(st.lists(plans, min_size=minutes, max_size=minutes)))))
+    return geometries, cell_demands, programs, cfg
+
+
+@given(batches())
+@settings(max_examples=150, deadline=None)
+def test_batched_kernel_equals_scalar_oracle(batch):
+    geometries, demands, programs, cfg = batch
+    batched = run(geometries, demands, iter(programs), cfg)
+    assert batched == [scalar_run(g, d, p, cfg) for g, d, p in zip(geometries, demands, programs)]
+
+
+def test_batch_needs_one_demand_and_one_program_per_geometry(geometries):
+    geo, cfg = geometries["INT1"], SimConfig(horizon=600)
+    with pytest.raises(ValueError):
+        run([geo, geo], [[]], [static_program(), static_program()], cfg)
+    with pytest.raises(ValueError):
+        run([geo, geo], [[], []], [static_program()], cfg)
+    with pytest.raises(ValueError):
+        run([geo], [[]], [static_program(), static_program()], cfg)

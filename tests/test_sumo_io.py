@@ -13,7 +13,6 @@ from tmcsignal.sumo_io import (
     emit_tls,
     parse_routes,
     read_routes,
-    tls_to_xml,
     write_routes,
     write_tls,
 )
