@@ -140,10 +140,10 @@ def cmd_experiment(args) -> int:
 
 def cmd_rl_train(args) -> int:
     minute_tmc = read_minute_tmc(args.tmc)
-    q = rl_mod.train(
-        minute_tmc,
+    [q] = rl_mod.train(
+        [minute_tmc],
         episodes=args.episodes,
-        seed=args.seed if args.seed is not None else 0,
+        seeds=[args.seed if args.seed is not None else 0],
         cycle=args.cycle,
         yellow=args.yellow,
         log_path=args.log,

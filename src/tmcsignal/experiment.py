@@ -103,9 +103,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
 
     Demand is drawn once per pattern (seeded from the grid seed and the
     pattern's index) and shared across intersections, policies, and cycles.
-    The RL allocator is likewise trained once per pattern: its delay objective
-    scales uniformly with the usable green, so the greedy allocation does not
-    depend on the cycle time. Programs are built while the kernel reads them,
+    The RL allocator is likewise trained once per pattern, all patterns in one
+    lockstep ``rl.train`` call: its delay objective scales uniformly with the
+    usable green, so the greedy allocation does not depend on the cycle time.
+    A program depends only on (pattern, policy, cycle), so each is built once
+    and serves every geometry; programs are built while the kernel reads them,
     so one program is held at a time.
     """
     geometries = read_geometries(spec.geometry_file)
@@ -133,28 +135,32 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
 
     allocators = {}
     if "rl" in spec.policies:
-        for pattern, (_, minute_tmcs, pattern_seed) in demands.items():
-            allocators[pattern] = rl_mod.train(
-                minute_tmcs, episodes=spec.rl_episodes, seed=pattern_seed
-            )
+        trained = rl_mod.train(
+            [minute_tmcs for _, minute_tmcs, _ in demands.values()],
+            episodes=spec.rl_episodes,
+            seeds=[pattern_seed for _, _, pattern_seed in demands.values()],
+        )
+        allocators = dict(zip(demands, trained))
 
+    # Cells that share a program are consecutive: one per geometry.
     keys = [
         (geo_id, pattern, policy, cycle)
-        for geo_id in geometries
         for pattern in spec.patterns
         for policy in spec.policies
         for cycle in spec.cycles
+        for geo_id in geometries
     ]
 
     def programs():
-        for geo_id, pattern, policy, cycle in keys:
-            try:
-                program = build_program(demands[pattern][1], policy, cycle, q=allocators.get(pattern))
-            except ValueError as exc:
-                raise ExperimentError(
-                    f"cell geometry={geo_id} pattern={pattern} "
-                    f"policy={policy} cycle={cycle}: {exc}"
-                ) from exc
+        for i, (geo_id, pattern, policy, cycle) in enumerate(keys):
+            if i % len(geometries) == 0:
+                try:
+                    program = build_program(demands[pattern][1], policy, cycle, q=allocators.get(pattern))
+                except ValueError as exc:
+                    raise ExperimentError(
+                        f"cell geometry={geo_id} pattern={pattern} "
+                        f"policy={policy} cycle={cycle}: {exc}"
+                    ) from exc
             yield program
 
     results = run(

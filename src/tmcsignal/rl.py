@@ -3,11 +3,30 @@
 State is the 4-vector of normalized approach volumes (WB, NB, EB, SB); actions
 are quantized allocation splits of the usable green time; the reward is the
 negative total delay (volume over allocated green, summed over directions).
+
+``train`` learns a batch of allocators in lockstep, one per TMC stream, and
+each comes out with the bits it would have if trained alone. The networks'
+weights and biases, gradients and Adam moments are each one flat buffer, seen
+per layer as (streams, in, out) views, so one minute of every stream is one
+stacked greedy forward, one stacked TD forward and backward pass, and one Adam
+update of about a dozen in-place ufunc calls. Each stream keeps its own
+``Generator``, called as a lone run calls it: ``random()``, then
+``integers(84)`` only when exploring, then the replay sample. Rewards come from
+a (minutes, 84) table per stream built in ``delay``'s operation order. This is
+exact because Adam and the rewards are elementwise, and because a slice of a
+stacked (S, k, n) @ (S, n, m) product, like a stacked ``sum`` or ``max``, has
+the bits of the same 2-D operation. A row of a product can, however, change in
+its last bit with the number of rows computed alongside it. So the bootstrap
+forward keeps the rows a lone run uses: the stacked pass over all sampled next
+states serves only the streams whose sample holds no terminal transition, and
+any other stream is recomputed on its own non-terminal rows. For the same
+reason ``rl_plan`` runs one forward per minute, never one (minutes, 4) product,
+since a last-bit change can flip an argmax near a tie. Streams of unequal
+length train in separate lockstep groups.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -90,6 +109,10 @@ class Hyperparams:
     batch_size: int = 32
     hidden_width: int = 32
     epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
+
+    def __post_init__(self) -> None:
+        if self.buffer_capacity < 1 or self.batch_size < 1:
+            raise ValueError("buffer_capacity and batch_size must be >= 1")
 
     def lr_at(self, episode: int) -> float:
         return max(self.lr_floor, self.learning_rate * self.lr_decay**episode)
@@ -210,57 +233,50 @@ class VolumeStreamEnv:
         next_state = None if done else self.states[self._t]
         return reward, next_state, done
 
+    def reward_table(self) -> np.ndarray:
+        """The reward ``step`` gives for every (minute, action), shape (minutes, 84).
+
+        Built with ``delay``'s operations in its order, so every entry has its bits.
+        """
+        greens = np.array(ACTIONS) / 10 * self.usable_green
+        ratios = np.array(self.volumes)[:, None, :] / greens
+        return -(((ratios[..., 0] + ratios[..., 1]) + ratios[..., 2]) + ratios[..., 3])
+
 
 def train(
-    minute_tmcs: MinuteTmc,
+    minute_tmcs: Sequence[MinuteTmc],
     episodes: int,
-    seed: int = 0,
+    seeds: Sequence[int],
     hp: Hyperparams | None = None,
     cycle: int = 90,
     yellow: int = DEFAULT_YELLOW,
     log_path: str | Path | None = None,
-) -> QFunction:
+) -> list[QFunction]:
     """Epsilon-greedy one-step TD learning with a small uniform replay buffer.
 
-    Deterministic for a fixed seed; optionally appends one
-    ``episode,epsilon,mean_reward`` CSV row per episode to ``log_path``.
+    Trains one allocator per stream, seeded by the matching entry of ``seeds``,
+    all in lockstep; returns them in stream order. Deterministic for fixed
+    seeds, and each allocator is the one its stream and seed give alone. For a
+    batch of one, ``log_path`` gets one ``episode,epsilon,mean_reward`` CSV row
+    per episode.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if len(seeds) != len(minute_tmcs):
+        raise ValueError(f"{len(minute_tmcs)} streams but {len(seeds)} seeds")
+    if log_path is not None and len(minute_tmcs) != 1:
+        raise ValueError("a training log needs a batch of one stream")
     hp = hp or Hyperparams()
-    env = VolumeStreamEnv(minute_tmcs, cycle, yellow)
-    rng = np.random.default_rng(seed)
-    q = QFunction(hp.hidden_width, seed=seed, norm=env.norm)
-    opt = _Adam(q, hp.learning_rate)
-    buffer: deque = deque(maxlen=hp.buffer_capacity)
-    log_rows = []
-
-    for episode in range(episodes):
-        eps = hp.epsilon.value(episode)
-        opt.lr = hp.lr_at(episode)
-        state = env.reset()
-        done = False
-        rewards = []
-        while not done:
-            if rng.random() < eps:
-                action_idx = int(rng.integers(N_ACTIONS))
-            else:
-                action_idx = int(np.argmax(q.forward(np.asarray(state))[0]))
-            reward, next_state, done = env.step(ACTIONS[action_idx])
-            rewards.append(reward)
-            buffer.append((state, action_idx, reward, next_state))
-            if len(buffer) >= hp.batch_size:
-                batch_idx = rng.choice(len(buffer), size=hp.batch_size, replace=False)
-                _td_update(q, opt, [buffer[i] for i in batch_idx], hp.gamma)
-            if not done:
-                state = next_state
-        log_rows.append((episode, eps, sum(rewards) / len(rewards)))
-
-    q.episodes_trained = episodes
-    if log_path is not None:
-        rows = ((episode, f"{eps:.6f}", f"{mean_reward:.6f}") for episode, eps, mean_reward in log_rows)
-        write_csv(log_path, ("episode", "epsilon", "mean_reward"), rows)
-    return q
+    envs = [VolumeStreamEnv(m, cycle, yellow) for m in minute_tmcs]
+    groups: dict[int, list[int]] = {}
+    for i, env in enumerate(envs):
+        groups.setdefault(len(env), []).append(i)
+    trained: list[QFunction] = [None] * len(envs)
+    for members in groups.values():
+        qs = _train_lockstep([envs[i] for i in members], episodes, [seeds[i] for i in members], hp, log_path)
+        for i, q in zip(members, qs):
+            trained[i] = q
+    return trained
 
 
 def rl_plan(
@@ -303,64 +319,149 @@ def best_action_by_exhaustion(volumes: Sequence[float], usable_green: float) -> 
     return best
 
 
-class _Adam:
-    """Adam over the QFunction's parameter list."""
+class _Lockstep:
+    """S same-shape networks trained together with Adam.
 
-    def __init__(self, q: QFunction, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.q = q
-        self.lr = lr
+    Weights and biases, their gradients and Adam's two moments are each one
+    flat buffer, seen per layer as (S, in, out) and (S, 1, out) views.
+    """
+
+    def __init__(self, qs: Sequence[QFunction], beta1=0.9, beta2=0.999, eps=1e-8):
+        sizes = qs[0].sizes
+        shapes = [*zip(sizes, sizes[1:]), *((1, n) for n in sizes[1:])]
+        self.params = np.concatenate(
+            [np.stack(layer).ravel() for layer in zip(*(q.weights + q.biases for q in qs))]
+        )
+        self.grads = np.empty_like(self.params)
+        self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
+        self._a, self._b = np.empty_like(self.params), np.empty_like(self.params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        params = q.weights + q.biases
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        layers = len(sizes) - 1
+        params, grads = self._views(self.params, len(qs), shapes), self._views(self.grads, len(qs), shapes)
+        self.weights, self.biases = params[:layers], params[layers:]
+        self.grad_weights, self.grad_biases = grads[:layers], grads[layers:]
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    @staticmethod
+    def _views(flat: np.ndarray, stack: int, shapes) -> list[np.ndarray]:
+        views, offset = [], 0
+        for n_in, n_out in shapes:
+            views.append(flat[offset : offset + stack * n_in * n_out].reshape(stack, n_in, n_out))
+            offset += stack * n_in * n_out
+        return views
+
+    def forward(self, states: np.ndarray, s=slice(None)) -> np.ndarray:
+        """Action values of every network for (S, batch, 4) states, or of network ``s`` for (batch, 4)."""
+        h = states
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.maximum(h @ w[s] + b[s], 0.0)
+        return h @ self.weights[-1][s] + self.biases[-1][s]
+
+    def td_update(self, states, actions, rewards, next_states, non_terminal, gamma: float, lr: float) -> None:
+        """One TD step on each network's (batch,) sample: MSE on the taken actions, then Adam."""
+        targets = rewards.copy()
+        full = non_terminal.all(axis=1)
+        if full.any():
+            targets[full] += gamma * self.forward(next_states).max(axis=2)[full]
+        for s in np.flatnonzero(~full & non_terminal.any(axis=1)):
+            rows = non_terminal[s]
+            targets[s, rows] += gamma * self.forward(next_states[s, rows], s).max(axis=1)
+
+        hs, zs = [states], []
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            zs.append(hs[-1] @ w + b)
+            hs.append(np.maximum(zs[-1], 0.0))
+        out = hs[-1] @ self.weights[-1] + self.biases[-1]
+
+        n = states.shape[1]
+        at = np.arange(len(out))[:, None], np.arange(n), actions
+        d = np.zeros_like(out)
+        d[at] = 2.0 * (out[at] - targets) / n
+        for i in reversed(range(len(self.weights))):
+            np.matmul(hs[i].transpose(0, 2, 1), d, out=self.grad_weights[i])
+            d.sum(axis=1, keepdims=True, out=self.grad_biases[i])
+            if i:
+                d = (d @ self.weights[i].transpose(0, 2, 1)) * (zs[i - 1] > 0)
+        self._adam_step(lr)
+
+    def _adam_step(self, lr: float) -> None:
+        """Adam over the whole flat buffer, in a lone network's operation order."""
         self.t += 1
-        params = self.q.weights + self.q.biases
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v, a, b = self.grads, self.m, self.v, self._a, self._b
+        m *= self.beta1
+        np.multiply(g, 1 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(v, 1 - self.beta2**self.t, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, 1 - self.beta1**self.t, out=b)
+        b *= lr
+        b /= a
+        self.params -= b
 
 
-def _td_update(q: QFunction, opt: _Adam, batch, gamma: float) -> None:
-    states = np.array([b[0] for b in batch])
-    actions = np.array([b[1] for b in batch])
-    rewards = np.array([b[2] for b in batch])
-    non_terminal = np.array([b[3] is not None for b in batch])
-    next_states = np.array([b[3] if b[3] is not None else (0.0,) * 4 for b in batch])
+def _train_lockstep(
+    envs: Sequence[VolumeStreamEnv],
+    episodes: int,
+    seeds: Sequence[int],
+    hp: Hyperparams,
+    log_path: str | Path | None,
+) -> list[QFunction]:
+    """``train`` for streams of one length: one stacked step per minute for all of them."""
+    n, minutes = len(envs), len(envs[0])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    qs = [QFunction(hp.hidden_width, seed=seed, norm=env.norm) for env, seed in zip(envs, seeds)]
+    nets = _Lockstep(qs)
+    states = np.array([env.states for env in envs])  # (S, minutes, 4)
+    rewards = np.array([env.reward_table() for env in envs])  # (S, minutes, 84)
 
-    targets = rewards.copy()
-    if non_terminal.any():
-        next_q = q.forward(next_states[non_terminal])
-        targets[non_terminal] += gamma * next_q.max(axis=1)
+    # Replay ring: deque index i of a buffer holding `size` of `stored`
+    # transitions is slot (stored - size + i) % capacity.
+    capacity = hp.buffer_capacity
+    ring_states, ring_next = np.zeros((n, capacity, 4)), np.zeros((n, capacity, 4))
+    ring_actions = np.zeros((n, capacity), dtype=np.intp)
+    ring_rewards = np.zeros((n, capacity))
+    ring_live = np.zeros((n, capacity), dtype=bool)
+    stream = np.arange(n)
+    stored = 0
+    log_rows = []
 
-    # Forward pass with caches.
-    h0 = states
-    z1 = h0 @ q.weights[0] + q.biases[0]
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ q.weights[1] + q.biases[1]
-    h2 = np.maximum(z2, 0.0)
-    out = h2 @ q.weights[2] + q.biases[2]
+    for episode in range(episodes):
+        eps = hp.epsilon.value(episode)
+        lr = hp.lr_at(episode)
+        taken = np.empty((n, minutes), dtype=np.intp)
+        for t in range(minutes):
+            explore = [rng.random() < eps for rng in rngs]
+            if not all(explore):
+                greedy = nets.forward(states[:, t : t + 1]).argmax(axis=2)[:, 0]
+            for s, rng in enumerate(rngs):
+                taken[s, t] = rng.integers(N_ACTIONS) if explore[s] else greedy[s]
+            slot = stored % capacity
+            ring_states[:, slot] = states[:, t]
+            ring_actions[:, slot] = taken[:, t]
+            ring_rewards[:, slot] = rewards[stream, t, taken[:, t]]
+            ring_live[:, slot] = t + 1 < minutes
+            ring_next[:, slot] = states[:, t + 1] if t + 1 < minutes else 0.0
+            stored += 1
+            size = min(stored, capacity)
+            if size >= hp.batch_size:
+                picks = np.array([rng.choice(size, size=hp.batch_size, replace=False) for rng in rngs])
+                at = stream[:, None], (stored - size + picks) % capacity
+                nets.td_update(
+                    ring_states[at], ring_actions[at], ring_rewards[at], ring_next[at], ring_live[at], hp.gamma, lr
+                )
+        if log_path is not None:
+            mean_reward = sum(rewards[0, range(minutes), taken[0]].tolist()) / minutes
+            log_rows.append((episode, f"{eps:.6f}", f"{mean_reward:.6f}"))
 
-    # MSE on the taken actions only.
-    n = len(batch)
-    d_out = np.zeros_like(out)
-    rows = np.arange(n)
-    d_out[rows, actions] = 2.0 * (out[rows, actions] - targets) / n
-
-    g_w2 = h2.T @ d_out
-    g_b2 = d_out.sum(axis=0)
-    d_h2 = (d_out @ q.weights[2].T) * (z2 > 0)
-    g_w1 = h1.T @ d_h2
-    g_b1 = d_h2.sum(axis=0)
-    d_h1 = (d_h2 @ q.weights[1].T) * (z1 > 0)
-    g_w0 = h0.T @ d_h1
-    g_b0 = d_h1.sum(axis=0)
-
-    opt.step([g_w0, g_w1, g_w2, g_b0, g_b1, g_b2])
+    if log_path is not None:
+        write_csv(log_path, ("episode", "epsilon", "mean_reward"), log_rows)
+    for s, q in enumerate(qs):
+        q.weights = [w[s].copy() for w in nets.weights]
+        q.biases = [b[s, 0].copy() for b in nets.biases]
+        q.episodes_trained = episodes
+    return qs

@@ -260,7 +260,7 @@ def evaluate(
     minute_tmcs = aggregate_per_minute(plans, minutes=math.ceil(cfg.horizon / 60))
     q = None
     if policy == "rl":
-        q = rl_mod.train(minute_tmcs, episodes=rl_episodes, seed=rl_seed, cycle=cycle, yellow=yellow)
+        [q] = rl_mod.train([minute_tmcs], episodes=rl_episodes, seeds=[rl_seed], cycle=cycle, yellow=yellow)
     program = build_program(minute_tmcs, policy, cycle, yellow, q=q)
     return run([geo], [plans], [program], cfg)[0]
 

@@ -175,6 +175,8 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
         frames = [row[2] for row in samples]
         if frames != sorted(frames):
             raise ValueError(f"{path}: trajectory {tid}: frames out of order")
+        if len(samples) < 2:
+            raise ValueError(f"{path}: trajectory {tid}: needs at least two points")
         points = tuple((row[3], row[4]) for row in samples)
         out.append(Trajectory(tid, labels.pop(), points))
     return out
@@ -196,10 +198,11 @@ def read_typical_paths(path: str | Path) -> tuple[TypicalPath, ...]:
     """
     _, rows = read_csv(path, PATH_FIELDS)
     rows = convert_rows(path, rows, lambda row: (row[0], movement_named(row[0]), float(row[1]), float(row[2])))
-    paths = [
-        TypicalPath(samples[0][1], tuple((x, y) for _, _, x, y in samples))
-        for samples in group_rows(path, rows).values()
-    ]
+    paths = []
+    for name, samples in group_rows(path, rows).items():
+        if len(samples) < 2:
+            raise ValueError(f"{path}: path {name}: needs at least two points")
+        paths.append(TypicalPath(samples[0][1], tuple((x, y) for _, _, x, y in samples)))
     paths.sort(key=lambda p: p.movement)
     return tuple(paths)
 

@@ -281,14 +281,13 @@ def test_criterion_8_rl_sanity(tmp_path):
     stream = MinuteTmc((dominant,) * 60)
     state = tuple(v / max(direction_volumes(dominant)) for v in direction_volumes(dominant))
     hits = 0
-    for seed in range(10):
-        q = train(stream, episodes=100, seed=seed)
+    for q in train([stream] * 10, episodes=100, seeds=range(10)):
         action = q.greedy_action(state)
         hits += action[0] == max(action)
     ok &= hits >= 8
 
     log = tmp_path / "progress.csv"
-    train(stream, episodes=50, seed=0, log_path=log)
+    train([stream], episodes=50, seeds=[0], log_path=log)
     rows = log.read_text().splitlines()[1:]
     rewards = [float(r.split(",")[2]) for r in rows]
     decile = max(1, len(rewards) // 10)

@@ -269,6 +269,22 @@ class TestMalformedInputs:
         code = run_cli(*self.COMMANDS[command])
         self.assert_one_error_line(capsys, code, f"{name}, line {line}: ")
 
+    @pytest.mark.parametrize(
+        "name, text, fragment",
+        [
+            pytest.param("trajectories.csv", "a,1,0,0,0\nb,1,0,0,0\nb,1,1,1,1\n", "trajectory a: ", id="one-point-track"),
+            pytest.param("paths.csv", "WBL,0,0\nWBL,1,1\nNBT,0,0\n", "path NBT: ", id="one-point-path"),
+        ],
+    )
+    def test_one_point_track_names_the_file_and_the_id(self, tmp_path, capsys, monkeypatch, name, text, fragment):
+        for file_name, content in self.VALID_INPUTS.items():
+            (tmp_path / file_name).write_text(content)
+        header = self.VALID_INPUTS[name].splitlines(keepends=True)[0]
+        (tmp_path / name).write_text(header + text)
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(*self.COMMANDS["tmc"])
+        self.assert_one_error_line(capsys, code, f"{name}: {fragment}", "at least two points")
+
 
 @pytest.fixture()
 def tracing(monkeypatch):
@@ -307,4 +323,20 @@ def test_benchmark_traced_experiment_pass(tmp_path, tracing):
     runs = [span for span in tracer.spans if span.name == "sim.run"]
     assert code == 0 and tracer.unpatched == []
     assert runs and all(span.counts.get("cell_ticks") == 3600 for span in runs)
+    assert tracing.nesting_errors(tracer.spans) == []
+
+
+def test_benchmark_traced_rl_training(tmp_path, tracing):
+    # The traced benchmark pass counts training steps from rl.train's arguments;
+    # a trainer signature it cannot read would otherwise fail only in a benchmark run.
+    spec = tmp_path / "grid.txt"
+    spec.write_text(
+        "geometries = INT1\npatterns = PA, PC\npolicies = rl\ncycles = 90\nhours = offpeak\nrl_episodes = 2\n"
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code = run_cli("experiment", "--spec", spec, "--out-dir", tmp_path / "exp")
+    trainings = [span for span in tracer.spans if span.name == "rl.train"]
+    assert code == 0 and tracer.unpatched == []
+    assert len(trainings) == 1 and "steps" in trainings[0].counts
     assert tracing.nesting_errors(tracer.spans) == []

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import csv
 import math
+import tempfile
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmcsignal.model import TmcTable
+from tmcsignal.model import TmcTable, write_csv
 from tmcsignal.rl import (
     ACTIONS,
     N_ACTIONS,
@@ -26,6 +29,7 @@ from tmcsignal.rl import (
     rl_plan,
     train,
 )
+from tmcsignal.signals import DEFAULT_YELLOW
 from tmcsignal.trafficgen import MinuteTmc
 
 DOMINANT_WB = TmcTable((20, 60, 20, 2, 6, 2, 2, 6, 2, 2, 6, 2))
@@ -34,6 +38,123 @@ SYMMETRIC = TmcTable((10, 30, 10) * 4)
 
 def constant_stream(table: TmcTable, minutes: int = 60) -> MinuteTmc:
     return MinuteTmc((table,) * minutes)
+
+
+# The one-stream training loop that `train` replaced, kept unchanged as the
+# slow reference for the lockstep trainer.
+def scalar_train(
+    minute_tmcs: MinuteTmc,
+    episodes: int,
+    seed: int = 0,
+    hp: Hyperparams | None = None,
+    cycle: int = 90,
+    yellow: int = DEFAULT_YELLOW,
+    log_path: str | Path | None = None,
+) -> QFunction:
+    """Epsilon-greedy one-step TD learning with a small uniform replay buffer.
+
+    Deterministic for a fixed seed; optionally appends one
+    ``episode,epsilon,mean_reward`` CSV row per episode to ``log_path``.
+    """
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    hp = hp or Hyperparams()
+    env = VolumeStreamEnv(minute_tmcs, cycle, yellow)
+    rng = np.random.default_rng(seed)
+    q = QFunction(hp.hidden_width, seed=seed, norm=env.norm)
+    opt = _Adam(q, hp.learning_rate)
+    buffer: deque = deque(maxlen=hp.buffer_capacity)
+    log_rows = []
+
+    for episode in range(episodes):
+        eps = hp.epsilon.value(episode)
+        opt.lr = hp.lr_at(episode)
+        state = env.reset()
+        done = False
+        rewards = []
+        while not done:
+            if rng.random() < eps:
+                action_idx = int(rng.integers(N_ACTIONS))
+            else:
+                action_idx = int(np.argmax(q.forward(np.asarray(state))[0]))
+            reward, next_state, done = env.step(ACTIONS[action_idx])
+            rewards.append(reward)
+            buffer.append((state, action_idx, reward, next_state))
+            if len(buffer) >= hp.batch_size:
+                batch_idx = rng.choice(len(buffer), size=hp.batch_size, replace=False)
+                _td_update(q, opt, [buffer[i] for i in batch_idx], hp.gamma)
+            if not done:
+                state = next_state
+        log_rows.append((episode, eps, sum(rewards) / len(rewards)))
+
+    q.episodes_trained = episodes
+    if log_path is not None:
+        rows = ((episode, f"{eps:.6f}", f"{mean_reward:.6f}") for episode, eps, mean_reward in log_rows)
+        write_csv(log_path, ("episode", "epsilon", "mean_reward"), rows)
+    return q
+
+
+class _Adam:
+    """Adam over the QFunction's parameter list."""
+
+    def __init__(self, q: QFunction, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.q = q
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        params = q.weights + q.biases
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads: list[np.ndarray]) -> None:
+        self.t += 1
+        params = self.q.weights + self.q.biases
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1**self.t)
+            v_hat = v / (1 - self.beta2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _td_update(q: QFunction, opt: _Adam, batch, gamma: float) -> None:
+    states = np.array([b[0] for b in batch])
+    actions = np.array([b[1] for b in batch])
+    rewards = np.array([b[2] for b in batch])
+    non_terminal = np.array([b[3] is not None for b in batch])
+    next_states = np.array([b[3] if b[3] is not None else (0.0,) * 4 for b in batch])
+
+    targets = rewards.copy()
+    if non_terminal.any():
+        next_q = q.forward(next_states[non_terminal])
+        targets[non_terminal] += gamma * next_q.max(axis=1)
+
+    # Forward pass with caches.
+    h0 = states
+    z1 = h0 @ q.weights[0] + q.biases[0]
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ q.weights[1] + q.biases[1]
+    h2 = np.maximum(z2, 0.0)
+    out = h2 @ q.weights[2] + q.biases[2]
+
+    # MSE on the taken actions only.
+    n = len(batch)
+    d_out = np.zeros_like(out)
+    rows = np.arange(n)
+    d_out[rows, actions] = 2.0 * (out[rows, actions] - targets) / n
+
+    g_w2 = h2.T @ d_out
+    g_b2 = d_out.sum(axis=0)
+    d_h2 = (d_out @ q.weights[2].T) * (z2 > 0)
+    g_w1 = h1.T @ d_h2
+    g_b1 = d_h2.sum(axis=0)
+    d_h1 = (d_h2 @ q.weights[1].T) * (z1 > 0)
+    g_w0 = h0.T @ d_h1
+    g_b0 = d_h1.sum(axis=0)
+
+    opt.step([g_w0, g_w1, g_w2, g_b0, g_b1, g_b2])
 
 
 class TestActionSet:
@@ -114,14 +235,14 @@ class TestEnv:
 class TestTraining:
     def test_deterministic_for_fixed_seed(self):
         stream = constant_stream(DOMINANT_WB, 20)
-        q1 = train(stream, episodes=5, seed=3)
-        q2 = train(stream, episodes=5, seed=3)
+        [q1] = train([stream], episodes=5, seeds=[3])
+        [q2] = train([stream], episodes=5, seeds=[3])
         for w1, w2 in zip(q1.weights + q1.biases, q2.weights + q2.biases):
             assert np.array_equal(w1, w2)
 
     def test_zero_demand_trains_without_error(self):
         stream = constant_stream(TmcTable.zero(), 10)
-        q = train(stream, episodes=3, seed=0)
+        [q] = train([stream], episodes=3, seeds=[0])
         assert q.norm == 1.0
 
     def test_exhaustive_optimum_favors_dominant_direction(self):
@@ -132,15 +253,14 @@ class TestTraining:
         stream = constant_stream(DOMINANT_WB, 60)
         state = tuple(v / 100 for v in direction_volumes(DOMINANT_WB))
         hits = 0
-        for seed in range(10):
-            q = train(stream, episodes=100, seed=seed)
+        for q in train([stream] * 10, episodes=100, seeds=range(10)):
             action = q.greedy_action(state)
             hits += action[0] == max(action)
         assert hits >= 8
 
     def test_learning_progress(self, tmp_path):
         log = tmp_path / "log.csv"
-        train(constant_stream(DOMINANT_WB, 30), episodes=50, seed=1, log_path=log)
+        train([constant_stream(DOMINANT_WB, 30)], episodes=50, seeds=[1], log_path=log)
         with open(log) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50
@@ -153,7 +273,7 @@ class TestTraining:
 
     def test_rejects_zero_episodes(self):
         with pytest.raises(ValueError):
-            train(constant_stream(DOMINANT_WB, 5), episodes=0)
+            train([constant_stream(DOMINANT_WB, 5)], episodes=0, seeds=[0])
 
 
 class TestEpsilonSchedule:
@@ -175,7 +295,7 @@ class TestRlPlan:
         # noise), which pins the action ranking down tightly.
         stream = constant_stream(SYMMETRIC, 1)
         hp = Hyperparams(lr_decay=0.999)
-        q = train(stream, episodes=3000, seed=2, hp=hp)
+        [q] = train([stream], episodes=3000, seeds=[2], hp=hp)
         plan = rl_plan(q, SYMMETRIC, cycle=90)
         greens = plan.greens
         assert sum(greens) + sum(plan.yellows) == 90
@@ -184,7 +304,7 @@ class TestRlPlan:
 
     def test_dominant_demand_gets_max_share(self):
         stream = constant_stream(DOMINANT_WB, 60)
-        q = train(stream, episodes=100, seed=4)
+        [q] = train([stream], episodes=100, seeds=[4])
         plan = rl_plan(q, DOMINANT_WB, cycle=90)
         assert plan.greens[0] == max(plan.greens)
 
@@ -208,7 +328,7 @@ class TestRlPlan:
 
 def test_weights_roundtrip(tmp_path):
     stream = constant_stream(DOMINANT_WB, 10)
-    q = train(stream, episodes=4, seed=9)
+    [q] = train([stream], episodes=4, seeds=[9])
     path = tmp_path / "weights.txt"
     q.save(path)
     loaded = QFunction.load(path)
@@ -232,3 +352,57 @@ def test_snapshot_header_lines_in_any_order_but_all_present(tmp_path):
     path.write_text("".join(lines[:3]))
     with pytest.raises(ValueError, match="'norm'"):
         QFunction.load(path)
+
+
+# --- the lockstep trainer against the scalar oracle -----------------------------------
+
+
+@st.composite
+def training_batches(draw):
+    """Streams of unequal length (some all zero), a replay ring that wraps, seeds and episodes."""
+    tables = st.one_of(
+        st.just(TmcTable.zero()),
+        st.builds(TmcTable, st.tuples(*[st.integers(0, 60)] * 12)),
+    )
+    streams = [
+        MinuteTmc(tuple(draw(st.lists(tables, min_size=minutes, max_size=minutes))))
+        for minutes in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    ]
+    episodes = draw(st.integers(1, 4))
+    steps = episodes * max(len(stream) for stream in streams)
+    hp = Hyperparams(
+        buffer_capacity=draw(st.integers(1, max(1, steps - 1))),
+        batch_size=draw(st.integers(1, 12)),
+        hidden_width=draw(st.integers(1, 12)),
+        epsilon=EpsilonSchedule(start=draw(st.floats(0.0, 1.0)), end=0.0, decay=draw(st.floats(0.3, 1.0))),
+    )
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(streams), max_size=len(streams)))
+    return streams, episodes, seeds, hp
+
+
+@given(training_batches())
+@settings(max_examples=150, deadline=None)
+def test_batched_train_equals_scalar_oracle(batch):
+    streams, episodes, seeds, hp = batch
+    with tempfile.TemporaryDirectory() as tmp:
+        log, scalar_log = Path(tmp) / "log.csv", Path(tmp) / "scalar_log.csv"
+        lone = len(streams) == 1
+        trained = train(streams, episodes, seeds, hp, log_path=log if lone else None)
+        oracle = [
+            scalar_train(stream, episodes, seed, hp, log_path=scalar_log if lone else None)
+            for stream, seed in zip(streams, seeds)
+        ]
+        if lone:
+            assert log.read_bytes() == scalar_log.read_bytes()
+    for q, ref in zip(trained, oracle, strict=True):
+        assert (q.seed, q.norm, q.episodes_trained) == (ref.seed, ref.norm, ref.episodes_trained)
+        for a, b in zip(q.weights + q.biases, ref.weights + ref.biases, strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_training_log_needs_a_batch_of_one(tmp_path):
+    streams = [constant_stream(DOMINANT_WB, 3)] * 2
+    with pytest.raises(ValueError, match="batch of one"):
+        train(streams, episodes=1, seeds=[0, 1], log_path=tmp_path / "log.csv")
+    with pytest.raises(ValueError, match="seeds"):
+        train(streams, episodes=1, seeds=[0])
