@@ -1,10 +1,50 @@
-"""Trajectory-file analytics: LCSS similarity and typical-path classification."""
+"""Trajectory-file analytics: LCSS similarity and typical-path classification.
+
+Every LCSS length in this module comes from one batched kernel, ``lcss_matrix``:
+the bit-vector LCS recurrence of Allison & Dix (1986) and Hyyro (2004),
+"Bit-parallel LCS-length computation revisited", applied to the LCSS
+trajectory similarity of Vlachos, Kollios & Gunopulos (ICDE 2002), where two
+points match when max(|dx|, |dy|) <= eps.
+
+**Recurrence.** For a path of m points, ``V`` holds one bit per path point,
+all set at the start. For each track point i, ``M`` has bit j set when track
+point i matches path point j, and
+
+    U = V & M,    V' = (V + U) | (V - U)
+
+where ``V - U`` equals ``V & ~U`` because U is a subset of V. After the last
+track point the LCSS length is ``m - popcount(V)``. The recurrence needs only
+the 0/1 row-difference property of the LCS table, which holds for any match
+relation, so the result equals the O(n*m) dynamic program cell for cell.
+
+**Word layout.** A path is a little-endian bit vector of uint64 words: point
+j is bit j % 64 of word j // 64, so a path of more than 64 points takes more
+than one word, and ``V + U`` carries from each word into the next. A step
+never moves information from a higher bit to a lower one, so the bits above a
+path's length are masked off once, before the popcount.
+
+**Batching.** One kernel step advances every (track, path) pair by one track
+point. Tracks are sorted by length and taken ``LCSS_CHUNK`` at a time; shorter
+tracks in a chunk are padded with NaN points. A NaN point matches nothing
+(every comparison with NaN is false), so ``M = 0``, ``U = 0`` and ``V`` is left
+unchanged, as in the scalar table, where such a row copies the one above.
+
+**Classification.** Similarity is ``lcss / min(len(track), len(path))`` as a
+float64 division. A track goes to the first path of highest similarity in
+the order ``sorted(paths, key=movement)``, a stable sort that keeps paths of
+the same movement in their given order, and is accepted when that similarity
+is ``>= min_sim``.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from tmcsignal.model import (
     MOVEMENTS,
@@ -24,6 +64,11 @@ VEHICLE = 1
 
 DEFAULT_EPS = 25.0
 DEFAULT_MIN_SIMILARITY = 0.6
+
+# Tracks per batch of the LCSS kernel. A kernel step holds a few arrays of
+# (chunk x paths x path bits) values, about 150 KB each for 64 tracks against
+# 12 paths of 21 points; larger chunks were no faster and use more memory.
+LCSS_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -51,33 +96,94 @@ class TypicalPath:
             raise ValueError("a typical path needs at least two points")
 
 
-def lcss(a: Sequence[Point], b: Sequence[Point], eps: float) -> int:
-    """Longest common subsequence length with Chebyshev matching radius ``eps``.
+def _check_eps(eps: float) -> None:
+    if not eps > 0:
+        raise ValueError(f"eps must be a positive number, got {eps}")
 
-    Two points match when max(|dx|, |dy|) <= eps. O(len(a) * len(b)).
+
+def _padded_xy(seqs: Sequence[Sequence[Point]], width: int) -> np.ndarray:
+    """(2, len(seqs), width) float64 x and y coordinates, NaN past each sequence's end."""
+    xy = np.full((2, len(seqs), width), np.nan)
+    for k, seq in enumerate(seqs):
+        if len(seq):
+            xy[:, k, : len(seq)] = np.asarray(seq, dtype=np.float64).T
+    return xy
+
+
+def lcss_matrix(tracks: Sequence[Sequence[Point]], paths: Sequence[Sequence[Point]], eps: float) -> np.ndarray:
+    """LCSS length of every (track, path) pair, as an int64 (tracks x paths) matrix.
+
+    Two points match when max(|dx|, |dy|) <= eps. See the module docstring for
+    the bit-parallel recurrence, the word layout and the NaN padding.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    na, nb = len(a), len(b)
-    prev = [0] * (nb + 1)
-    for i in range(1, na + 1):
-        ax, ay = a[i - 1]
-        cur = [0] * (nb + 1)
-        for j in range(1, nb + 1):
-            bx, by = b[j - 1]
-            dx = ax - bx
-            dy = ay - by
-            if (dx if dx >= 0 else -dx) <= eps and (dy if dy >= 0 else -dy) <= eps:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(cur[j - 1], prev[j])
-        prev = cur
-    return prev[nb]
+    _check_eps(eps)
+    path_len = np.array([len(p) for p in paths], dtype=np.int64)
+    # Points are compared over whole bytes of path bits only; the rest of the last word stays 0.
+    n_bytes = max(1, -(-int(path_len.max(initial=0)) // 8))
+    words, width = -(-n_bytes // 8), 8 * n_bytes
+    px, py = _padded_xy(paths, width)
+    live = np.packbits(np.arange(64 * words) < path_len[:, None], axis=-1, bitorder="little").view("<u8")
+    track_len = np.array([len(t) for t in tracks], dtype=np.int64)
+    order = np.argsort(track_len, kind="stable")
+    out = np.empty((len(tracks), len(paths)), dtype=np.int64)
+    for start in range(0, len(order), LCSS_CHUNK):
+        rows = order[start : start + LCSS_CHUNK]
+        tx, ty = _padded_xy([tracks[r] for r in rows], int(track_len[rows[-1]]))
+        shape = (len(rows), len(paths), width)
+        dx, dy, match = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        mask = np.zeros((len(rows), len(paths), 8 * words), dtype=np.uint8)
+        v = np.broadcast_to(live, (len(rows), len(paths), words)).copy()
+        for i in range(tx.shape[1]):
+            np.abs(np.subtract(tx[:, i, None, None], px, out=dx), out=dx)
+            np.abs(np.subtract(ty[:, i, None, None], py, out=dy), out=dy)
+            np.less_equal(np.maximum(dx, dy, out=dx), eps, out=match)
+            mask[..., :n_bytes] = np.packbits(match, axis=-1, bitorder="little")
+            u = v & mask.view("<u8")
+            v = _add_words(v, u) | (v ^ u)  # V ^ U == V - U, as U is a subset of V
+        out[rows] = path_len - np.bitwise_count(v & live).sum(axis=-1, dtype=np.int64)
+    return out
+
+
+def _add_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` over the last axis as one little-endian multi-word integer per row."""
+    total = a + b
+    carry = total < a
+    for w in range(1, total.shape[-1]):
+        c = carry[..., w - 1]
+        total[..., w] += c
+        carry[..., w] |= c & (total[..., w] == 0)
+    return total
+
+
+def lcss(a: Sequence[Point], b: Sequence[Point], eps: float) -> int:
+    """Longest common subsequence length with Chebyshev matching radius ``eps``."""
+    return int(lcss_matrix([a], [b], eps)[0, 0])
 
 
 def similarity(a: Sequence[Point], b: Sequence[Point], eps: float) -> float:
     """LCSS normalized by the shorter sequence, robust to unequal path lengths."""
     return lcss(a, b, eps) / min(len(a), len(b))
+
+
+def _best_paths(
+    trajectories: Sequence[Trajectory], paths: Sequence[TypicalPath], eps: float, min_sim: float
+) -> np.ndarray:
+    """Index into ``paths`` of each trajectory's first most similar path, or -1 below ``min_sim``."""
+    lengths = lcss_matrix([t.points for t in trajectories], [p.points for p in paths], eps)
+    shorter = np.minimum.outer([len(t.points) for t in trajectories], [len(p.points) for p in paths])
+    sims = lengths / shorter
+    best = sims.argmax(axis=1)
+    return np.where(sims[np.arange(len(best)), best] >= min_sim, best, -1)
+
+
+def _ordered_paths(paths: Sequence[TypicalPath], eps: float, min_sim: float) -> list[TypicalPath]:
+    """``paths`` in tie-break order, after checking every classifier argument."""
+    _check_eps(eps)
+    if not 0.0 <= min_sim <= 1.0:
+        raise ValueError(f"min_sim must lie in [0, 1], got {min_sim}")
+    if not paths:
+        raise ValueError("need at least one typical path")
+    return sorted(paths, key=lambda p: p.movement)
 
 
 def classify(
@@ -89,17 +195,12 @@ def classify(
     """Best-matching movement, or None when nothing reaches ``min_sim``.
 
     Ties are broken by movement order (WBL first), so classification is
-    deterministic for any path set.
+    deterministic for any path set. ``ValueError`` for eps <= 0 or NaN,
+    ``min_sim`` outside [0, 1], or no paths.
     """
-    if not paths:
-        raise ValueError("need at least one typical path")
-    best: Movement | None = None
-    best_sim = -1.0
-    for path in sorted(paths, key=lambda p: p.movement):
-        s = similarity(trajectory.points, path.points, eps)
-        if s > best_sim:
-            best, best_sim = path.movement, s
-    return best if best_sim >= min_sim else None
+    ordered = _ordered_paths(paths, eps, min_sim)
+    best = int(_best_paths([trajectory], ordered, eps, min_sim)[0])
+    return ordered[best].movement if best >= 0 else None
 
 
 def count_movements(
@@ -108,15 +209,15 @@ def count_movements(
     eps: float = DEFAULT_EPS,
     min_sim: float = DEFAULT_MIN_SIMILARITY,
 ) -> TmcTable:
-    """Tally classified vehicle trajectories; pedestrians and unmatched are dropped."""
-    counts = [0] * 12
-    for t in trajectories:
-        if t.class_label != VEHICLE:
-            continue
-        movement = classify(t, paths, eps, min_sim)
-        if movement is not None:
-            counts[movement] += 1
-    return TmcTable(tuple(counts))
+    """Tally classified vehicle trajectories; pedestrians and unmatched are dropped.
+
+    The arguments are checked as in ``classify``, before any trajectory is read.
+    """
+    ordered = _ordered_paths(paths, eps, min_sim)
+    vehicles = [t for t in trajectories if t.class_label == VEHICLE]
+    best = _best_paths(vehicles, ordered, eps, min_sim)
+    movements = np.array([p.movement for p in ordered], dtype=np.int64)
+    return TmcTable(tuple(np.bincount(movements[best[best >= 0]], minlength=12).tolist()))
 
 
 # --- synthetic reference paths --------------------------------------------------------
@@ -163,7 +264,8 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
 
     ``ValueError`` for another header or field count, a track split apart by
     another, a class that changes within a track, frames out of order, a
-    non-numeric field, or a track of fewer than two points.
+    non-numeric field, a NaN or infinite coordinate, or a track of fewer than
+    two points.
     """
     _, rows = read_csv(path, TRAJECTORY_FIELDS)
     rows = convert_rows(path, rows, lambda row: (row[0], int(row[1]), int(row[2]), float(row[3]), float(row[4])))
@@ -178,6 +280,8 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
         if len(samples) < 2:
             raise ValueError(f"{path}: trajectory {tid}: needs at least two points")
         points = tuple((row[3], row[4]) for row in samples)
+        if not all(map(math.isfinite, chain.from_iterable(points))):
+            raise ValueError(f"{path}: trajectory {tid}: a coordinate is not a finite number")
         out.append(Trajectory(tid, labels.pop(), points))
     return out
 
@@ -193,8 +297,8 @@ def read_typical_paths(path: str | Path) -> tuple[TypicalPath, ...]:
     """Read the reference-path file: CSV ``movement,x,y``, one block of rows per movement.
 
     Paths come back in movement order. ``ValueError`` for another header or field
-    count, an unknown movement, a path split apart by another, a non-numeric
-    coordinate, or a path of fewer than two points.
+    count, an unknown movement, a path split apart by another, a non-numeric,
+    NaN or infinite coordinate, or a path of fewer than two points.
     """
     _, rows = read_csv(path, PATH_FIELDS)
     rows = convert_rows(path, rows, lambda row: (row[0], movement_named(row[0]), float(row[1]), float(row[2])))
@@ -202,7 +306,10 @@ def read_typical_paths(path: str | Path) -> tuple[TypicalPath, ...]:
     for name, samples in group_rows(path, rows).items():
         if len(samples) < 2:
             raise ValueError(f"{path}: path {name}: needs at least two points")
-        paths.append(TypicalPath(samples[0][1], tuple((x, y) for _, _, x, y in samples)))
+        points = tuple((x, y) for _, _, x, y in samples)
+        if not all(map(math.isfinite, chain.from_iterable(points))):
+            raise ValueError(f"{path}: path {name}: a coordinate is not a finite number")
+        paths.append(TypicalPath(samples[0][1], points))
     paths.sort(key=lambda p: p.movement)
     return tuple(paths)
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tmcsignal.cli import main
@@ -87,6 +89,47 @@ def test_tmc_subcommand(tmp_path):
     tables = read_minute_tmc(out)
     assert len(tables) == 1
     assert tables[0].counts == (1,) * 12
+
+
+def seeded_tracks(seed: int, vehicles: int, pedestrians: int, strays: int) -> list[Trajectory]:
+    """Noisy, thinned copies of the synthetic reference paths, with pedestrians and strays.
+
+    Every tenth vehicle keeps only its approach half, which is shared by the
+    left, through and right paths of its origin, so similarity ties are common.
+    The noise scale varies per track, so some vehicles fall below the
+    acceptance similarity. Tracks have 2-29 points and come in shuffled order.
+    """
+    rng = np.random.default_rng(seed)
+    reference = synthetic_typical_paths()
+    tracks = []
+    for i in range(vehicles):
+        pts = np.array(reference[rng.integers(12)].points)
+        if i % 10 == 0:
+            pts = pts[: len(pts) // 2 + 1]
+        keep = np.sort(rng.choice(len(pts), size=rng.integers(len(pts) // 2, len(pts) + 1), replace=False))
+        pts = pts[keep] + rng.normal(0.0, rng.uniform(4.0, 24.0), size=(len(keep), 2))
+        tracks.append(Trajectory(f"v{i:04d}", 1, tuple(map(tuple, np.round(pts, 2).tolist()))))
+    for i in range(pedestrians + strays):
+        high = 400.0 if i < pedestrians else 60.0
+        start, end = rng.uniform(0.0, high, size=(2, 2))
+        f = np.linspace(0.0, 1.0, int(rng.integers(2, 30)))[:, None]
+        pts = np.round(start + f * (end - start), 2)
+        tracks.append(Trajectory(f"w{i:04d}", int(i >= pedestrians), tuple(map(tuple, pts.tolist()))))
+    return [tracks[k] for k in rng.permutation(len(tracks))]
+
+
+# sha256 of tmc.csv for seeded_tracks(11, 1000, 200, 40), recorded with the scalar LCSS classifier.
+PINNED_TMC_SHA256 = "d748013318d0d466ff94592ecf7d2859a4c7715887d8382766475c207b5ccdcc"
+
+
+def test_tmc_bytes_are_pinned(tmp_path):
+    paths_file = tmp_path / "paths.csv"
+    write_typical_paths(synthetic_typical_paths(), paths_file)
+    trajs_file = tmp_path / "trajs.csv"
+    write_trajectories(seeded_tracks(11, 1000, 200, 40), trajs_file)
+    out = tmp_path / "tmc.csv"
+    assert run_cli("tmc", "--trajectories", trajs_file, "--paths", paths_file, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TMC_SHA256
 
 
 def test_rl_train_and_plan(tmp_path):
@@ -248,6 +291,14 @@ class TestMalformedInputs:
         "tmc": ("tmc", "--trajectories", "trajectories.csv", "--paths", "paths.csv", "--out", "out.csv"),
     }
 
+    def write_inputs(self, tmp_path, monkeypatch, name, text):
+        """Write every valid input into ``tmp_path``, then ``name`` as its header plus ``text``; chdir there."""
+        for file_name, content in self.VALID_INPUTS.items():
+            (tmp_path / file_name).write_text(content)
+        header = self.VALID_INPUTS[name].splitlines(keepends=True)[0]
+        (tmp_path / name).write_text(header + text)
+        monkeypatch.chdir(tmp_path)
+
     @pytest.mark.parametrize(
         "command, name, text, line",
         [
@@ -261,11 +312,7 @@ class TestMalformedInputs:
         ],
     )
     def test_bad_field_names_the_file_and_the_line(self, tmp_path, capsys, monkeypatch, command, name, text, line):
-        for file_name, content in self.VALID_INPUTS.items():
-            (tmp_path / file_name).write_text(content)
-        header = self.VALID_INPUTS[name].splitlines(keepends=True)[0]
-        (tmp_path / name).write_text(header + text)
-        monkeypatch.chdir(tmp_path)
+        self.write_inputs(tmp_path, monkeypatch, name, text)
         code = run_cli(*self.COMMANDS[command])
         self.assert_one_error_line(capsys, code, f"{name}, line {line}: ")
 
@@ -277,13 +324,42 @@ class TestMalformedInputs:
         ],
     )
     def test_one_point_track_names_the_file_and_the_id(self, tmp_path, capsys, monkeypatch, name, text, fragment):
-        for file_name, content in self.VALID_INPUTS.items():
-            (tmp_path / file_name).write_text(content)
-        header = self.VALID_INPUTS[name].splitlines(keepends=True)[0]
-        (tmp_path / name).write_text(header + text)
-        monkeypatch.chdir(tmp_path)
+        self.write_inputs(tmp_path, monkeypatch, name, text)
         code = run_cli(*self.COMMANDS["tmc"])
         self.assert_one_error_line(capsys, code, f"{name}: {fragment}", "at least two points")
+
+    @pytest.mark.parametrize(
+        "name, text, fragment",
+        [
+            pytest.param("trajectories.csv", "a,1,0,nan,0\na,1,1,1,1\n", "trajectory a: ", id="nan-track"),
+            pytest.param("trajectories.csv", "a,1,0,0,0\na,1,1,inf,1\n", "trajectory a: ", id="inf-track"),
+            pytest.param("paths.csv", "WBL,0,0\nWBL,1,nan\n", "path WBL: ", id="nan-path"),
+            pytest.param("paths.csv", "WBL,-inf,0\nWBL,1,1\n", "path WBL: ", id="inf-path"),
+        ],
+    )
+    def test_non_finite_coordinate_names_the_file_and_the_id(self, tmp_path, capsys, monkeypatch, name, text, fragment):
+        self.write_inputs(tmp_path, monkeypatch, name, text)
+        code = run_cli(*self.COMMANDS["tmc"])
+        self.assert_one_error_line(capsys, code, f"{name}: {fragment}", "not a finite number")
+
+    @pytest.mark.parametrize(
+        "options, paths_text, fragment",
+        [
+            pytest.param(("--eps", "0"), None, "eps", id="eps-zero"),
+            pytest.param(("--eps", "nan"), None, "eps", id="eps-nan"),
+            pytest.param(("--min-sim", "1.5"), None, "min_sim", id="min-sim-above-one"),
+            pytest.param((), "movement,x,y\n", "typical path", id="no-paths"),
+        ],
+    )
+    def test_bad_classifier_argument_fails_on_pedestrians_only(
+        self, tmp_path, capsys, monkeypatch, options, paths_text, fragment
+    ):
+        # The file holds no vehicle, so an argument checked only per vehicle would pass.
+        self.write_inputs(tmp_path, monkeypatch, "trajectories.csv", "p,0,0,0,0\np,0,1,1,1\n")
+        if paths_text is not None:
+            (tmp_path / "paths.csv").write_text(paths_text)
+        code = run_cli(*self.COMMANDS["tmc"], *options)
+        self.assert_one_error_line(capsys, code, fragment)
 
 
 @pytest.fixture()

@@ -1,7 +1,13 @@
-"""Tests for LCSS and typical-path classification."""
+"""Tests for LCSS and typical-path classification.
+
+The batched bit-parallel kernel is checked against ``scalar_lcss``, the
+O(n*m) dynamic program, which is itself checked against a brute-force
+subsequence enumerator.
+"""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -9,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmcsignal.model import Movement, TmcTable
+from tmcsignal import trajectory
+from tmcsignal.model import MOVEMENTS, Movement, TmcTable
 from tmcsignal.trajectory import (
     Trajectory,
+    TypicalPath,
     classify,
     count_movements,
     lcss,
+    lcss_matrix,
     read_trajectories,
     read_typical_paths,
     similarity,
@@ -58,6 +67,50 @@ def brute_force_lcss(a, b, eps):
             if matchable([a[i] for i in idxs], b):
                 return length
     return 0
+
+
+def scalar_lcss(a, b, eps):
+    """Longest common subsequence length with Chebyshev matching radius ``eps``, O(len(a) * len(b))."""
+    na, nb = len(a), len(b)
+    prev = [0] * (nb + 1)
+    for i in range(1, na + 1):
+        ax, ay = a[i - 1]
+        cur = [0] * (nb + 1)
+        for j in range(1, nb + 1):
+            bx, by = b[j - 1]
+            dx = ax - bx
+            dy = ay - by
+            if (dx if dx >= 0 else -dx) <= eps and (dy if dy >= 0 else -dy) <= eps:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(cur[j - 1], prev[j])
+        prev = cur
+    return prev[nb]
+
+
+# Shrinking a failing example re-checks many inputs that share most of their
+# (track, path) pairs, so the oracle's results are cached by value.
+cached_scalar_lcss = lru_cache(maxsize=4096)(scalar_lcss)
+
+
+def scalar_similarities(points, paths, eps):
+    return [cached_scalar_lcss(points, p.points, eps) / min(len(points), len(p.points)) for p in paths]
+
+
+def first_best(sims, min_sim):
+    """Index of the first maximum of ``sims``, or None when it is below ``min_sim``."""
+    best, best_sim = None, -1.0
+    for k, s in enumerate(sims):
+        if s > best_sim:
+            best, best_sim = k, s
+    return best if best_sim >= min_sim else None
+
+
+class TestScalarOracle:
+    @given(short_seqs, short_seqs, st.floats(0.5, 10))
+    @settings(max_examples=150)
+    def test_matches_brute_force(self, a, b, eps):
+        assert scalar_lcss(a, b, eps) == brute_force_lcss(a, b, eps)
 
 
 class TestLcss:
@@ -231,6 +284,8 @@ TRACKS = "id,class,frame,x,y\n"
         pytest.param(TRACKS + "a,1,0,0,0\nb,1,0,5,5\na,1,1,1,1\nb,1,1,6,6\n", id="track-a-split-apart-by-b"),
         pytest.param(TRACKS + "a,1,0,0,0\na,0,1,1,1\n", id="class-changes-partway"),
         pytest.param(TRACKS + "a,1,1,0,0\na,1,0,1,1\n", id="frames-out-of-order"),
+        pytest.param(TRACKS + "a,1,0,nan,0\na,1,1,1,1\n", id="nan-coordinate"),
+        pytest.param(TRACKS + "a,1,0,0,0\na,1,1,1,inf\n", id="inf-coordinate"),
     ],
 )
 def test_trajectory_file_rejects_malformed_rows(tmp_path, text):
@@ -247,6 +302,8 @@ def test_trajectory_file_rejects_malformed_rows(tmp_path, text):
         pytest.param("movement,x,y\nWBL,0,0\nWBL,1\n", id="short-row"),
         pytest.param("movement,x,y\nWBL,0,0\nWBT,0,0\nWBL,1,1\nWBT,1,1\n", id="path-wbl-split-apart-by-wbt"),
         pytest.param("movement,x,y\nWBL,0,0\nWBL,1,y\n", id="non-numeric-coordinate"),
+        pytest.param("movement,x,y\nWBL,nan,0\nWBL,1,1\n", id="nan-coordinate"),
+        pytest.param("movement,x,y\nWBL,0,0\nWBL,-inf,1\n", id="inf-coordinate"),
     ],
 )
 def test_typical_path_file_rejects_malformed_rows(tmp_path, text):
@@ -254,3 +311,101 @@ def test_typical_path_file_rejects_malformed_rows(tmp_path, text):
     file.write_text(text)
     with pytest.raises(ValueError):
         read_typical_paths(file)
+
+
+# --- bit-parallel kernel against the scalar oracle --------------------------------------
+
+grid_points = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda p: (float(p[0]), float(p[1])))
+
+
+def grid_seq(min_size, max_size):
+    """A point tuple of uniformly drawn length: a short drawn cycle of grid points, repeated.
+
+    Long (multi-word) sequences are as common as short ones, yet an example is
+    only an integer and a few points, so a failing one shrinks quickly.
+    """
+    return st.tuples(st.integers(min_size, max_size), st.lists(grid_points, min_size=1, max_size=24)).map(
+        lambda drawn: tuple(drawn[1][k % len(drawn[1])] for k in range(drawn[0]))
+    )
+
+
+@st.composite
+def classifier_inputs(draw):
+    tracks = draw(st.lists(st.tuples(st.integers(0, 1), grid_seq(2, 150)), max_size=20))
+    paths = draw(st.lists(st.tuples(st.sampled_from(MOVEMENTS), grid_seq(2, 200)), min_size=1, max_size=12))
+    eps = draw(st.sampled_from([0.5, 1.0, 1.5, 2.5]))
+    return (
+        [Trajectory(f"t{k}", label, pts) for k, (label, pts) in enumerate(tracks)],
+        [TypicalPath(movement, pts) for movement, pts in paths],
+        eps,
+    )
+
+
+@given(classifier_inputs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_count_movements_and_classify_match_the_scalar_oracle(inputs, data):
+    tracks, paths, eps = inputs
+    ordered = sorted(paths, key=lambda p: p.movement)
+    sims = [scalar_similarities(t.points, ordered, eps) for t in tracks]
+    # Drawing min_sim from the similarities themselves makes exact threshold ties common.
+    min_sim = data.draw(st.sampled_from(sorted({0.0, 1.0, *(s for row in sims for s in row)})))
+    expected = [first_best(row, min_sim) for row in sims]
+    expected = [None if k is None else ordered[k].movement for k in expected]
+    assert [classify(t, paths, eps, min_sim) for t in tracks] == expected
+    counts = [0] * 12
+    for t, movement in zip(tracks, expected):
+        if t.class_label == 1 and movement is not None:
+            counts[movement] += 1
+    assert count_movements(tracks, paths, eps, min_sim) == TmcTable(tuple(counts))
+
+
+@given(st.lists(grid_seq(0, 150), max_size=6), st.lists(grid_seq(0, 200), max_size=4), st.sampled_from([0.5, 1.5]))
+@settings(max_examples=40, deadline=None)
+def test_lcss_matrix_matches_the_scalar_oracle(tracks, paths, eps):
+    expected = [[scalar_lcss(t, p, eps) for p in paths] for t in tracks]
+    got = lcss_matrix(tracks, paths, eps)
+    assert got.shape == (len(tracks), len(paths)) and got.tolist() == expected
+
+
+def test_chunk_size_changes_nothing(monkeypatch):
+    rng = np.random.default_rng(3)
+    paths = list(synthetic_typical_paths())
+    paths.append(TypicalPath(Movement.NBT, tuple(map(tuple, rng.uniform(0, 400, size=(130, 2)).tolist()))))
+    tracks = []
+    for k in range(40):
+        base = np.array(paths[k % len(paths)].points)
+        keep = np.sort(rng.choice(len(base), size=int(rng.integers(2, len(base) + 1)), replace=False))
+        pts = base[keep] + rng.normal(0, 15.0, size=(len(keep), 2))
+        tracks.append(Trajectory(f"t{k}", int(k % 5 != 0), tuple(map(tuple, pts.tolist()))))
+    results = []
+    for chunk in (1, 3, len(tracks) + 1):
+        monkeypatch.setattr(trajectory, "LCSS_CHUNK", chunk)
+        results.append((
+            lcss_matrix([t.points for t in tracks], [p.points for p in paths], 25.0).tolist(),
+            count_movements(tracks, paths),
+            [classify(t, paths) for t in tracks],
+        ))
+    assert results[0] == results[1] == results[2]
+    assert results[0][1].total > 0
+
+
+@pytest.mark.parametrize(
+    "eps, min_sim, n_paths, message",
+    [
+        pytest.param(0.0, 0.6, 12, "eps", id="eps-zero"),
+        pytest.param(-1.0, 0.6, 12, "eps", id="eps-negative"),
+        pytest.param(float("nan"), 0.6, 12, "eps", id="eps-nan"),
+        pytest.param(25.0, 1.5, 12, "min_sim", id="min-sim-above-one"),
+        pytest.param(25.0, -0.1, 12, "min_sim", id="min-sim-below-zero"),
+        pytest.param(25.0, float("nan"), 12, "min_sim", id="min-sim-nan"),
+        pytest.param(25.0, 0.6, 0, "typical path", id="no-paths"),
+    ],
+)
+def test_classifier_arguments_are_checked_before_the_data(paths, eps, min_sim, n_paths, message):
+    walker = Trajectory("walker", 0, paths[0].points)
+    with pytest.raises(ValueError, match=message):
+        count_movements([walker], paths[:n_paths], eps, min_sim)
+    with pytest.raises(ValueError, match=message):
+        count_movements([], paths[:n_paths], eps, min_sim)
+    with pytest.raises(ValueError, match=message):
+        classify(walker, paths[:n_paths], eps, min_sim)
