@@ -95,7 +95,7 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     geometry = _geometry(args)
     plans = read_departures(args.departures)
-    horizon = args.horizon if args.horizon else (max(p.depart for p in plans) // 60 + 1) * 60 if plans else 3600
+    horizon = args.horizon if args.horizon else (int(plans.departs.max()) // 60 + 1) * 60 if len(plans) else 3600
     cfg = SimConfig(horizon=horizon)
     result = evaluate(
         geometry,

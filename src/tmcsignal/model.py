@@ -11,7 +11,7 @@ from importlib import resources
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 
 class Zone(IntEnum):
@@ -85,6 +85,7 @@ class Movement(IntEnum):
 
 
 MOVEMENTS: tuple[Movement, ...] = tuple(Movement)
+_MOVEMENT_NAMED = {m.name: m for m in MOVEMENTS}
 
 
 def movements_from(zone: Zone) -> tuple[Movement, ...]:
@@ -137,10 +138,6 @@ class TmcTable:
     @classmethod
     def zero(cls) -> TmcTable:
         return cls((0,) * 12)
-
-    @classmethod
-    def from_mapping(cls, counts: Mapping[Movement, int]) -> TmcTable:
-        return cls(tuple(int(counts.get(m, 0)) for m in MOVEMENTS))
 
     def __getitem__(self, movement: Movement) -> int:
         return self.counts[movement]
@@ -238,9 +235,10 @@ def convert_rows(path: str | Path, rows: Sequence[Sequence[str]], convert: Calla
 
 def movement_named(name: str) -> Movement:
     """The movement labelled ``name`` (e.g. 'WBT'); ``ValueError`` for an unknown label."""
-    if name not in Movement.__members__:
-        raise ValueError(f"unknown movement label {name!r}")
-    return Movement[name]
+    try:
+        return _MOVEMENT_NAMED[name]
+    except KeyError:
+        raise ValueError(f"unknown movement label {name!r}") from None
 
 
 def check_unique_ids(path: str | Path, rows: Sequence[Sequence[str]]) -> None:

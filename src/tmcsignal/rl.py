@@ -308,17 +308,6 @@ def build_rl_program(
     )
 
 
-def best_action_by_exhaustion(volumes: Sequence[float], usable_green: float) -> tuple[int, ...]:
-    """Argmin-delay action over the full action set (reference for tests/analysis)."""
-    best, best_delay = None, None
-    for action in ACTIONS:
-        greens = [s * usable_green for s in action_fractions(action)]
-        d = delay(volumes, greens)
-        if best_delay is None or d < best_delay - 1e-12:
-            best, best_delay = action, d
-    return best
-
-
 class _Lockstep:
     """S same-shape networks trained together with Adam.
 

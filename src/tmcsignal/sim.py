@@ -10,10 +10,11 @@ accrues one second per queued vehicle per tick. Everything is deterministic.
 ``run`` advances all cells of a batch together. The queues and credits of the
 batch are one (cells x 12) array, and each one-second tick is the same few
 numpy operations on it. Arrivals are a (seconds x 12) count matrix, built once
-per distinct demand. Service rates are a per-cell index per second into a small
-table of multiplier rows, one per distinct (served, permissive) movement set
-plus an all-red row, scaled by the cell's full discharge rates once a minute.
-Waits and per-minute zone maxima are reduced once a minute.
+per distinct demand from its departure columns. Service rates are a per-cell
+index per second into a small table of multiplier rows, one per distinct
+(served, permissive) movement set plus an all-red row, scaled by the cell's
+full discharge rates once a minute; consecutive cells that share a program
+object share its index column. Waits and per-minute zone maxima are reduced once a minute.
 
 Batching is exact. Queues never interact in this model: each movement of each
 cell follows its own Lindley-type recursion, driven only by its own arrivals
@@ -42,7 +43,7 @@ from tmcsignal import rl as rl_mod
 from tmcsignal.apportion import largest_remainder
 from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone, write_csv
 from tmcsignal.signals import DEFAULT_YELLOW, SignalProgram, build_program
-from tmcsignal.trafficgen import VehiclePlan, aggregate_per_minute
+from tmcsignal.trafficgen import Departures, VehiclePlan, aggregate_per_minute
 
 # Relative service weight of the (left, through, right) lane groups when an
 # approach's lanes are shared fractionally.
@@ -108,14 +109,12 @@ def assign_lanes(geo: IntersectionGeometry) -> LaneAssignment:
     return LaneAssignment(tuple(eff))
 
 
-def _count_arrivals(plans: Sequence[VehiclePlan], out: np.ndarray) -> None:
+def _count_arrivals(plans: Departures, out: np.ndarray) -> None:
     """Add each plan departing before second ``len(out)`` to ``out[depart, movement]``."""
-    departs = np.fromiter((p.depart for p in plans), dtype=np.int64, count=len(plans))
-    if np.any(departs[1:] < departs[:-1]):
-        raise ValueError("vehicle plans must be sorted by departure time")
-    movements = np.fromiter((p.movement for p in plans), dtype=np.intp, count=len(plans))
-    inside = departs < len(out)
-    np.add.at(out, (departs[inside], movements[inside]), 1)
+    plans.check_sorted()
+    inside = plans.departs < len(out)
+    cells = plans.departs[inside] * 12 + plans.movements[inside]
+    out += np.bincount(cells, minlength=out.size).reshape(out.shape)
 
 
 def _rate_index(program: SignalProgram, horizon: int, keys: dict, out: np.ndarray) -> None:
@@ -163,14 +162,19 @@ def _simulate(
     cell_demand = np.array([row_of[id(plans)] for plans in demands], dtype=np.intp)
     arrivals = np.zeros((horizon, len(distinct), 12), dtype=np.int32)
     for d, plans in enumerate(distinct):
-        _count_arrivals(plans, arrivals[:, d])
+        _count_arrivals(Departures.of(plans), arrivals[:, d])
     injected = arrivals.sum(axis=(0, 2), dtype=np.int64)[cell_demand]
 
     keys: dict[tuple[frozenset[Movement], frozenset[Movement]], int] = {}
     rate_index = np.zeros((horizon, cells), dtype=np.uint8)
     full = np.empty((cells, 12))
+    previous = None
     for b, (geo, program) in enumerate(zip(geometries, programs, strict=True)):
-        _rate_index(program, horizon, keys, rate_index[:, b])
+        if program is previous:
+            rate_index[:, b] = rate_index[:, b - 1]
+        else:
+            _rate_index(program, horizon, keys, rate_index[:, b])
+            previous = program
         lanes = assign_lanes(geo)
         full[b] = [lanes[m] / cfg.saturation_headway for m in MOVEMENTS]
     multipliers = np.zeros((len(keys) + 1, 12))
@@ -257,6 +261,7 @@ def evaluate(
 
     ``rl`` first trains a fresh allocator on the scenario's minute stream.
     """
+    plans = Departures.of(plans)
     minute_tmcs = aggregate_per_minute(plans, minutes=math.ceil(cfg.horizon / 60))
     q = None
     if policy == "rl":

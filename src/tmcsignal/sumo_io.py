@@ -3,6 +3,12 @@
 Controlled-link state strings use a fixed 12-slot ordering, WBL..SBR (origin
 zone W,N,E,S, then left/through/right within each). Deployments whose
 connection order differs must remap the columns.
+
+The route document is written straight from the departure columns, one
+string join over all vehicles, in exactly the bytes that ElementTree's
+``indent`` and ``tostring`` give for the same tree: two-space indents,
+``depart="N.00"``, ``<route edges="..." />``, attribute values escaped for
+``& < > " \n \r \t``, and ``<routes />`` for no vehicles.
 """
 
 from __future__ import annotations
@@ -10,37 +16,42 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from tmcsignal.model import MOVEMENTS, Movement, Zone, write_csv
 from tmcsignal.signals import PhasePlan, SignalProgram
-from tmcsignal.trafficgen import VehiclePlan
+from tmcsignal.trafficgen import Departures, VehiclePlan
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 # origin/destination zone pair -> movement, for parsing route edges back
 _EDGE_LOOKUP = {(m.origin, m.destination): m for m in MOVEMENTS}
+_EDGES = [f"{m.origin.edge_in} {m.destination.edge_out}" for m in MOVEMENTS]
+# What ElementTree escapes in an attribute value.
+_ATTRIBUTE_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
 
 
 @dataclass(frozen=True)
 class SumoRouteDoc:
     """Route document: one vehicle element per plan, sorted by departure."""
 
-    vehicles: tuple[VehiclePlan, ...]
+    vehicles: Departures
 
     def to_xml(self) -> str:
-        root = ET.Element("routes")
-        for plan in self.vehicles:
-            vehicle = ET.SubElement(
-                root, "vehicle", id=plan.id, depart=f"{plan.depart:.2f}"
-            )
-            ET.SubElement(
-                vehicle,
-                "route",
-                edges=f"{plan.movement.origin.edge_in} {plan.movement.destination.edge_out}",
-            )
-        ET.indent(root)
-        return XML_DECLARATION + ET.tostring(root, encoding="unicode") + "\n"
+        if not len(self.vehicles):
+            return XML_DECLARATION + "<routes />\n"
+        vehicles = zip(
+            (ident.translate(_ATTRIBUTE_ESCAPES) for ident in self.vehicles.ids),
+            self.vehicles.departs.tolist(),
+            [_EDGES[m] for m in self.vehicles.movements.tolist()],
+        )
+        body = "".join(
+            f'  <vehicle id="{ident}" depart="{depart:.2f}">\n    <route edges="{edges}" />\n  </vehicle>\n'
+            for ident, depart, edges in vehicles
+        )
+        return f"{XML_DECLARATION}<routes>\n{body}</routes>\n"
 
 
 @dataclass(frozen=True)
@@ -72,14 +83,11 @@ class SumoTlsDoc:
         return logic
 
 
-def emit_routes(plans: Sequence[VehiclePlan]) -> SumoRouteDoc:
+def emit_routes(plans: Iterable[VehiclePlan]) -> SumoRouteDoc:
     """Build the route document; the input must already be depart-sorted."""
-    last = -1
-    for p in plans:
-        if p.depart < last:
-            raise ValueError("route documents require depart-sorted plans")
-        last = p.depart
-    return SumoRouteDoc(tuple(plans))
+    plans = Departures.of(plans)
+    plans.check_sorted()
+    return SumoRouteDoc(plans)
 
 
 def parse_routes(text: str) -> list[VehiclePlan]:
@@ -145,7 +153,7 @@ def tls_to_xml(docs: Sequence[SumoTlsDoc]) -> str:
     return XML_DECLARATION + ET.tostring(root, encoding="unicode") + "\n"
 
 
-def write_routes(plans: Sequence[VehiclePlan], path: str | Path) -> None:
+def write_routes(plans: Iterable[VehiclePlan], path: str | Path) -> None:
     Path(path).write_text(emit_routes(plans).to_xml(), encoding="utf-8")
 
 

@@ -1,11 +1,26 @@
-"""Bimodal daily demand: hourly totals, zone/turn splits, departures, per-minute TMC."""
+"""Bimodal daily demand: hourly totals, zone/turn splits, departures, per-minute TMC.
+
+Departures are held as columns. A ``Departures`` sequence keeps three arrays,
+in departure order: the departure seconds (int64), the movements (int8) and
+the ids. Generated demand keeps its ids as serial numbers and spells them
+``v{serial:06d}`` only when a writer or a row asks; a departures file read
+back keeps the id strings it read. Counting, simulating and writing read the
+columns; indexing or iterating yields one ``VehiclePlan`` per row, and a
+``Departures`` equals any sequence of equal ``VehiclePlan`` rows.
+
+The schedule is ordered by (departure second, id string). Below serial
+1,000,000 every id has the same width, so that is serial order among equal
+seconds. Wider ids compare as strings ('v1000000' < 'v999999'), and the sort
+keeps that order too.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -106,6 +121,59 @@ class VehiclePlan:
             raise ValueError("departure must be non-negative")
 
 
+class Departures(Sequence[VehiclePlan]):
+    """Vehicle plans as three columns: ``departs`` (int64), ``movements`` (int8) and the ids.
+
+    The ids are either an int64 array of serials, spelled ``v{serial:06d}``, or
+    a tuple of id strings. Build one from ``VehiclePlan`` rows with ``of``.
+    """
+
+    def __init__(self, departs: Sequence[int], movements: Sequence[int], ids: np.ndarray | tuple[str, ...]):
+        if not len(departs) == len(movements) == len(ids):
+            raise ValueError(f"column lengths differ: {len(departs)}, {len(movements)}, {len(ids)}")
+        self.departs = np.asarray(departs, dtype=np.int64)
+        self.movements = np.asarray(movements, dtype=np.int8)
+        self._ids = ids
+
+    @classmethod
+    def of(cls, plans: Iterable[VehiclePlan]) -> Departures:
+        """``plans`` as columns; a ``Departures`` is returned as it is."""
+        if isinstance(plans, Departures):
+            return plans
+        rows = [(p.id, p.depart, p.movement) for p in plans]
+        ids, departs, movements = zip(*rows) if rows else ((), (), ())
+        return cls(departs, movements, ids)
+
+    @property
+    def ids(self) -> list[str]:
+        if isinstance(self._ids, np.ndarray):
+            return [f"v{serial:06d}" for serial in self._ids.tolist()]
+        return list(self._ids)
+
+    def check_sorted(self) -> None:
+        """Raise ``ValueError`` unless the departures never decrease."""
+        if np.any(self.departs[1:] < self.departs[:-1]):
+            raise ValueError("vehicle plans must be sorted by departure time")
+
+    def __len__(self) -> int:
+        return len(self.departs)
+
+    def __getitem__(self, index: int) -> VehiclePlan:
+        ident = self._ids[index]
+        if not isinstance(ident, str):
+            ident = f"v{ident:06d}"
+        return VehiclePlan(ident, int(self.departs[index]), MOVEMENTS[self.movements[index]])
+
+    def __iter__(self):
+        movements = [MOVEMENTS[m] for m in self.movements.tolist()]
+        return map(VehiclePlan, self.ids, self.departs.tolist(), movements)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class MinuteTmc:
     """Per-minute TMC tables covering the generated horizon."""
@@ -192,44 +260,49 @@ def split_by_movement(
     return TmcTable(tuple(counts))
 
 
-def schedule_departures(hourly_tmcs: Sequence[TmcTable], seed) -> list[VehiclePlan]:
+def schedule_departures(hourly_tmcs: Sequence[TmcTable], seed) -> Departures:
     """Assign each counted vehicle a uniform departure second within its hour.
 
-    Output is sorted by departure time, ties broken by id; ids are unique and
-    assigned in (hour, movement) order before sorting, so a fixed seed yields a
-    bit-identical schedule.
+    Serials are assigned in (hour, movement) order, one ``rng.integers`` draw
+    per nonzero count, so a fixed seed yields a bit-identical schedule. The
+    output is sorted by departure second, ties broken by id string.
     """
     rng = np.random.default_rng(seed)
-    plans: list[VehiclePlan] = []
-    serial = 0
+    departs, movements = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int8)]
     for hour, tmc in enumerate(hourly_tmcs):
         lo, hi = 3600 * hour, 3600 * (hour + 1)
         for movement in MOVEMENTS:
             n = tmc[movement]
-            if n == 0:
-                continue
-            departs = rng.integers(lo, hi, size=n)
-            for t in departs:
-                plans.append(VehiclePlan(f"v{serial:06d}", int(t), movement))
-                serial += 1
-    plans.sort(key=lambda p: (p.depart, p.id))
-    return plans
+            if n:
+                departs.append(rng.integers(lo, hi, size=n))
+                movements.append(np.full(n, movement, dtype=np.int8))
+    departs, movements = np.concatenate(departs), np.concatenate(movements)
+    serials = np.arange(len(departs), dtype=np.int64)
+    order = departure_order(departs, serials)
+    return Departures(departs[order], movements[order], serials[order])
 
 
-def aggregate_per_minute(plans: Sequence[VehiclePlan], minutes: int | None = None) -> MinuteTmc:
+def departure_order(departs: np.ndarray, serials: np.ndarray) -> np.ndarray:
+    """Indices that sort vehicles by (departure, id string), the ids being ``v{serial:06d}``.
+
+    While every serial is below 1,000,000 the ids share one width and compare
+    as the serials do; past it they compare as strings, 'v1000000' < 'v999999'.
+    """
+    if serials.size and serials.max() >= 10**6:
+        return np.lexsort((np.array([f"v{s:06d}" for s in serials.tolist()]), departs))
+    return np.lexsort((serials, departs))
+
+
+def aggregate_per_minute(plans: Iterable[VehiclePlan], minutes: int | None = None) -> MinuteTmc:
     """Bucket departures into per-minute TMC tables (minute m covers [60m, 60m+60))."""
+    plans = Departures.of(plans)
+    plans.check_sorted()
     if minutes is None:
-        minutes = 0 if not plans else max(p.depart for p in plans) // 60 + 1
-    buckets = [[0] * 12 for _ in range(minutes)]
-    last = -1
-    for p in plans:
-        if p.depart < last:
-            raise ValueError("plans must be sorted by departure time")
-        last = p.depart
-        m = p.depart // 60
-        if m < minutes:
-            buckets[m][p.movement] += 1
-    return MinuteTmc(tuple(TmcTable(tuple(b)) for b in buckets))
+        minutes = int(plans.departs[-1]) // 60 + 1 if len(plans) else 0
+    inside = plans.departs < 60 * minutes
+    cells = plans.departs[inside] // 60 * 12 + plans.movements[inside]
+    counts = np.bincount(cells, minlength=12 * minutes).reshape(minutes, 12)
+    return MinuteTmc(tuple(TmcTable(tuple(row)) for row in counts.tolist()))
 
 
 # --- demand spec + pipeline -----------------------------------------------------------
@@ -246,7 +319,7 @@ class DemandSpec:
     mode: SplitMode = "deterministic"
 
 
-def generate_demand(spec: DemandSpec) -> tuple[list[VehiclePlan], MinuteTmc]:
+def generate_demand(spec: DemandSpec) -> tuple[Departures, MinuteTmc]:
     """Run the full pipeline: hourly draws -> zone split -> turn split -> departures.
 
     Each stage draws from its own stream spawned off the master seed, so the
@@ -339,6 +412,7 @@ def read_demand_spec(path: str | Path) -> DemandSpec:
 
 MINUTE_TMC_FIELDS = ("minute", *[m.name for m in MOVEMENTS])
 DEPARTURE_FIELDS = ("id", "depart", "movement")
+MAX_DEPART = np.iinfo(np.int64).max
 
 
 def write_minute_tmc(minute_tmc: MinuteTmc, path: str | Path) -> None:
@@ -359,15 +433,25 @@ def read_minute_tmc(path: str | Path) -> MinuteTmc:
 
 
 def write_departures(plans: Iterable[VehiclePlan], path: str | Path) -> None:
-    write_csv(path, DEPARTURE_FIELDS, ((p.id, p.depart, p.movement.name) for p in plans))
+    plans = Departures.of(plans)
+    names = [MOVEMENTS[m].name for m in plans.movements.tolist()]
+    write_csv(path, DEPARTURE_FIELDS, zip(plans.ids, plans.departs.tolist(), names))
 
 
-def read_departures(path: str | Path) -> list[VehiclePlan]:
-    """Read a departures CSV with header ``id,depart,movement``.
+def _departure_row(row: Sequence[str]) -> tuple[int, Movement]:
+    depart = int(row[1])
+    if not 0 <= depart <= MAX_DEPART:
+        raise ValueError(f"departure must lie in [0, {MAX_DEPART}], got {depart}")
+    return depart, movement_named(row[2])
+
+
+def read_departures(path: str | Path) -> Departures:
+    """Read a departures CSV with header ``id,depart,movement``; the ids are kept as read.
 
     ``ValueError`` for another header or field count, an id given twice, a
-    departure that is not an integer >= 0, or an unknown movement label.
+    departure that is not an integer in [0, 2**63), or an unknown movement label.
     """
     _, rows = read_csv(path, DEPARTURE_FIELDS)
     check_unique_ids(path, rows)
-    return convert_rows(path, rows, lambda row: VehiclePlan(row[0], int(row[1]), movement_named(row[2])))
+    departs, movements = zip(*convert_rows(path, rows, _departure_row)) if rows else ((), ())
+    return Departures(departs, movements, tuple(row[0] for row in rows))

@@ -97,8 +97,9 @@ class TypicalPath:
 
 
 def _check_eps(eps: float) -> None:
-    if not eps > 0:
-        raise ValueError(f"eps must be a positive number, got {eps}")
+    # An infinite radius matches every point, so every similarity would be 1.
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
 
 
 def _padded_xy(seqs: Sequence[Sequence[Point]], width: int) -> np.ndarray:

@@ -132,6 +132,28 @@ def test_tmc_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TMC_SHA256
 
 
+# sha256 of the gen and export-sumo outputs for `gen --pattern PC --seed 7` and a
+# dynamic program, recorded with the one-VehiclePlan-per-vehicle pipeline.
+PINNED_FILE_SHA256 = {
+    "gen/departures.csv": "0c8f6988d9be6524f3749c790b2f5d092f62248cd2a48553779037e173ef5d93",
+    "gen/minute_tmc.csv": "d35fdbf6f183ad6a4e9d8f9d14c77e7da5567d3d5ec370773ce7ac60687cc717",
+    "sumo/routes.rou.xml": "c17b50ccea66ffed8e5e5290019ddb1d476948b1da5fc4c6cbd7eac63601849e",
+    "sumo/tls.add.xml": "29acf9215ff399cda476a53e356b53291e48b9da926e023a991b1bdc47d52ab3",
+}
+
+
+def test_gen_and_export_bytes_are_pinned(tmp_path):
+    assert run_cli("gen", "--pattern", "PC", "--seed", 7, "--out-dir", tmp_path / "gen") == 0
+    program = tmp_path / "program.csv"
+    assert run_cli("plan", "--tmc", tmp_path / "gen" / "minute_tmc.csv", "--policy", "dynamic", "--out", program) == 0
+    assert run_cli(
+        "export-sumo", "--departures", tmp_path / "gen" / "departures.csv", "--program", program,
+        "--out-dir", tmp_path / "sumo",
+    ) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_FILE_SHA256}
+    assert digests == PINNED_FILE_SHA256
+
+
 def test_rl_train_and_plan(tmp_path):
     from tmcsignal.model import TmcTable
     from tmcsignal.trafficgen import MinuteTmc
@@ -347,6 +369,7 @@ class TestMalformedInputs:
         [
             pytest.param(("--eps", "0"), None, "eps", id="eps-zero"),
             pytest.param(("--eps", "nan"), None, "eps", id="eps-nan"),
+            pytest.param(("--eps", "inf"), None, "eps", id="eps-inf"),
             pytest.param(("--min-sim", "1.5"), None, "min_sim", id="min-sim-above-one"),
             pytest.param((), "movement,x,y\n", "typical path", id="no-paths"),
         ],
@@ -415,4 +438,38 @@ def test_benchmark_traced_rl_training(tmp_path, tracing):
     trainings = [span for span in tracer.spans if span.name == "rl.train"]
     assert code == 0 and tracer.unpatched == []
     assert len(trainings) == 1 and "steps" in trainings[0].counts
+    assert tracing.nesting_errors(tracer.spans) == []
+
+
+def test_benchmark_traced_file_roundtrip(tmp_path, tracing):
+    # The traced cli-roundtrip pass counts vehicles and bytes from these layers'
+    # return values and arguments; a name or signature they no longer match
+    # would otherwise fail only in a benchmark run.
+    spec = tmp_path / "demand.txt"
+    spec.write_text("pattern = PC\nhours = offpeak\nseed = 7\n")
+    gen, program = tmp_path / "gen", tmp_path / "program.csv"
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        codes = [
+            run_cli("gen", "--demand-spec", spec, "--out-dir", gen),
+            run_cli("plan", "--tmc", gen / "minute_tmc.csv", "--policy", "dynamic", "--out", program),
+            run_cli(
+                "simulate", "--geometry", "INT1", "--departures", gen / "departures.csv", "--policy", "static",
+                "--out-dir", tmp_path / "sim",
+            ),
+            run_cli(
+                "export-sumo", "--departures", gen / "departures.csv", "--program", program,
+                "--out-dir", tmp_path / "sumo",
+            ),
+        ]
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span.name, []).append(span)
+    assert codes == [0, 0, 0, 0] and tracer.unpatched == []
+    [demand] = spans["trafficgen.generate_demand"]
+    assert demand.counts["vehicles"] == len(read_departures(gen / "departures.csv")) > 0
+    assert len(spans["trafficgen.write_departures"]) == 1
+    assert len(spans["trafficgen.read_departures"]) == 2
+    [routes] = spans["sumo_io.write_routes"]
+    assert routes.counts["bytes"] > 0
     assert tracing.nesting_errors(tracer.spans) == []

@@ -7,6 +7,7 @@ import math
 import tempfile
 from collections import deque
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from tmcsignal.rl import (
     QFunction,
     VolumeStreamEnv,
     action_fractions,
-    best_action_by_exhaustion,
     build_rl_program,
     delay,
     direction_volumes,
@@ -34,6 +34,17 @@ from tmcsignal.trafficgen import MinuteTmc
 
 DOMINANT_WB = TmcTable((20, 60, 20, 2, 6, 2, 2, 6, 2, 2, 6, 2))
 SYMMETRIC = TmcTable((10, 30, 10) * 4)
+
+
+def best_action_by_exhaustion(volumes: Sequence[float], usable_green: float) -> tuple[int, ...]:
+    """Argmin-delay action over the full action set: the oracle for the learned allocation."""
+    best, best_delay = None, None
+    for action in ACTIONS:
+        greens = [s * usable_green for s in action_fractions(action)]
+        d = delay(volumes, greens)
+        if best_delay is None or d < best_delay - 1e-12:
+            best, best_delay = action, d
+    return best
 
 
 def constant_stream(table: TmcTable, minutes: int = 60) -> MinuteTmc:

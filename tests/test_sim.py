@@ -334,7 +334,11 @@ def split_phase_plans(draw, cycle: int) -> PhasePlan:
 
 @st.composite
 def batches(draw):
-    """A batch of cells: geometries, shared demands (one empty) and programs of both layouts."""
+    """A batch of cells: geometries, shared demands (one empty) and programs of both layouts.
+
+    A cell may reuse the previous cell's program object, as the grid's cells of
+    one program do, so the shared rate-index column is exercised.
+    """
     horizon = draw(st.integers(1, 700))
     cfg = SimConfig(
         horizon=horizon,
@@ -352,6 +356,9 @@ def batches(draw):
     for _ in range(draw(st.integers(1, 8))):
         geometries.append(IntersectionGeometry("X", draw(lanes), draw(lanes)))
         cell_demands.append(demands[draw(st.integers(0, len(demands) - 1))])
+        if programs and draw(st.booleans()):
+            programs.append(programs[-1])
+            continue
         cycle = draw(st.sampled_from([60, 90]))
         plans = draw(st.sampled_from([protected_left_plans, split_phase_plans]))(cycle)
         minutes = math.ceil(horizon / 60) + draw(st.integers(0, 2))

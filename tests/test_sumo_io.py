@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from tmcsignal.model import Movement, TmcTable
 from tmcsignal.signals import SignalProgram, build_program, static_plan
 from tmcsignal.sumo_io import (
+    XML_DECLARATION,
     emit_routes,
     emit_tls,
     parse_routes,
@@ -16,7 +19,7 @@ from tmcsignal.sumo_io import (
     write_routes,
     write_tls,
 )
-from tmcsignal.trafficgen import MinuteTmc, VehiclePlan
+from tmcsignal.trafficgen import MinuteTmc, VehiclePlan, read_departures, write_departures
 
 plan_lists = st.lists(
     st.tuples(st.integers(0, 7200), st.sampled_from(list(Movement))), max_size=50
@@ -25,6 +28,22 @@ plan_lists = st.lists(
         VehiclePlan(f"v{i:04d}", t, m) for i, (t, m) in enumerate(sorted(raw))
     ]
 )
+
+
+def routes_xml_oracle(plans) -> str:
+    """The route document as ElementTree builds, indents and serialises it."""
+    root = ET.Element("routes")
+    for plan in plans:
+        vehicle = ET.SubElement(root, "vehicle", id=plan.id, depart=f"{plan.depart:.2f}")
+        ET.SubElement(
+            vehicle, "route", edges=f"{plan.movement.origin.edge_in} {plan.movement.destination.edge_out}"
+        )
+    ET.indent(root)
+    return XML_DECLARATION + ET.tostring(root, encoding="unicode") + "\n"
+
+
+# Ids as a departures file can hold them, with every character ElementTree escapes.
+read_back_ids = st.text(st.sampled_from('&<>"\r\n\t\'v0 ,é') | st.characters(), min_size=1, max_size=8)
 
 
 class TestRoutes:
@@ -49,7 +68,23 @@ class TestRoutes:
 
     def test_empty_document_is_valid(self):
         xml = emit_routes([]).to_xml()
+        assert xml == routes_xml_oracle([]) == XML_DECLARATION + "<routes />\n"
         assert parse_routes(xml) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(read_back_ids, st.integers(0, 10**18), st.sampled_from(list(Movement))),
+            max_size=12,
+            unique_by=lambda row: row[0],
+        )
+    )
+    def test_written_bytes_equal_the_element_tree_oracle(self, tmp_path_factory, rows):
+        plans = [VehiclePlan(*row) for row in sorted(rows, key=lambda row: row[1])]
+        out = tmp_path_factory.mktemp("routes")
+        write_departures(plans, out / "departures.csv")
+        write_routes(read_departures(out / "departures.csv"), out / "routes.rou.xml")
+        assert (out / "routes.rou.xml").read_bytes() == routes_xml_oracle(plans).encode("utf-8")
 
     def test_unsorted_rejected(self):
         plans = [VehiclePlan("a", 10, Movement.WBL), VehiclePlan("b", 5, Movement.WBL)]

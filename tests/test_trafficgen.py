@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +12,14 @@ from tmcsignal.trafficgen import (
     PATTERNS,
     UNIVERSAL_WEIGHTS,
     BimodalProfile,
+    Departures,
     DemandSpec,
     MinuteTmc,
     TurnRatio,
     VehiclePlan,
     ZonePattern,
     aggregate_per_minute,
+    departure_order,
     generate_demand,
     hourly_counts,
     parse_demand_spec,
@@ -29,6 +32,58 @@ from tmcsignal.trafficgen import (
     write_departures,
     write_minute_tmc,
 )
+
+
+def table_of(counts: dict[Movement, int]) -> TmcTable:
+    return TmcTable(tuple(counts.get(m, 0) for m in MOVEMENTS))
+
+
+# --- the list pipeline: one VehiclePlan per vehicle, the oracle for the column code ---
+
+
+def schedule_departures_oracle(hourly_tmcs, seed) -> list[VehiclePlan]:
+    rng = np.random.default_rng(seed)
+    plans = []
+    serial = 0
+    for hour, tmc in enumerate(hourly_tmcs):
+        lo, hi = 3600 * hour, 3600 * (hour + 1)
+        for movement in MOVEMENTS:
+            n = tmc[movement]
+            if n == 0:
+                continue
+            for t in rng.integers(lo, hi, size=n):
+                plans.append(VehiclePlan(f"v{serial:06d}", int(t), movement))
+                serial += 1
+    plans.sort(key=lambda p: (p.depart, p.id))
+    return plans
+
+
+def aggregate_per_minute_oracle(plans, minutes=None) -> MinuteTmc:
+    if minutes is None:
+        minutes = 0 if not plans else max(p.depart for p in plans) // 60 + 1
+    buckets = [[0] * 12 for _ in range(minutes)]
+    for p in plans:
+        if p.depart // 60 < minutes:
+            buckets[p.depart // 60][p.movement] += 1
+    return MinuteTmc(tuple(TmcTable(tuple(b)) for b in buckets))
+
+
+def generate_demand_oracle(spec: DemandSpec) -> tuple[list[VehiclePlan], MinuteTmc]:
+    s_hour, s_zone, s_move, s_depart = np.random.SeedSequence(spec.seed).spawn(4)
+    totals = hourly_counts(spec.profile, s_hour)
+    zone_seeds, move_seeds = s_zone.spawn(len(totals)), s_move.spawn(len(totals))
+    tables = [
+        split_by_movement(split_by_zone(total, spec.pattern, spec.mode, zone_seeds[h]), spec.ratios, spec.mode, move_seeds[h])
+        for h, total in enumerate(totals)
+    ]
+    plans = schedule_departures_oracle(tables, s_depart)
+    return plans, aggregate_per_minute_oracle(plans, minutes=60 * len(totals))
+
+
+# Up to three hours of up to 60 vehicles per movement: enough same-second ties
+# that an unstable sort or a wrong tie order shows.
+hourly_tables = st.lists(st.tuples(*[st.integers(0, 60)] * 12).map(TmcTable), max_size=3)
+
 
 weight_vectors = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda ws: ZonePattern(tuple(w / sum(ws) for w in ws))
@@ -131,7 +186,7 @@ class TestSplitByMovement:
 
 class TestScheduleDepartures:
     def test_single_vehicle_lands_in_its_hour(self):
-        tables = [TmcTable.zero(), TmcTable.zero(), TmcTable.from_mapping({Movement.NBT: 1})]
+        tables = [TmcTable.zero(), TmcTable.zero(), table_of({Movement.NBT: 1})]
         plans = schedule_departures(tables, seed=5)
         assert len(plans) == 1
         assert 7200 <= plans[0].depart < 10800
@@ -140,21 +195,90 @@ class TestScheduleDepartures:
         assert schedule_departures([TmcTable.zero()], seed=1) == []
 
     def test_empirical_mean_of_first_hour(self):
-        tables = [TmcTable.from_mapping({Movement.EBT: 1000})]
+        tables = [table_of({Movement.EBT: 1000})]
         plans = schedule_departures(tables, seed=11)
         mean = sum(p.depart for p in plans) / len(plans)
         assert 1500 <= mean <= 2100
 
     def test_sorted_and_unique_ids(self):
-        tables = [TmcTable.from_mapping({m: 20 for m in Movement})] * 2
+        tables = [table_of({m: 20 for m in Movement})] * 2
         plans = schedule_departures(tables, seed=3)
         departs = [p.depart for p in plans]
         assert departs == sorted(departs)
         assert len({p.id for p in plans}) == len(plans)
 
     def test_deterministic(self):
-        tables = [TmcTable.from_mapping({Movement.WBL: 50, Movement.SBR: 50})]
+        tables = [table_of({Movement.WBL: 50, Movement.SBR: 50})]
         assert schedule_departures(tables, 9) == schedule_departures(tables, 9)
+
+
+class TestColumnsEqualTheListPipeline:
+    @settings(max_examples=60, deadline=None)
+    @given(hourly_tables, st.integers(0, 2**32), st.none() | st.integers(0, 200))
+    def test_schedule_and_aggregate(self, tables, seed, minutes):
+        expected = schedule_departures_oracle(tables, seed)
+        departures = schedule_departures(tables, seed)
+        assert list(departures) == expected and departures == expected
+        assert aggregate_per_minute(departures, minutes) == aggregate_per_minute_oracle(expected, minutes)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.floats(0, 400),
+        st.floats(0, 1500),
+        st.lists(st.sampled_from(["offpeak", "peak"]), min_size=1, max_size=3),
+        st.sampled_from(sorted(PATTERNS)),
+        st.sampled_from(["deterministic", "sampled"]),
+    )
+    def test_generate_demand(self, seed, mu_offpeak, mu_peak, hours, pattern, mode):
+        profile = BimodalProfile(mu_offpeak, 30.0, mu_peak, 60.0, tuple(hours))
+        spec = DemandSpec(profile=profile, pattern=PATTERNS[pattern], seed=seed, mode=mode)
+        departures, minute_tmc = generate_demand(spec)
+        expected, expected_tmc = generate_demand_oracle(spec)
+        assert list(departures) == expected
+        assert minute_tmc == expected_tmc
+
+    def test_order_past_serial_999999(self):
+        # 'v1000000' < 'v999999' as strings, so at one second the wider id comes first.
+        serials = np.array([999_998, 999_999, 1_000_000, 1_000_001, 5])
+        order = departure_order(np.zeros(5, dtype=np.int64), serials)
+        assert [f"v{s:06d}" for s in serials[order]] == ["v000005", "v1000000", "v1000001", "v999998", "v999999"]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(999_900, 1_000_100)), unique_by=lambda r: r[1], max_size=40)
+    )
+    def test_order_matches_id_strings_across_the_width_change(self, rows):
+        departs = np.array([d for d, _ in rows], dtype=np.int64)
+        serials = np.array([s for _, s in rows], dtype=np.int64)
+        expected = sorted(range(len(rows)), key=lambda i: (rows[i][0], f"v{rows[i][1]:06d}"))
+        assert departure_order(departs, serials).tolist() == expected
+
+
+class TestDepartures:
+    plans = [VehiclePlan("b", 3, Movement.NBT), VehiclePlan("a", 3, Movement.WBL), VehiclePlan("c", 9, Movement.SBR)]
+
+    def test_rows_are_vehicle_plans(self):
+        departures = Departures.of(self.plans)
+        assert len(departures) == 3
+        assert departures[0] == self.plans[0] and departures[-1] == self.plans[-1]
+        assert list(departures) == self.plans
+
+    def test_serial_ids_are_spelled_when_asked(self):
+        departures = Departures(np.array([0, 1]), np.array([0, 11]), np.array([7, 1_000_000]))
+        assert departures.ids == ["v000007", "v1000000"]
+        assert departures[1] == VehiclePlan("v1000000", 1, Movement.SBR)
+
+    def test_equality_with_any_sequence_of_plans(self):
+        departures = Departures.of(self.plans)
+        assert departures == self.plans and self.plans == departures and departures == tuple(self.plans)
+        assert departures == Departures.of(self.plans)
+        assert departures != self.plans[:2]
+        assert departures != [*self.plans[:2], VehiclePlan("c", 9, Movement.SBT)]
+        assert Departures.of([]) == []
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(ValueError):
+            Departures(np.array([0, 1]), np.array([0]), ("a", "b"))
 
 
 class TestAggregatePerMinute:
@@ -309,6 +433,8 @@ def test_minute_tmc_file_rejects_malformed_rows(tmp_path, text):
         pytest.param("id,depart\nv0,0\n", id="dropped-column"),
         pytest.param("id,depart,movement\nv0,0,WBT\nv1,5\n", id="short-row"),
         pytest.param("id,depart,movement\nv0,0.5,WBT\n", id="non-integer-departure"),
+        pytest.param("id,depart,movement\nv0,-1,WBT\n", id="negative-departure"),
+        pytest.param(f"id,depart,movement\nv0,{2**63},WBT\n", id="departure-past-int64"),
         pytest.param("id,depart,movement\nv0,0,WBT\nv0,5,NBT\n", id="repeated-id"),
         pytest.param("id,depart,movement\nv0,0,XYZ\n", id="unknown-movement"),
         pytest.param("depart,id,movement\n0,v0,WBT\n", id="reordered-columns"),
@@ -317,5 +443,5 @@ def test_minute_tmc_file_rejects_malformed_rows(tmp_path, text):
 def test_departures_file_rejects_malformed_rows(tmp_path, text):
     bad = tmp_path / "d.csv"
     bad.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d.csv"):
         read_departures(bad)

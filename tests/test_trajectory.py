@@ -7,6 +7,7 @@ subsequence enumerator.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -130,8 +131,9 @@ class TestLcss:
         assert lcss(a, b, eps=2.0) == 2
 
     def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            lcss([(0.0, 0.0)], [(0.0, 0.0)], eps=0)
+        for eps in (0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps must be a positive finite number"):
+                lcss([(0.0, 0.0)], [(0.0, 0.0)], eps=eps)
 
     @given(short_seqs, short_seqs, st.floats(0.5, 10))
     @settings(max_examples=150)
