@@ -73,27 +73,6 @@ class PhasePlan:
 
 
 @dataclass(frozen=True)
-class CriticalCounts:
-    """Critical per-phase demand figures (may be fractional)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValueError("critical counts must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return self.a + self.b + self.c + self.d
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
 class SignalProgram:
     """Per-minute sequence of phase plans covering the simulation horizon."""
 
@@ -119,14 +98,14 @@ class SignalProgram:
         return self.plans[minute]
 
 
-def critical_counts(tmc: TmcTable) -> CriticalCounts:
+def critical_counts(tmc: TmcTable) -> tuple[float, float, float, float]:
     """Per-phase critical demand: paired through movements are averaged, lefts maxed."""
     t = tmc
-    return CriticalCounts(
-        a=max((t[Movement.WBT] + t[Movement.WBR]) / 2, (t[Movement.EBT] + t[Movement.EBR]) / 2),
-        b=float(max(t[Movement.WBL], t[Movement.EBL])),
-        c=max((t[Movement.NBT] + t[Movement.NBR]) / 2, (t[Movement.SBT] + t[Movement.SBR]) / 2),
-        d=float(max(t[Movement.NBL], t[Movement.SBL])),
+    return (
+        max((t[Movement.WBT] + t[Movement.WBR]) / 2, (t[Movement.EBT] + t[Movement.EBR]) / 2),
+        float(max(t[Movement.WBL], t[Movement.EBL])),
+        max((t[Movement.NBT] + t[Movement.NBR]) / 2, (t[Movement.SBT] + t[Movement.SBR]) / 2),
+        float(max(t[Movement.NBL], t[Movement.SBL])),
     )
 
 
@@ -195,10 +174,10 @@ def dynamic_plan(
     conserved exactly.
     """
     crit = critical_counts(tmc)
-    total = crit.total
+    total = sum(crit)
     if total == 0:
         return static_plan(cycle, yellow, min_green)
-    quotas = [max(x / total * cycle - yellow, 0.0) for x in crit.as_tuple()]
+    quotas = [max(x / total * cycle - yellow, 0.0) for x in crit]
     greens = allocate_greens(quotas, cycle - 4 * yellow, min_green)
     return _protected_left_plan(greens, yellow, cycle)
 
@@ -256,9 +235,7 @@ def build_program(
     fixed = static_plan(cycle, yellow)
     plans = []
     for minute in range(len(minute_tmcs)):
-        if policy == "static":
-            plans.append(fixed)
-        elif policy == "dynamic" or minute in peaks:
+        if policy == "dynamic" or (policy == "hybrid" and minute in peaks):
             plans.append(dynamic_plan(minute_tmcs[minute], cycle, yellow))
         else:
             plans.append(fixed)

@@ -1,6 +1,6 @@
 """Discrete-time point-queue simulator, one batch of grid cells at a time.
 
-A cell is one intersection geometry, one demand (its vehicle plans) and one
+A cell is one intersection geometry, one demand (its ``Departures``) and one
 signal program. Vehicles join per-movement FIFO queues at their departure
 second; during each green, a movement discharges at effective_lanes /
 saturation_headway vehicles per second (fractional service accumulates as
@@ -41,9 +41,9 @@ import numpy as np
 
 from tmcsignal import rl as rl_mod
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone, write_csv
+from tmcsignal.model import IntersectionGeometry, Movement, Zone, write_csv
 from tmcsignal.signals import DEFAULT_YELLOW, SignalProgram, build_program
-from tmcsignal.trafficgen import Departures, VehiclePlan, aggregate_per_minute
+from tmcsignal.trafficgen import Departures, aggregate_per_minute
 
 # Relative service weight of the (left, through, right) lane groups when an
 # approach's lanes are shared fractionally.
@@ -68,16 +68,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class LaneAssignment:
-    """Effective lane count serving each movement, summing to lanes_in per zone."""
-
-    effective_lanes: tuple[float, ...]
-
-    def __getitem__(self, movement: Movement) -> float:
-        return self.effective_lanes[movement]
-
-
-@dataclass(frozen=True)
 class SimResult:
     injected: int
     served: int
@@ -87,8 +77,8 @@ class SimResult:
     queue_series: tuple[tuple[int, int, int, int], ...]
 
 
-def assign_lanes(geo: IntersectionGeometry) -> LaneAssignment:
-    """Derive per-movement effective lanes from each approach's inbound lanes.
+def assign_lanes(geo: IntersectionGeometry) -> tuple[float, ...]:
+    """Effective lane count serving each movement, WBL..SBR, summing to lanes_in per zone.
 
     With three or more lanes the left turn gets one dedicated lane and the rest
     split 2:1 between through and right by largest remainder; narrower
@@ -106,7 +96,7 @@ def assign_lanes(geo: IntersectionGeometry) -> LaneAssignment:
         else:
             total = sum(SHARED_LANE_WEIGHTS)
             eff[base : base + 3] = [n * w / total for w in SHARED_LANE_WEIGHTS]
-    return LaneAssignment(tuple(eff))
+    return tuple(eff)
 
 
 def _count_arrivals(plans: Departures, out: np.ndarray) -> None:
@@ -148,7 +138,7 @@ def _rate_index(program: SignalProgram, horizon: int, keys: dict, out: np.ndarra
 
 def _simulate(
     geometries: Sequence[IntersectionGeometry],
-    demands: Sequence[Sequence[VehiclePlan]],
+    demands: Sequence[Departures],
     programs: Iterable[SignalProgram],
     cfg: SimConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -162,7 +152,7 @@ def _simulate(
     cell_demand = np.array([row_of[id(plans)] for plans in demands], dtype=np.intp)
     arrivals = np.zeros((horizon, len(distinct), 12), dtype=np.int32)
     for d, plans in enumerate(distinct):
-        _count_arrivals(Departures.of(plans), arrivals[:, d])
+        _count_arrivals(plans, arrivals[:, d])
     injected = arrivals.sum(axis=(0, 2), dtype=np.int64)[cell_demand]
 
     keys: dict[tuple[frozenset[Movement], frozenset[Movement]], int] = {}
@@ -175,8 +165,7 @@ def _simulate(
         else:
             _rate_index(program, horizon, keys, rate_index[:, b])
             previous = program
-        lanes = assign_lanes(geo)
-        full[b] = [lanes[m] / cfg.saturation_headway for m in MOVEMENTS]
+        full[b] = [lanes / cfg.saturation_headway for lanes in assign_lanes(geo)]
     multipliers = np.zeros((len(keys) + 1, 12))
     for (served, permissive), row in keys.items():
         multipliers[row, list(served)] = 1.0
@@ -222,16 +211,16 @@ def _simulate(
 
 def run(
     geometries: Sequence[IntersectionGeometry],
-    demands: Sequence[Sequence[VehiclePlan]],
+    demands: Sequence[Departures],
     programs: Iterable[SignalProgram],
     cfg: SimConfig,
 ) -> list[SimResult]:
     """Simulate one cell per (geometry, demand, program) over the horizon; one result per cell.
 
     All cells advance together, one (cells x 12) step per second. Cells that
-    share a demand should pass the same sequence object, whose arrivals are then
-    counted once. ``programs`` is read one program at a time, so it may be a
-    generator; it must yield exactly one program per geometry.
+    share a demand should pass the same ``Departures`` object, whose arrivals
+    are then counted once. ``programs`` is read one program at a time, so it
+    may be a generator; it must yield exactly one program per geometry.
     """
     injected, total_wait, residual, zone_max = _simulate(geometries, demands, programs, cfg)
     return [
@@ -249,7 +238,7 @@ def run(
 
 def evaluate(
     geo: IntersectionGeometry,
-    plans: Sequence[VehiclePlan],
+    plans: Departures,
     policy: str,
     cycle: int,
     cfg: SimConfig,
@@ -261,7 +250,6 @@ def evaluate(
 
     ``rl`` first trains a fresh allocator on the scenario's minute stream.
     """
-    plans = Departures.of(plans)
     minute_tmcs = aggregate_per_minute(plans, minutes=math.ceil(cfg.horizon / 60))
     q = None
     if policy == "rl":

@@ -1,12 +1,11 @@
 """Bimodal daily demand: hourly totals, zone/turn splits, departures, per-minute TMC.
 
-Departures are held as columns. A ``Departures`` sequence keeps three arrays,
-in departure order: the departure seconds (int64), the movements (int8) and
-the ids. Generated demand keeps its ids as serial numbers and spells them
-``v{serial:06d}`` only when a writer or a row asks; a departures file read
-back keeps the id strings it read. Counting, simulating and writing read the
-columns; indexing or iterating yields one ``VehiclePlan`` per row, and a
-``Departures`` equals any sequence of equal ``VehiclePlan`` rows.
+Departures are held as columns. A ``Departures`` keeps three arrays, in
+departure order: the departure seconds (int64), the movements (int8) and the
+ids. Generated demand keeps its ids as serial numbers and spells them
+``v{serial:06d}`` only when a writer asks; a departures file or a route file
+read back keeps its ids as read. Counting, simulating and writing all read
+the columns; there is no per-vehicle object.
 
 The schedule is ordered by (departure second, id string). Below serial
 1,000,000 every id has the same width, so that is serial order among equal
@@ -20,7 +19,7 @@ import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -108,24 +107,12 @@ class TurnRatio:
         return self.by_zone[zone.index]
 
 
-@dataclass(frozen=True)
-class VehiclePlan:
-    """A single vehicle: unique id, departure second, turning movement."""
-
-    id: str
-    depart: int
-    movement: Movement
-
-    def __post_init__(self) -> None:
-        if self.depart < 0:
-            raise ValueError("departure must be non-negative")
-
-
-class Departures(Sequence[VehiclePlan]):
-    """Vehicle plans as three columns: ``departs`` (int64), ``movements`` (int8) and the ids.
+class Departures:
+    """Vehicles as three columns: ``departs`` (int64), ``movements`` (int8) and the ids.
 
     The ids are either an int64 array of serials, spelled ``v{serial:06d}``, or
-    a tuple of id strings. Build one from ``VehiclePlan`` rows with ``of``.
+    a tuple of id strings. Two ``Departures`` are equal when their columns are,
+    the ids compared as spelled.
     """
 
     def __init__(self, departs: Sequence[int], movements: Sequence[int], ids: np.ndarray | tuple[str, ...]):
@@ -134,15 +121,8 @@ class Departures(Sequence[VehiclePlan]):
         self.departs = np.asarray(departs, dtype=np.int64)
         self.movements = np.asarray(movements, dtype=np.int8)
         self._ids = ids
-
-    @classmethod
-    def of(cls, plans: Iterable[VehiclePlan]) -> Departures:
-        """``plans`` as columns; a ``Departures`` is returned as it is."""
-        if isinstance(plans, Departures):
-            return plans
-        rows = [(p.id, p.depart, p.movement) for p in plans]
-        ids, departs, movements = zip(*rows) if rows else ((), (), ())
-        return cls(departs, movements, ids)
+        if np.any(self.departs < 0):
+            raise ValueError("departure must be non-negative")
 
     @property
     def ids(self) -> list[str]:
@@ -158,20 +138,14 @@ class Departures(Sequence[VehiclePlan]):
     def __len__(self) -> int:
         return len(self.departs)
 
-    def __getitem__(self, index: int) -> VehiclePlan:
-        ident = self._ids[index]
-        if not isinstance(ident, str):
-            ident = f"v{ident:06d}"
-        return VehiclePlan(ident, int(self.departs[index]), MOVEMENTS[self.movements[index]])
-
-    def __iter__(self):
-        movements = [MOVEMENTS[m] for m in self.movements.tolist()]
-        return map(VehiclePlan, self.ids, self.departs.tolist(), movements)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
+        if not isinstance(other, Departures):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return (
+            np.array_equal(self.departs, other.departs)
+            and np.array_equal(self.movements, other.movements)
+            and self.ids == other.ids
+        )
 
 
 @dataclass(frozen=True)
@@ -293,9 +267,8 @@ def departure_order(departs: np.ndarray, serials: np.ndarray) -> np.ndarray:
     return np.lexsort((serials, departs))
 
 
-def aggregate_per_minute(plans: Iterable[VehiclePlan], minutes: int | None = None) -> MinuteTmc:
+def aggregate_per_minute(plans: Departures, minutes: int | None = None) -> MinuteTmc:
     """Bucket departures into per-minute TMC tables (minute m covers [60m, 60m+60))."""
-    plans = Departures.of(plans)
     plans.check_sorted()
     if minutes is None:
         minutes = int(plans.departs[-1]) // 60 + 1 if len(plans) else 0
@@ -432,8 +405,7 @@ def read_minute_tmc(path: str | Path) -> MinuteTmc:
     return MinuteTmc(tuple(convert_rows(path, rows, lambda row: TmcTable(tuple(map(int, row[1:]))))))
 
 
-def write_departures(plans: Iterable[VehiclePlan], path: str | Path) -> None:
-    plans = Departures.of(plans)
+def write_departures(plans: Departures, path: str | Path) -> None:
     names = [MOVEMENTS[m].name for m in plans.movements.tolist()]
     write_csv(path, DEPARTURE_FIELDS, zip(plans.ids, plans.departs.tolist(), names))
 

@@ -184,6 +184,11 @@ def _ordered_paths(paths: Sequence[TypicalPath], eps: float, min_sim: float) -> 
         raise ValueError(f"min_sim must lie in [0, 1], got {min_sim}")
     if not paths:
         raise ValueError("need at least one typical path")
+    # At an eps this wide every path point matches every other, so a track
+    # inside the paths' frame is as similar to one path as to any other.
+    diameter = np.ptp(np.concatenate([p.points for p in paths]), axis=0).max()
+    if eps >= diameter:
+        raise ValueError(f"eps must be below the typical paths' Chebyshev diameter {diameter}, got {eps}")
     return sorted(paths, key=lambda p: p.movement)
 
 
@@ -196,8 +201,9 @@ def classify(
     """Best-matching movement, or None when nothing reaches ``min_sim``.
 
     Ties are broken by movement order (WBL first), so classification is
-    deterministic for any path set. ``ValueError`` for eps <= 0 or NaN,
-    ``min_sim`` outside [0, 1], or no paths.
+    deterministic for any path set. ``ValueError`` for eps <= 0, NaN, or at
+    least the Chebyshev diameter of all path points, ``min_sim`` outside
+    [0, 1], or no paths.
     """
     ordered = _ordered_paths(paths, eps, min_sim)
     best = int(_best_paths([trajectory], ordered, eps, min_sim)[0])

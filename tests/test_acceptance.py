@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from departure_rows import departures
 from tmcsignal.experiment import ExperimentSpec, run_experiment
 from tmcsignal.model import (
     IntersectionGeometry,
@@ -31,14 +32,13 @@ from tmcsignal.signals import (
     static_plan,
     write_program,
 )
-from tmcsignal.sumo_io import emit_routes, emit_tls, parse_routes
+from tmcsignal.sumo_io import emit_tls, parse_routes, routes_xml
 from tmcsignal.trafficgen import (
     PATTERNS,
     UNIVERSAL_WEIGHTS,
     BimodalProfile,
     DemandSpec,
     MinuteTmc,
-    VehiclePlan,
     generate_demand,
     pattern_library,
 )
@@ -87,7 +87,7 @@ def test_criterion_2_pattern_algebra():
 def test_criterion_3_dynamic_allocation_oracle():
     observed = read_tmc_tables()["INT1"]
     crit = critical_counts(observed)
-    quotas = [x / crit.total * 90 - 3 for x in (crit.a, crit.b, crit.c, crit.d)]
+    quotas = [x / sum(crit) * 90 - 3 for x in crit]
 
     # Independent oracle: the integer split of 78 closest (L2) to the quotas.
     best, best_cost = None, None
@@ -205,14 +205,14 @@ def test_criterion_6_conservation_and_trace():
         horizon = int(rng.integers(60, 400))
         n = int(rng.integers(0, 40))
         departs = sorted(int(t) for t in rng.integers(0, horizon + 120, size=n))
-        plans = [
-            VehiclePlan(f"v{i:03d}", t, Movement(int(rng.integers(0, 12))))
+        plans = departures([
+            (f"v{i:03d}", t, Movement(int(rng.integers(0, 12))))
             for i, t in enumerate(departs)
-        ]
+        ])
         cycle = int(rng.choice([60, 90]))
         program = SignalProgram((static_plan(cycle, 3),) * math.ceil(horizon / 60))
         result = run([geo], [plans], [program], SimConfig(horizon=horizon))[0]
-        injected = sum(1 for p in plans if p.depart < horizon)
+        injected = sum(1 for t in departs if t < horizon)
         ok &= result.injected == injected
         ok &= result.served + result.residual_queue == injected
 
@@ -220,7 +220,7 @@ def test_criterion_6_conservation_and_trace():
     program = SignalProgram((static_plan(90, 3),) * 60)
     trace = run(
         [geo],
-        [[VehiclePlan("v0", 0, Movement.NBT)]],
+        [departures([("v0", 0, Movement.NBT)])],
         [program],
         SimConfig(horizon=3600),
     )[0]
@@ -301,8 +301,8 @@ def test_criterion_9_interchange_roundtrip():
         (int(t), Movement(int(m)))
         for t, m in zip(rng.integers(0, 7200, size=300), rng.integers(0, 12, size=300))
     )
-    plans = [VehiclePlan(f"v{i:05d}", t, m) for i, (t, m) in enumerate(raw)]
-    ok = parse_routes(emit_routes(plans).to_xml()) == plans
+    plans = departures([(f"v{i:05d}", t, m) for i, (t, m) in enumerate(raw)])
+    ok = parse_routes(routes_xml(plans)) == plans
 
     for cycle in (60, 90, 120, 150):
         tables = MinuteTmc(

@@ -91,6 +91,21 @@ def test_tmc_subcommand(tmp_path):
     assert tables[0].counts == (1,) * 12
 
 
+@pytest.mark.parametrize("eps, code", [("399", 0), ("400", 1), ("1e300", 1)])
+def test_tmc_rejects_an_eps_as_wide_as_the_paths(tmp_path, capsys, eps, code):
+    # The synthetic paths span 400 x 400; at eps >= 400 every path point matches every other.
+    paths = synthetic_typical_paths()
+    write_typical_paths(paths, tmp_path / "paths.csv")
+    write_trajectories([Trajectory(p.movement.name, 1, p.points) for p in paths], tmp_path / "trajs.csv")
+    argv = ("tmc", "--trajectories", tmp_path / "trajs.csv", "--paths", tmp_path / "paths.csv", "--eps", eps)
+    assert run_cli(*argv, "--out", tmp_path / "tmc.csv") == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "diameter" in err
+    else:
+        assert err == "" and read_minute_tmc(tmp_path / "tmc.csv").total == len(paths)
+
+
 def seeded_tracks(seed: int, vehicles: int, pedestrians: int, strays: int) -> list[Trajectory]:
     """Noisy, thinned copies of the synthetic reference paths, with pedestrians and strays.
 

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from departure_rows import departures, rows_of
 from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone
 from tmcsignal.sim import (
     SimConfig,
@@ -31,7 +31,7 @@ from tmcsignal.signals import (
     split_phase_plan,
     static_plan,
 )
-from tmcsignal.trafficgen import VehiclePlan
+from tmcsignal.trafficgen import Departures
 
 
 # --- the scalar reference: one cell, one second, one movement at a time ---------------
@@ -71,7 +71,7 @@ def _service_rates(
 
 def scalar_run(
     geo: IntersectionGeometry,
-    plans: Sequence[VehiclePlan],
+    plans: Departures,
     program: SignalProgram,
     cfg: SimConfig,
 ) -> SimResult:
@@ -84,7 +84,7 @@ def scalar_run(
     arrivals: dict[int, list[int]] = {}
     injected = 0
     last = -1
-    for p in plans:
+    for p in rows_of(plans):
         if p.depart < last:
             raise ValueError("vehicle plans must be sorted by departure time")
         last = p.depart
@@ -149,9 +149,9 @@ def static_program(cycle: int = 90, minutes: int = 60) -> SignalProgram:
     return SignalProgram((static_plan(cycle, 3),) * minutes)
 
 
-def sorted_plans(raw: list[tuple[int, Movement]]) -> list[VehiclePlan]:
+def sorted_plans(raw: list[tuple[int, Movement]]) -> Departures:
     ordered = sorted(raw)
-    return [VehiclePlan(f"v{i:04d}", t, m) for i, (t, m) in enumerate(ordered)]
+    return departures([(f"v{i:04d}", t, m) for i, (t, m) in enumerate(ordered)])
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +170,7 @@ class TestAssignLanes:
     def test_single_lane_shared_fractionally(self):
         geo = IntersectionGeometry("X", (1, 1, 1, 1), (1, 1, 1, 1))
         lanes = assign_lanes(geo)
-        assert lanes.effective_lanes[:3] == (0.25, 0.5, 0.25)
+        assert lanes[:3] == (0.25, 0.5, 0.25)
 
     def test_zone_sums_preserved_for_bundled_geometries(self, geometries):
         for geo in geometries.values():
@@ -185,13 +185,13 @@ class TestAssignLanes:
 
 class TestRunBasics:
     def test_no_vehicles(self, geometries):
-        result = run([geometries["INT1"]], [[]], [static_program()], SimConfig(horizon=3600))[0]
+        result = run([geometries["INT1"]], [departures([])], [static_program()], SimConfig(horizon=3600))[0]
         assert result.nwt == 0.0
         assert result.injected == result.served == result.residual_queue == 0
         assert all(row == (0, 0, 0, 0) for row in result.queue_series)
 
     def test_immediate_service_at_green_onset(self, geometries):
-        plans = [VehiclePlan("v0", 0, Movement.EBT)]
+        plans = departures([("v0", 0, Movement.EBT)])
         result = run([geometries["INT1"]], [plans], [static_program()], SimConfig(horizon=3600))[0]
         assert result.total_wait <= 2  # within one saturation headway
         assert result.served == 1
@@ -199,17 +199,17 @@ class TestRunBasics:
     def test_hand_timed_cross_street_trace(self, geometries):
         # P1 green 20 + yellow 3 + P2 green 20 + yellow 3 pass before the
         # north-south through phase opens at t=46.
-        plans = [VehiclePlan("v0", 0, Movement.NBT)]
+        plans = departures([("v0", 0, Movement.NBT)])
         result = run([geometries["INT1"]], [plans], [static_program()], SimConfig(horizon=3600))[0]
         assert 46 <= result.total_wait <= 48
         assert result.served == 1
 
     def test_program_must_cover_horizon(self, geometries):
         with pytest.raises(ValueError):
-            run([geometries["INT1"]], [[]], [static_program(minutes=30)], SimConfig(horizon=3600))[0]
+            run([geometries["INT1"]], [departures([])], [static_program(minutes=30)], SimConfig(horizon=3600))[0]
 
     def test_rejects_unsorted_plans(self, geometries):
-        plans = [VehiclePlan("a", 50, Movement.WBT), VehiclePlan("b", 10, Movement.WBT)]
+        plans = departures([("a", 50, Movement.WBT), ("b", 10, Movement.WBT)])
         with pytest.raises(ValueError):
             run([geometries["INT1"]], [plans], [static_program()], SimConfig(horizon=3600))[0]
 
@@ -239,7 +239,7 @@ class TestConservationAndDeterminism:
         cycle = data.draw(st.sampled_from([60, 90]))
         program = SignalProgram((static_plan(cycle, 3),) * 12)
         result = run([geo], [plans], [program], SimConfig(horizon=horizon))[0]
-        assert result.injected == sum(1 for p in plans if p.depart < horizon)
+        assert result.injected == sum(1 for p in rows_of(plans) if p.depart < horizon)
         assert result.served + result.residual_queue == result.injected
 
     def test_bit_identical_reruns(self, geometries):
@@ -345,7 +345,7 @@ def batches(draw):
         saturation_headway=draw(st.sampled_from([2.0, 1.7, 2.5])),
         permissive_left_factor=draw(st.sampled_from([0.5, 0.0, 1.0, 0.37])),
     )
-    demands = [[]] + [
+    demands = [departures([])] + [
         sorted_plans(
             draw(st.lists(st.tuples(st.integers(0, horizon + 120), st.sampled_from(list(Movement))), max_size=120))
         )
@@ -377,8 +377,8 @@ def test_batched_kernel_equals_scalar_oracle(batch):
 def test_batch_needs_one_demand_and_one_program_per_geometry(geometries):
     geo, cfg = geometries["INT1"], SimConfig(horizon=600)
     with pytest.raises(ValueError):
-        run([geo, geo], [[]], [static_program(), static_program()], cfg)
+        run([geo, geo], [departures([])], [static_program(), static_program()], cfg)
     with pytest.raises(ValueError):
-        run([geo, geo], [[], []], [static_program()], cfg)
+        run([geo, geo], [departures([]), departures([])], [static_program()], cfg)
     with pytest.raises(ValueError):
-        run([geo], [[]], [static_program(), static_program()], cfg)
+        run([geo], [departures([])], [static_program(), static_program()], cfg)

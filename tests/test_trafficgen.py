@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from departure_rows import Row, departures, rows_of
 from tmcsignal.model import MOVEMENTS, Movement, TmcTable, Zone
 from tmcsignal.trafficgen import (
     PATTERNS,
@@ -16,7 +17,6 @@ from tmcsignal.trafficgen import (
     DemandSpec,
     MinuteTmc,
     TurnRatio,
-    VehiclePlan,
     ZonePattern,
     aggregate_per_minute,
     departure_order,
@@ -38,10 +38,10 @@ def table_of(counts: dict[Movement, int]) -> TmcTable:
     return TmcTable(tuple(counts.get(m, 0) for m in MOVEMENTS))
 
 
-# --- the list pipeline: one VehiclePlan per vehicle, the oracle for the column code ---
+# --- the list pipeline: one row per vehicle, the oracle for the column code ---
 
 
-def schedule_departures_oracle(hourly_tmcs, seed) -> list[VehiclePlan]:
+def schedule_departures_oracle(hourly_tmcs, seed) -> list[Row]:
     rng = np.random.default_rng(seed)
     plans = []
     serial = 0
@@ -52,7 +52,7 @@ def schedule_departures_oracle(hourly_tmcs, seed) -> list[VehiclePlan]:
             if n == 0:
                 continue
             for t in rng.integers(lo, hi, size=n):
-                plans.append(VehiclePlan(f"v{serial:06d}", int(t), movement))
+                plans.append(Row(f"v{serial:06d}", int(t), movement))
                 serial += 1
     plans.sort(key=lambda p: (p.depart, p.id))
     return plans
@@ -68,7 +68,7 @@ def aggregate_per_minute_oracle(plans, minutes=None) -> MinuteTmc:
     return MinuteTmc(tuple(TmcTable(tuple(b)) for b in buckets))
 
 
-def generate_demand_oracle(spec: DemandSpec) -> tuple[list[VehiclePlan], MinuteTmc]:
+def generate_demand_oracle(spec: DemandSpec) -> tuple[list[Row], MinuteTmc]:
     s_hour, s_zone, s_move, s_depart = np.random.SeedSequence(spec.seed).spawn(4)
     totals = hourly_counts(spec.profile, s_hour)
     zone_seeds, move_seeds = s_zone.spawn(len(totals)), s_move.spawn(len(totals))
@@ -189,23 +189,23 @@ class TestScheduleDepartures:
         tables = [TmcTable.zero(), TmcTable.zero(), table_of({Movement.NBT: 1})]
         plans = schedule_departures(tables, seed=5)
         assert len(plans) == 1
-        assert 7200 <= plans[0].depart < 10800
+        assert 7200 <= plans.departs[0] < 10800
 
     def test_empty_demand(self):
-        assert schedule_departures([TmcTable.zero()], seed=1) == []
+        assert len(schedule_departures([TmcTable.zero()], seed=1)) == 0
 
     def test_empirical_mean_of_first_hour(self):
         tables = [table_of({Movement.EBT: 1000})]
         plans = schedule_departures(tables, seed=11)
-        mean = sum(p.depart for p in plans) / len(plans)
+        mean = sum(plans.departs.tolist()) / len(plans)
         assert 1500 <= mean <= 2100
 
     def test_sorted_and_unique_ids(self):
         tables = [table_of({m: 20 for m in Movement})] * 2
         plans = schedule_departures(tables, seed=3)
-        departs = [p.depart for p in plans]
+        departs = plans.departs.tolist()
         assert departs == sorted(departs)
-        assert len({p.id for p in plans}) == len(plans)
+        assert len(set(plans.ids)) == len(plans)
 
     def test_deterministic(self):
         tables = [table_of({Movement.WBL: 50, Movement.SBR: 50})]
@@ -218,7 +218,7 @@ class TestColumnsEqualTheListPipeline:
     def test_schedule_and_aggregate(self, tables, seed, minutes):
         expected = schedule_departures_oracle(tables, seed)
         departures = schedule_departures(tables, seed)
-        assert list(departures) == expected and departures == expected
+        assert rows_of(departures) == expected
         assert aggregate_per_minute(departures, minutes) == aggregate_per_minute_oracle(expected, minutes)
 
     @settings(max_examples=20, deadline=None)
@@ -235,7 +235,7 @@ class TestColumnsEqualTheListPipeline:
         spec = DemandSpec(profile=profile, pattern=PATTERNS[pattern], seed=seed, mode=mode)
         departures, minute_tmc = generate_demand(spec)
         expected, expected_tmc = generate_demand_oracle(spec)
-        assert list(departures) == expected
+        assert rows_of(departures) == expected
         assert minute_tmc == expected_tmc
 
     def test_order_past_serial_999999(self):
@@ -255,35 +255,34 @@ class TestColumnsEqualTheListPipeline:
 
 
 class TestDepartures:
-    plans = [VehiclePlan("b", 3, Movement.NBT), VehiclePlan("a", 3, Movement.WBL), VehiclePlan("c", 9, Movement.SBR)]
-
-    def test_rows_are_vehicle_plans(self):
-        departures = Departures.of(self.plans)
-        assert len(departures) == 3
-        assert departures[0] == self.plans[0] and departures[-1] == self.plans[-1]
-        assert list(departures) == self.plans
+    rows = [("b", 3, Movement.NBT), ("a", 3, Movement.WBL), ("c", 9, Movement.SBR)]
 
     def test_serial_ids_are_spelled_when_asked(self):
-        departures = Departures(np.array([0, 1]), np.array([0, 11]), np.array([7, 1_000_000]))
-        assert departures.ids == ["v000007", "v1000000"]
-        assert departures[1] == VehiclePlan("v1000000", 1, Movement.SBR)
+        plans = Departures(np.array([0, 1]), np.array([0, 11]), np.array([7, 1_000_000]))
+        assert plans.ids == ["v000007", "v1000000"]
 
-    def test_equality_with_any_sequence_of_plans(self):
-        departures = Departures.of(self.plans)
-        assert departures == self.plans and self.plans == departures and departures == tuple(self.plans)
-        assert departures == Departures.of(self.plans)
-        assert departures != self.plans[:2]
-        assert departures != [*self.plans[:2], VehiclePlan("c", 9, Movement.SBT)]
-        assert Departures.of([]) == []
+    def test_equality_compares_the_columns_and_the_spelled_ids(self):
+        plans = departures(self.rows)
+        assert plans == departures(self.rows) and len(plans) == 3
+        assert plans != departures(self.rows[:2])
+        assert plans != departures([*self.rows[:2], ("c", 9, Movement.SBT)])
+        assert plans != departures([*self.rows[:2], ("c", 8, Movement.SBR)])
+        assert plans != departures([*self.rows[:2], ("d", 9, Movement.SBR)])
+        assert departures([("v000007", 0, Movement.WBL)]) == Departures([0], [0], np.array([7]))
+        assert departures([]) == departures([]) != rows_of(departures([]))
 
     def test_columns_must_have_one_length(self):
         with pytest.raises(ValueError):
             Departures(np.array([0, 1]), np.array([0]), ("a", "b"))
 
+    def test_negative_departure_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            departures([("a", 0, Movement.WBL), ("b", -1, Movement.WBL)])
+
 
 class TestAggregatePerMinute:
     def test_single_vehicle_bucketed(self):
-        plans = [VehiclePlan("v0", 61, Movement.WBL)]
+        plans = departures([("v0", 61, Movement.WBL)])
         minute_tmc = aggregate_per_minute(plans)
         assert len(minute_tmc) == 2
         assert minute_tmc[0].total == 0
@@ -291,21 +290,21 @@ class TestAggregatePerMinute:
         assert minute_tmc[1].total == 1
 
     def test_empty_plans_fixed_minutes(self):
-        minute_tmc = aggregate_per_minute([], minutes=5)
+        minute_tmc = aggregate_per_minute(departures([]), minutes=5)
         assert len(minute_tmc) == 5
         assert all(t == TmcTable.zero() for t in minute_tmc.tables)
 
     def test_rejects_unsorted(self):
-        plans = [VehiclePlan("a", 100, Movement.WBL), VehiclePlan("b", 10, Movement.WBL)]
+        plans = departures([("a", 100, Movement.WBL), ("b", 10, Movement.WBL)])
         with pytest.raises(ValueError):
             aggregate_per_minute(plans)
 
     @given(st.lists(st.integers(0, 3599), max_size=200), st.integers(0, 11))
     def test_conservation(self, departs, movement_idx):
         movement = Movement(movement_idx)
-        plans = [
-            VehiclePlan(f"v{i}", t, movement) for i, t in enumerate(sorted(departs))
-        ]
+        plans = departures(
+            [(f"v{i}", t, movement) for i, t in enumerate(sorted(departs))]
+        )
         minute_tmc = aggregate_per_minute(plans, minutes=60)
         assert minute_tmc.total == len(plans)
 
@@ -399,7 +398,7 @@ def test_minute_tmc_roundtrip_property(tmp_path_factory, counts):
     )
 )
 def test_departures_roundtrip_property(tmp_path_factory, rows):
-    plans = [VehiclePlan(*row) for row in rows]
+    plans = departures(rows)
     out = tmp_path_factory.mktemp("d") / "d.csv"
     write_departures(plans, out)
     assert read_departures(out) == plans

@@ -347,6 +347,11 @@ def classifier_inputs(draw):
 @settings(max_examples=40, deadline=None)
 def test_count_movements_and_classify_match_the_scalar_oracle(inputs, data):
     tracks, paths, eps = inputs
+    if eps >= np.ptp([pt for p in paths for pt in p.points], axis=0).max():
+        # Every path point matches every other: the classifier refuses such an eps.
+        with pytest.raises(ValueError, match="diameter"):
+            count_movements(tracks, paths, eps)
+        return
     ordered = sorted(paths, key=lambda p: p.movement)
     sims = [scalar_similarities(t.points, ordered, eps) for t in tracks]
     # Drawing min_sim from the similarities themselves makes exact threshold ties common.
@@ -401,6 +406,8 @@ def test_chunk_size_changes_nothing(monkeypatch):
         pytest.param(25.0, -0.1, 12, "min_sim", id="min-sim-below-zero"),
         pytest.param(25.0, float("nan"), 12, "min_sim", id="min-sim-nan"),
         pytest.param(25.0, 0.6, 0, "typical path", id="no-paths"),
+        pytest.param(400.0, 0.6, 12, "diameter", id="eps-as-wide-as-the-paths"),
+        pytest.param(1e300, 0.6, 12, "diameter", id="eps-far-wider-than-the-paths"),
     ],
 )
 def test_classifier_arguments_are_checked_before_the_data(paths, eps, min_sim, n_paths, message):
