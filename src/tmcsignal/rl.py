@@ -34,14 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from tmcsignal.model import TmcTable, write_csv
-from tmcsignal.signals import (
-    DEFAULT_YELLOW,
-    MIN_GREEN,
-    PhasePlan,
-    SignalProgram,
-    allocate_greens,
-    split_phase_plan,
-)
+from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, SignalProgram, allocate_greens
 from tmcsignal.trafficgen import MinuteTmc
 
 # Allocation actions: every split of 10 tenths over 4 directions with at least
@@ -284,16 +277,14 @@ def rl_plan(
     tmc: TmcTable,
     cycle: int,
     yellow: int = DEFAULT_YELLOW,
-    min_green: int = MIN_GREEN,
-) -> PhasePlan:
-    """Greedy allocation mapped onto a split-phasing plan (WB, NB, EB, SB order)."""
+) -> tuple[int, int, int, int]:
+    """Greens of the greedy allocation for the split phases WB, NB, EB, SB."""
     vols = direction_volumes(tmc)
     state = tuple(v / q.norm for v in vols)
     action = q.greedy_action(state)
     budget = cycle - 4 * yellow
     shares = action_fractions(action)
-    greens = allocate_greens([s * budget for s in shares], budget, min_green)
-    return split_phase_plan(greens, yellow, cycle)
+    return allocate_greens([s * budget for s in shares], budget)
 
 
 def build_rl_program(
@@ -302,10 +293,9 @@ def build_rl_program(
     cycle: int,
     yellow: int = DEFAULT_YELLOW,
 ) -> SignalProgram:
-    """Per-minute program from the greedy policy of a trained allocator."""
-    return SignalProgram(
-        tuple(rl_plan(q, minute_tmcs[m], cycle, yellow) for m in range(len(minute_tmcs)))
-    )
+    """Per-minute split-phasing program from the greedy policy of a trained allocator."""
+    greens = [rl_plan(q, minute_tmcs[m], cycle, yellow) for m in range(len(minute_tmcs))]
+    return SignalProgram(SPLIT_PHASE, greens, yellow, cycle)
 
 
 class _Lockstep:

@@ -1,10 +1,22 @@
-"""Signal programs: static, dynamic (critical-count proportional), and hybrid policies."""
+"""Signal programs: static, dynamic (critical-count proportional), hybrid and rl policies.
+
+A program holds what a SUMO tlLogic holds for each minute: four phases, each a
+green and then a yellow, over the 12 controlled links WBL..SBR (origin zone W,
+N, E, S, then left/through/right). Which movements a phase lets go is written
+once, as SUMO green-state strings, in the two phase layouts below: ``G`` the
+movement is served, ``g`` it may go permissively (a left turn that yields to
+oncoming traffic), ``r`` it is red. The yellow after a phase is the same string
+with ``G`` and ``g`` turned into ``y``. The simulator's service rates, the
+tlLogic states and the program CSV header are all read off these strings.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from tmcsignal.apportion import largest_remainder
 from tmcsignal.model import Movement, TmcTable, check_minutes, convert_rows, read_csv, write_csv
@@ -13,89 +25,60 @@ from tmcsignal.trafficgen import MinuteTmc
 DEFAULT_YELLOW = 3
 MIN_GREEN = 5
 
-# Four-phase structure with protected lefts in phases 2 and 4; phases 1 and 3
-# serve the through/right pairs and let the parallel lefts filter permissively.
-PHASE_SERVED: tuple[frozenset[Movement], ...] = (
-    frozenset({Movement.WBT, Movement.WBR, Movement.EBT, Movement.EBR}),
-    frozenset({Movement.WBL, Movement.EBL}),
-    frozenset({Movement.NBT, Movement.NBR, Movement.SBT, Movement.SBR}),
-    frozenset({Movement.NBL, Movement.SBL}),
-)
-PHASE_PERMISSIVE: tuple[frozenset[Movement], ...] = (
-    frozenset({Movement.WBL, Movement.EBL}),
-    frozenset(),
-    frozenset({Movement.NBL, Movement.SBL}),
-    frozenset(),
-)
-
-# Split phasing: one phase per approach direction, all three movements served.
-SPLIT_PHASE_SERVED: tuple[frozenset[Movement], ...] = tuple(
-    frozenset({Movement(3 * z), Movement(3 * z + 1), Movement(3 * z + 2)})
-    for z in range(4)
-)
+# Protected lefts in phases 2 and 4; phases 1 and 3 serve the through/right
+# pairs and let the parallel lefts filter permissively.
+PROTECTED_LEFT = ("gGGrrrgGGrrr", "GrrrrrGrrrrr", "rrrgGGrrrgGG", "rrrGrrrrrGrr")
+# Split phasing: one phase per approach, WB, NB, EB, SB, all three movements served.
+SPLIT_PHASE = ("GGGrrrrrrrrr", "rrrGGGrrrrrr", "rrrrrrGGGrrr", "rrrrrrrrrGGG")
+LAYOUTS = (PROTECTED_LEFT, SPLIT_PHASE)
 
 
-@dataclass(frozen=True)
-class Phase:
-    """Green interval for a conflict-free movement set, followed by its yellow."""
+@dataclass(frozen=True, eq=False)
+class SignalProgram:
+    """Per-minute greens over one phase layout, with one yellow and one cycle.
 
-    served: frozenset[Movement]
-    green: int
-    yellow: int = DEFAULT_YELLOW
-    permissive: frozenset[Movement] = frozenset()
+    ``greens`` is a read-only int64 (minutes, 4) array, one row of phase greens
+    per minute. ``ValueError`` unless there is at least one minute, every green
+    is at least ``MIN_GREEN``, the yellow is not negative and each minute's
+    greens plus four yellows last exactly ``cycle`` seconds.
+    """
 
-    def __post_init__(self) -> None:
-        if self.green < MIN_GREEN:
-            raise ValueError(f"green must be >= {MIN_GREEN}s, got {self.green}")
-        if self.yellow < 0:
-            raise ValueError("yellow must be non-negative")
-
-
-@dataclass(frozen=True)
-class PhasePlan:
-    """One full cycle: four phases whose greens+yellows sum to the cycle time."""
-
-    phases: tuple[Phase, Phase, Phase, Phase]
+    layout: tuple[str, str, str, str]
+    greens: np.ndarray
+    yellow: int
     cycle: int
 
     def __post_init__(self) -> None:
-        total = sum(p.green + p.yellow for p in self.phases)
-        if total != self.cycle:
-            raise ValueError(f"phase durations sum to {total}, cycle is {self.cycle}")
-
-    @property
-    def greens(self) -> tuple[int, int, int, int]:
-        return tuple(p.green for p in self.phases)
-
-    @property
-    def yellows(self) -> tuple[int, int, int, int]:
-        return tuple(p.yellow for p in self.phases)
-
-
-@dataclass(frozen=True)
-class SignalProgram:
-    """Per-minute sequence of phase plans covering the simulation horizon."""
-
-    plans: tuple[PhasePlan, ...]
-
-    def __post_init__(self) -> None:
-        if not self.plans:
+        if self.layout not in LAYOUTS:
+            raise ValueError(f"unknown phase layout {self.layout!r}")
+        greens = np.array(self.greens)
+        if greens.size == 0:
             raise ValueError("a program needs at least one minute plan")
-        cycles = {p.cycle for p in self.plans}
-        if len(cycles) != 1:
-            raise ValueError("all minute plans must share one cycle time")
+        if greens.ndim != 2 or greens.shape[1] != 4:
+            raise ValueError(f"greens must be a (minutes, 4) array, got shape {greens.shape}")
+        if greens.dtype.kind not in "iu":
+            raise ValueError("greens must be whole seconds within int64")
+        if self.yellow < 0:
+            raise ValueError("yellow must be non-negative")
+        if (short := np.argwhere(greens < MIN_GREEN)).size:
+            minute, phase = short[0]
+            raise ValueError(f"green must be >= {MIN_GREEN}s, got {greens[minute, phase]} in minute {minute}")
+        # The yellows stay Python ints: a yellow read from a file may not fit in int64.
+        if (wrong := np.flatnonzero(greens.sum(axis=1) != self.cycle - 4 * self.yellow)).size:
+            total = int(greens[wrong[0]].sum()) + 4 * self.yellow
+            raise ValueError(f"minute {wrong[0]}: phase durations sum to {total}, cycle is {self.cycle}")
+        greens = greens.astype(np.int64, copy=False)
+        greens.flags.writeable = False
+        object.__setattr__(self, "greens", greens)
 
     def __len__(self) -> int:
-        return len(self.plans)
+        return len(self.greens)
 
-    @property
-    def cycle(self) -> int:
-        return self.plans[0].cycle
-
-    def plan_at(self, minute: int) -> PhasePlan:
-        if minute < 0 or minute >= len(self.plans):
-            raise IndexError(f"program has no minute {minute}")
-        return self.plans[minute]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SignalProgram):
+            return NotImplemented
+        same = (self.layout, self.yellow, self.cycle) == (other.layout, other.yellow, other.cycle)
+        return same and np.array_equal(self.greens, other.greens)
 
 
 def critical_counts(tmc: TmcTable) -> tuple[float, float, float, float]:
@@ -109,26 +92,22 @@ def critical_counts(tmc: TmcTable) -> tuple[float, float, float, float]:
     )
 
 
-def allocate_greens(
-    quotas: Sequence[float],
-    budget: int,
-    min_green: int = MIN_GREEN,
-) -> tuple[int, ...]:
+def allocate_greens(quotas: Sequence[float], budget: int) -> tuple[int, ...]:
     """Integer greens proportional to ``quotas`` that sum to ``budget`` exactly.
 
-    Largest-remainder apportionment, then any phase under ``min_green`` is
+    Largest-remainder apportionment, then any phase under ``MIN_GREEN`` is
     pinned there and the rest of the budget is re-apportioned among the others,
     again by largest remainder on the (rescaled) quotas.
     """
     n = len(quotas)
-    if budget < n * min_green:
-        raise ValueError(f"budget {budget}s cannot give {n} phases {min_green}s each")
+    if budget < n * MIN_GREEN:
+        raise ValueError(f"budget {budget}s cannot give {n} phases {MIN_GREEN}s each")
     if any(q < 0 for q in quotas):
         raise ValueError("quotas must be non-negative")
     active = list(range(n))
     greens = [0] * n
     while True:
-        remaining = budget - min_green * (n - len(active))
+        remaining = budget - MIN_GREEN * (n - len(active))
         weights = [quotas[i] for i in active]
         s = sum(weights)
         if s <= 0:
@@ -136,37 +115,31 @@ def allocate_greens(
         else:
             scaled = [w / s * remaining for w in weights]
         allocated = largest_remainder(scaled, remaining)
-        low = [i for i, g in zip(active, allocated) if g < min_green]
+        low = [i for i, g in zip(active, allocated) if g < MIN_GREEN]
         if not low:
             for i, g in zip(active, allocated):
                 greens[i] = g
             return tuple(greens)
         for i in low:
-            greens[i] = min_green
+            greens[i] = MIN_GREEN
         active = [i for i in active if i not in low]
         if not active:
-            # Budget exactly n*min_green: everything is pinned at the floor.
-            return tuple([min_green] * n)
+            # Budget exactly n*MIN_GREEN: everything is pinned at the floor.
+            return tuple([MIN_GREEN] * n)
 
 
-def static_plan(cycle: int, yellow: int = DEFAULT_YELLOW, min_green: int = MIN_GREEN) -> PhasePlan:
+def static_plan(cycle: int, yellow: int = DEFAULT_YELLOW) -> tuple[int, int, int, int]:
     """Equal greens; leftover seconds after the integer split go to the earliest phases."""
     budget = cycle - 4 * yellow
     base, extra = divmod(budget, 4)
-    if base < min_green:
+    if base < MIN_GREEN:
         raise ValueError(
-            f"cycle {cycle}s with {yellow}s yellows cannot give 4 greens of {min_green}s"
+            f"cycle {cycle}s with {yellow}s yellows cannot give 4 greens of {MIN_GREEN}s"
         )
-    greens = tuple(base + 1 if i < extra else base for i in range(4))
-    return _protected_left_plan(greens, yellow, cycle)
+    return tuple(base + 1 if i < extra else base for i in range(4))
 
 
-def dynamic_plan(
-    tmc: TmcTable,
-    cycle: int,
-    yellow: int = DEFAULT_YELLOW,
-    min_green: int = MIN_GREEN,
-) -> PhasePlan:
+def dynamic_plan(tmc: TmcTable, cycle: int, yellow: int = DEFAULT_YELLOW) -> tuple[int, int, int, int]:
     """Greens proportional to critical counts: share_i * cycle - yellow, integerized.
 
     A zero table falls back to the static plan; after rounding, surplus or
@@ -176,32 +149,9 @@ def dynamic_plan(
     crit = critical_counts(tmc)
     total = sum(crit)
     if total == 0:
-        return static_plan(cycle, yellow, min_green)
+        return static_plan(cycle, yellow)
     quotas = [max(x / total * cycle - yellow, 0.0) for x in crit]
-    greens = allocate_greens(quotas, cycle - 4 * yellow, min_green)
-    return _protected_left_plan(greens, yellow, cycle)
-
-
-def split_phase_plan(greens: Sequence[int], yellow: int, cycle: int) -> PhasePlan:
-    """Plan serving one approach per phase, in order WB, NB, EB, SB."""
-    phases = tuple(
-        Phase(served=SPLIT_PHASE_SERVED[i], green=int(greens[i]), yellow=yellow)
-        for i in range(4)
-    )
-    return PhasePlan(phases, cycle)
-
-
-def _protected_left_plan(greens: Sequence[int], yellow: int, cycle: int) -> PhasePlan:
-    phases = tuple(
-        Phase(
-            served=PHASE_SERVED[i],
-            green=int(greens[i]),
-            yellow=yellow,
-            permissive=PHASE_PERMISSIVE[i],
-        )
-        for i in range(4)
-    )
-    return PhasePlan(phases, cycle)
+    return allocate_greens(quotas, cycle - 4 * yellow)
 
 
 DEFAULT_PEAK_MINUTES = frozenset(range(60, 180))
@@ -218,10 +168,10 @@ def build_program(
 ) -> SignalProgram:
     """Per-minute program under the requested policy.
 
-    static: one equal-split plan repeated; dynamic: per-minute proportional
-    plans; hybrid: dynamic inside ``peak_minutes`` (default: minutes 60-179 of
-    a four-hour run), static elsewhere; rl: the greedy split-phasing plans of
-    the trained allocator ``q``.
+    static: one equal split repeated; dynamic: per-minute proportional greens;
+    hybrid: dynamic inside ``peak_minutes`` (default: minutes 60-179 of a
+    four-hour run), static elsewhere. All three use protected lefts. rl: the
+    greedy split-phasing greens of the trained allocator ``q``.
     """
     if policy == "rl":
         if q is None:
@@ -233,13 +183,13 @@ def build_program(
         raise ValueError(f"unknown policy {policy!r}")
     peaks = DEFAULT_PEAK_MINUTES if peak_minutes is None else frozenset(peak_minutes)
     fixed = static_plan(cycle, yellow)
-    plans = []
-    for minute in range(len(minute_tmcs)):
-        if policy == "dynamic" or (policy == "hybrid" and minute in peaks):
-            plans.append(dynamic_plan(minute_tmcs[minute], cycle, yellow))
-        else:
-            plans.append(fixed)
-    return SignalProgram(tuple(plans))
+    greens = [
+        dynamic_plan(minute_tmcs[minute], cycle, yellow)
+        if policy == "dynamic" or (policy == "hybrid" and minute in peaks)
+        else fixed
+        for minute in range(len(minute_tmcs))
+    ]
+    return SignalProgram(PROTECTED_LEFT, greens, yellow, cycle)
 
 
 # --- CSV interchange ------------------------------------------------------------------
@@ -247,43 +197,46 @@ def build_program(
 PROGRAM_FIELDS = ("minute", "g1", "y1", "g2", "y2", "g3", "y3", "g4", "y4")
 SPLIT_PROGRAM_FIELDS = ("minute", "gWB", "yWB", "gNB", "yNB", "gEB", "yEB", "gSB", "ySB")
 
-# The header of a program file names its phase layout: protected lefts, or one
-# phase per approach (WB, NB, EB, SB).
-_LAYOUTS = {
-    PROGRAM_FIELDS: (PHASE_SERVED, _protected_left_plan),
-    SPLIT_PROGRAM_FIELDS: (SPLIT_PHASE_SERVED, split_phase_plan),
-}
+# The header of a program file names its phase layout.
+_LAYOUT_OF_HEADER = {PROGRAM_FIELDS: PROTECTED_LEFT, SPLIT_PROGRAM_FIELDS: SPLIT_PHASE}
+_HEADER_OF_LAYOUT = {layout: header for header, layout in _LAYOUT_OF_HEADER.items()}
 
 
 def write_program(program: SignalProgram, path: str | Path) -> None:
     """Export as CSV, one row of greens/yellows per minute, the header naming the layout."""
-    layouts = {tuple(phase.served for phase in plan.phases) for plan in program.plans}
-    header = next((h for h, (served, _) in _LAYOUTS.items() if layouts == {served}), None)
-    if header is None:
-        raise ValueError("program plans do not share one known phase layout")
+    y = program.yellow
     rows = (
-        [minute, *(d for phase in plan.phases for d in (phase.green, phase.yellow))]
-        for minute, plan in enumerate(program.plans)
+        [minute, g1, y, g2, y, g3, y, g4, y]
+        for minute, (g1, g2, g3, g4) in enumerate(program.greens.tolist())
     )
-    write_csv(path, header, rows)
+    write_csv(path, _HEADER_OF_LAYOUT[program.layout], rows)
 
 
 def read_program(path: str | Path) -> SignalProgram:
     """Read a program CSV whose header, ``PROGRAM_FIELDS`` or ``SPLIT_PROGRAM_FIELDS``, names its layout.
 
-    ``ValueError`` for another header or field count, minutes that do not count
-    0, 1, 2, ... in order, a non-integer duration, unequal yellows in a row, or
-    a green under ``MIN_GREEN``.
+    ``ValueError`` naming the file for another header or field count, minutes
+    that do not count 0, 1, 2, ... in order, a non-integer duration, unequal
+    yellows, or anything ``SignalProgram`` rejects: no rows, a green under
+    ``MIN_GREEN``, or minutes of different cycle lengths.
     """
-    header, rows = read_csv(path, *_LAYOUTS)
+    header, rows = read_csv(path, *_LAYOUT_OF_HEADER)
     check_minutes(path, rows)
-    _, make_plan = _LAYOUTS[header]
 
-    def plan(row: Sequence[str]) -> PhasePlan:
-        greens = tuple(map(int, row[1::2]))
-        yellows = tuple(map(int, row[2::2]))
-        if len(set(yellows)) != 1:
+    def durations(row: Sequence[str]) -> tuple[tuple[int, ...], int]:
+        yellows = set(map(int, row[2::2]))
+        if len(yellows) != 1:
             raise ValueError("per-phase yellows must be equal")
-        return make_plan(greens, yellows[0], sum(greens) + sum(yellows))
+        return tuple(map(int, row[1::2])), yellows.pop()
 
-    return SignalProgram(tuple(convert_rows(path, rows, plan)))
+    parsed = convert_rows(path, rows, durations)
+    yellows = {yellow for _, yellow in parsed}
+    if len(yellows) > 1:
+        raise ValueError(f"{path}: all minute plans must share one yellow")
+    greens = [row for row, _ in parsed]
+    yellow = yellows.pop() if yellows else DEFAULT_YELLOW
+    cycle = sum(greens[0]) + 4 * yellow if greens else 0
+    try:
+        return SignalProgram(_LAYOUT_OF_HEADER[header], greens, yellow, cycle)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -11,10 +11,12 @@ accrues one second per queued vehicle per tick. Everything is deterministic.
 batch are one (cells x 12) array, and each one-second tick is the same few
 numpy operations on it. Arrivals are a (seconds x 12) count matrix, built once
 per distinct demand from its departure columns. Service rates are a per-cell
-index per second into a small table of multiplier rows, one per distinct
-(served, permissive) movement set plus an all-red row, scaled by the cell's
-full discharge rates once a minute; consecutive cells that share a program
-object share its index column. Waits and per-minute zone maxima are reduced once a minute.
+index per second into a fixed table of multiplier rows: an all-red row, then
+one row per phase of each layout in ``signals.LAYOUTS``, read off the phase's
+green-state string (``G`` 1, ``g`` the permissive left factor, ``r`` 0). The
+rows are scaled by the cell's full discharge rates once a minute; consecutive
+cells that share a program object share its index column. Waits and
+per-minute zone maxima are reduced once a minute.
 
 Batching is exact. Queues never interact in this model: each movement of each
 cell follows its own Lindley-type recursion, driven only by its own arrivals
@@ -41,8 +43,8 @@ import numpy as np
 
 from tmcsignal import rl as rl_mod
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import IntersectionGeometry, Movement, Zone, write_csv
-from tmcsignal.signals import DEFAULT_YELLOW, SignalProgram, build_program
+from tmcsignal.model import IntersectionGeometry, Zone, write_csv
+from tmcsignal.signals import DEFAULT_YELLOW, LAYOUTS, SignalProgram, build_program
 from tmcsignal.trafficgen import Departures, aggregate_per_minute
 
 # Relative service weight of the (left, through, right) lane groups when an
@@ -107,33 +109,33 @@ def _count_arrivals(plans: Departures, out: np.ndarray) -> None:
     out += np.bincount(cells, minlength=out.size).reshape(out.shape)
 
 
-def _rate_index(program: SignalProgram, horizon: int, keys: dict, out: np.ndarray) -> None:
+def _multipliers(permissive_left_factor: float) -> np.ndarray:
+    """The rate-table rows: all-red, then each phase of each layout in ``LAYOUTS`` order."""
+    weight = {"G": 1.0, "g": permissive_left_factor, "r": 0.0}
+    states = [state for layout in LAYOUTS for state in layout]
+    return np.array([[0.0] * 12] + [[weight[light] for light in state] for state in states])
+
+
+def _rate_index(program: SignalProgram, horizon: int, out: np.ndarray) -> None:
     """Write into ``out`` the rate-table row in force each second; 0 is all-red.
 
     Phases cycle continuously; a minute plan takes effect at the first cycle
-    boundary inside that minute, so phases are never truncated mid-green.
-    ``keys`` maps each (served, permissive) movement set to its row and grows as
-    new sets appear.
+    boundary inside that minute, so phases are never truncated mid-green. So
+    cycle k starts at ``k * cycle`` with the greens of the minute it starts in.
     """
     minutes_needed = math.ceil(horizon / 60)
     if len(program) < minutes_needed:
         raise ValueError(
             f"program covers {len(program)} minutes, horizon needs {minutes_needed}"
         )
-    t = 0
-    while t < horizon:
-        plan = program.plan_at(min(t // 60, len(program) - 1))
-        for phase in plan.phases:
-            key = (phase.served, phase.permissive)
-            row = keys.get(key)
-            if row is None:
-                if len(keys) == np.iinfo(out.dtype).max:
-                    raise ValueError("too many distinct phase movement sets in one batch")
-                row = keys[key] = len(keys) + 1
-            out[t : t + phase.green] = row
-            t += phase.green + phase.yellow
-            if t >= horizon:
-                break
+    starts = np.arange(0, horizon, program.cycle)
+    greens = program.greens[np.minimum(starts // 60, len(program) - 1)]
+    durations = np.empty((len(starts), 8), dtype=np.int64)
+    durations[:, 0::2] = greens
+    durations[:, 1::2] = program.yellow
+    first = 1 + 4 * LAYOUTS.index(program.layout)
+    rows = np.tile([first, 0, first + 1, 0, first + 2, 0, first + 3, 0], len(starts))
+    out[:] = np.repeat(rows, durations.ravel())[:horizon]
 
 
 def _simulate(
@@ -155,7 +157,6 @@ def _simulate(
         _count_arrivals(plans, arrivals[:, d])
     injected = arrivals.sum(axis=(0, 2), dtype=np.int64)[cell_demand]
 
-    keys: dict[tuple[frozenset[Movement], frozenset[Movement]], int] = {}
     rate_index = np.zeros((horizon, cells), dtype=np.uint8)
     full = np.empty((cells, 12))
     previous = None
@@ -163,13 +164,10 @@ def _simulate(
         if program is previous:
             rate_index[:, b] = rate_index[:, b - 1]
         else:
-            _rate_index(program, horizon, keys, rate_index[:, b])
+            _rate_index(program, horizon, rate_index[:, b])
             previous = program
         full[b] = [lanes / cfg.saturation_headway for lanes in assign_lanes(geo)]
-    multipliers = np.zeros((len(keys) + 1, 12))
-    for (served, permissive), row in keys.items():
-        multipliers[row, list(served)] = 1.0
-        multipliers[row, list(permissive)] = cfg.permissive_left_factor
+    multipliers = _multipliers(cfg.permissive_left_factor)
 
     # One minute of seconds at a time: rates, green flags (1.0 where the rate
     # is positive) and arrivals; queues[0] carries the queue into the minute

@@ -1,8 +1,12 @@
 """SUMO-compatible interchange: sorted route documents and tlLogic signal programs.
 
-Controlled-link state strings use a fixed 12-slot ordering, WBL..SBR (origin
-zone W,N,E,S, then left/through/right within each). Deployments whose
-connection order differs must remap the columns.
+A tlLogic phase is a duration and a state string over the controlled links.
+Each minute plan of a program becomes 8 phases: for each phase of its layout,
+the layout's green-state string (``signals.PROTECTED_LEFT`` or
+``signals.SPLIT_PHASE``) for the green, then the same string with ``G`` and
+``g`` turned into ``y`` for the yellow. The strings use a fixed 12-slot
+ordering, WBL..SBR (origin zone W,N,E,S, then left/through/right within each).
+Deployments whose connection order differs must remap the columns.
 
 The route document is written straight from the departure columns, one
 string join over all vehicles, in exactly the bytes that ElementTree's
@@ -16,13 +20,13 @@ are written and read back exactly, never through a float; the reader returns
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from tmcsignal.model import MOVEMENTS, Movement, Zone, write_csv
-from tmcsignal.signals import PhasePlan, SignalProgram
+from tmcsignal.signals import SignalProgram
 from tmcsignal.trafficgen import MAX_DEPART, Departures
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -34,27 +38,7 @@ _EDGES = [f"{m.origin.edge_in} {m.destination.edge_out}" for m in MOVEMENTS]
 _ATTRIBUTE_ESCAPES = str.maketrans(
     {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
 )
-
-
-@dataclass(frozen=True)
-class SumoTlsDoc:
-    """One tlLogic program: 8 phase entries (green, yellow alternating)."""
-
-    program_id: str
-    plan: PhasePlan
-
-    def phase_entries(self) -> list[tuple[int, str]]:
-        entries = []
-        for phase in self.plan.phases:
-            green_state = "".join(
-                "G" if m in phase.served else "g" if m in phase.permissive else "r"
-                for m in MOVEMENTS
-            )
-            moving = phase.served | phase.permissive
-            yellow_state = "".join("y" if m in moving else "r" for m in MOVEMENTS)
-            entries.append((phase.green, green_state))
-            entries.append((phase.yellow, yellow_state))
-        return entries
+_TO_YELLOW = str.maketrans("Gg", "yy")
 
 
 def routes_xml(plans: Departures) -> str:
@@ -77,10 +61,15 @@ def routes_xml(plans: Departures) -> str:
 def parse_routes(text: str) -> Departures:
     """Inverse of ``routes_xml``; departs are rounded half to even to whole seconds.
 
-    ``ValueError`` for another root element, a vehicle without a route or with an
-    unknown edge pair, or a depart that is not a number in [0, 2**63 - 1].
+    ``ValueError`` for a document that is not well-formed XML, another root
+    element, a vehicle without a route or with an unknown edge pair, a depart
+    that is not a number in [0, 2**63 - 1], a vehicle id given twice, or
+    departures out of order.
     """
-    root = ET.fromstring(text)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise ValueError(f"malformed routes document: {exc}") from None
     if root.tag != "routes":
         raise ValueError(f"expected <routes> document, got <{root.tag}>")
     ids, departs, movements = [], [], []
@@ -91,7 +80,11 @@ def parse_routes(text: str) -> Departures:
         ids.append(vehicle.get("id", ""))
         departs.append(_depart_second(vehicle.get("depart", "0")))
         movements.append(_movement_from_edges(route.get("edges", "")))
-    return Departures(departs, movements, tuple(ids))
+    if repeated := [ident for ident, n in Counter(ids).items() if n > 1]:
+        raise ValueError(f"vehicle id {repeated[0]!r} appears more than once")
+    plans = Departures(departs, movements, tuple(ids))
+    plans.check_sorted()
+    return plans
 
 
 def _depart_second(text: str) -> int:
@@ -118,26 +111,36 @@ def _movement_from_edges(edges: str) -> Movement:
         raise ValueError(f"unrecognized edge pair {edges!r}") from None
 
 
-def emit_tls(program: SignalProgram) -> tuple[list[SumoTlsDoc], list[tuple[int, str]]]:
-    """One tlLogic document per distinct minute plan, plus the minute switch schedule.
+def phase_entries(layout: Sequence[str], greens: Sequence[int], yellow: int) -> list[tuple[int, str]]:
+    """The 8 (duration, state) tlLogic phases of one minute plan: each green, then its yellow."""
+    entries = []
+    for state, green in zip(layout, greens, strict=True):
+        entries.append((green, state))
+        entries.append((yellow, state.translate(_TO_YELLOW)))
+    return entries
+
+
+def emit_tls(program: SignalProgram) -> tuple[dict[str, list[tuple[int, str]]], list[tuple[int, str]]]:
+    """The phase entries of each distinct minute plan under its programID, plus the minute switch schedule.
 
     SUMO itself has no per-minute program switching; the schedule CSV pairs each
     minute with the programID to load, leaving the switching mechanism to the
     caller.
     """
-    ids_by_plan: dict[PhasePlan, str] = {}
-    for plan in program.plans:
-        ids_by_plan.setdefault(plan, f"p{len(ids_by_plan):03d}")
-    docs = [SumoTlsDoc(program_id, plan) for plan, program_id in ids_by_plan.items()]
-    return docs, [(minute, ids_by_plan[plan]) for minute, plan in enumerate(program.plans)]
+    minute_greens = list(map(tuple, program.greens.tolist()))
+    ids: dict[tuple[int, ...], str] = {}
+    for greens in minute_greens:
+        ids.setdefault(greens, f"p{len(ids):03d}")
+    docs = {program_id: phase_entries(program.layout, greens, program.yellow) for greens, program_id in ids.items()}
+    return docs, [(minute, ids[greens]) for minute, greens in enumerate(minute_greens)]
 
 
-def tls_to_xml(docs: Sequence[SumoTlsDoc]) -> str:
-    """One tlLogic element per document, in a SUMO additional-file document."""
+def tls_to_xml(docs: Mapping[str, Sequence[tuple[int, str]]]) -> str:
+    """One tlLogic element per programID and its phase entries, in a SUMO additional-file document."""
     root = ET.Element("additional")
-    for doc in docs:
-        logic = ET.SubElement(root, "tlLogic", id="center", type="static", programID=doc.program_id, offset="0")
-        for duration, state in doc.phase_entries():
+    for program_id, entries in docs.items():
+        logic = ET.SubElement(root, "tlLogic", id="center", type="static", programID=program_id, offset="0")
+        for duration, state in entries:
             ET.SubElement(logic, "phase", duration=str(duration), state=state)
     ET.indent(root)
     return XML_DECLARATION + ET.tostring(root, encoding="unicode") + "\n"

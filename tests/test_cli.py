@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from tmcsignal.cli import main
-from tmcsignal.model import Movement
-from tmcsignal.signals import read_program
+from tmcsignal.signals import SPLIT_PHASE, read_program
 from tmcsignal.sumo_io import read_routes
 from tmcsignal.trafficgen import read_departures, read_minute_tmc, write_minute_tmc
 from tmcsignal.trajectory import (
@@ -156,17 +155,35 @@ PINNED_FILE_SHA256 = {
     "sumo/tls.add.xml": "29acf9215ff399cda476a53e356b53291e48b9da926e023a991b1bdc47d52ab3",
 }
 
+# sha256 of the same demand's `plan` output under every policy, the dynamic
+# program's switch schedule and the rl program's tlLogic document, recorded
+# while a program was a tuple of per-minute plans of four phase objects. The rl
+# allocator comes from `rl-train --episodes 3 --seed 1` and plans split phases.
+PINNED_PROGRAM_SHA256 = {
+    "static.csv": "ec210a28650577165dda7461efec0cd10443fa6d530cb4a91b5e9d62a0da5326",
+    "dynamic.csv": "7c6ce72cbaa76059b8e17ba0522834091bb623acc6e280be2137a217b510e7dc",
+    "hybrid.csv": "c1480023fbd0a535bbfa63880c9ddf38591fdb0be6cfb48d644035bceb59c72e",
+    "rl.csv": "1a6060907694562091a117b68e457811d601db82f2c80d05078dc0ba8b14a200",
+    "sumo/tls_schedule.csv": "d5f3b937f12afc1c83298b890cf45d28a3d851e0ab97118d19255624b9f94f40",
+    "sumo_rl/tls.add.xml": "ea875d7cc8003aa69e53950e93512d141dd2ff755ba4822de61b504328386ad9",
+}
+
 
 def test_gen_and_export_bytes_are_pinned(tmp_path):
     assert run_cli("gen", "--pattern", "PC", "--seed", 7, "--out-dir", tmp_path / "gen") == 0
-    program = tmp_path / "program.csv"
-    assert run_cli("plan", "--tmc", tmp_path / "gen" / "minute_tmc.csv", "--policy", "dynamic", "--out", program) == 0
-    assert run_cli(
-        "export-sumo", "--departures", tmp_path / "gen" / "departures.csv", "--program", program,
-        "--out-dir", tmp_path / "sumo",
-    ) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_FILE_SHA256}
-    assert digests == PINNED_FILE_SHA256
+    tmc, weights = tmp_path / "gen" / "minute_tmc.csv", tmp_path / "weights.txt"
+    assert run_cli("rl-train", "--tmc", tmc, "--episodes", 3, "--seed", 1, "--out", weights) == 0
+    for policy in ("static", "dynamic", "hybrid", "rl"):
+        program = tmp_path / f"{policy}.csv"
+        assert run_cli("plan", "--tmc", tmc, "--policy", policy, "--weights", weights, "--out", program) == 0
+    for policy, out in (("dynamic", "sumo"), ("rl", "sumo_rl")):
+        assert run_cli(
+            "export-sumo", "--departures", tmp_path / "gen" / "departures.csv", "--program",
+            tmp_path / f"{policy}.csv", "--out-dir", tmp_path / out,
+        ) == 0
+    pinned = PINNED_FILE_SHA256 | PINNED_PROGRAM_SHA256
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned}
+    assert digests == pinned
 
 
 def test_rl_train_and_plan(tmp_path):
@@ -191,9 +208,7 @@ def test_rl_train_and_plan(tmp_path):
     ) == 0
     program = read_program(program_csv)
     assert len(program) == 10
-    assert program.plan_at(0).phases[0].served == frozenset(
-        {Movement.WBL, Movement.WBT, Movement.WBR}
-    )
+    assert program.layout == SPLIT_PHASE
 
     sumo_dir = tmp_path / "sumo"
     departures = tmp_path / "departures.csv"

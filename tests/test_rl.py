@@ -29,7 +29,7 @@ from tmcsignal.rl import (
     rl_plan,
     train,
 )
-from tmcsignal.signals import DEFAULT_YELLOW
+from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE
 from tmcsignal.trafficgen import MinuteTmc
 
 DOMINANT_WB = TmcTable((20, 60, 20, 2, 6, 2, 2, 6, 2, 2, 6, 2))
@@ -307,28 +307,26 @@ class TestRlPlan:
         stream = constant_stream(SYMMETRIC, 1)
         hp = Hyperparams(lr_decay=0.999)
         [q] = train([stream], episodes=3000, seeds=[2], hp=hp)
-        plan = rl_plan(q, SYMMETRIC, cycle=90)
-        greens = plan.greens
-        assert sum(greens) + sum(plan.yellows) == 90
+        greens = rl_plan(q, SYMMETRIC, cycle=90)
+        assert sum(greens) + 4 * 3 == 90
         # within one quantization step: shares differ by at most 0.1 of usable green
         assert max(greens) - min(greens) <= 0.1 * 78 + 1
 
     def test_dominant_demand_gets_max_share(self):
         stream = constant_stream(DOMINANT_WB, 60)
         [q] = train([stream], episodes=100, seeds=[4])
-        plan = rl_plan(q, DOMINANT_WB, cycle=90)
-        assert plan.greens[0] == max(plan.greens)
+        greens = rl_plan(q, DOMINANT_WB, cycle=90)
+        assert greens[0] == max(greens)
 
     def test_zero_demand_plan_still_conserves_cycle(self):
         q = QFunction(seed=0)
-        plan = rl_plan(q, TmcTable.zero(), cycle=120)
-        assert sum(plan.greens) + sum(plan.yellows) == 120
+        assert sum(rl_plan(q, TmcTable.zero(), cycle=120)) + 4 * 3 == 120
 
     def test_split_phasing_structure(self):
         q = QFunction(seed=0)
-        plan = rl_plan(q, DOMINANT_WB, cycle=90)
-        served_sets = [p.served for p in plan.phases]
-        assert all(len(s) == 3 for s in served_sets)
+        program = build_rl_program(q, constant_stream(DOMINANT_WB, 3), cycle=90)
+        assert program.layout == SPLIT_PHASE
+        assert program.greens.tolist() == [list(rl_plan(q, DOMINANT_WB, cycle=90))] * 3
 
     def test_program_builder_covers_stream(self):
         stream = constant_stream(DOMINANT_WB, 7)

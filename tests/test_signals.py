@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +14,14 @@ from tmcsignal.model import Movement, TmcTable
 from tmcsignal.signals import (
     DEFAULT_PEAK_MINUTES,
     MIN_GREEN,
-    Phase,
-    PhasePlan,
+    PROTECTED_LEFT,
+    SPLIT_PHASE,
     SignalProgram,
     allocate_greens,
     build_program,
     critical_counts,
     dynamic_plan,
     read_program,
-    split_phase_plan,
     static_plan,
     write_program,
 )
@@ -29,6 +31,11 @@ tmc_tables = st.builds(TmcTable, st.tuples(*[st.integers(0, 3000)] * 12))
 cycles = st.sampled_from([60, 90, 120, 150])
 
 INT1_COUNTS = TmcTable((505, 0, 0, 233, 757, 214, 0, 1345, 10, 99, 645, 0))
+
+
+def lit(state: str, light: str) -> set[Movement]:
+    """The movements showing ``light`` in a SUMO green-state string."""
+    return {Movement(i) for i, shown in enumerate(state) if shown == light}
 
 
 def brute_force_allocation(quotas, budget, min_green=MIN_GREEN):
@@ -62,27 +69,27 @@ class TestCriticalCounts:
 
 class TestStaticPlan:
     def test_cycle_90(self):
-        plan = static_plan(90, 3)
-        assert plan.greens == (20, 20, 19, 19)
-        assert sum(plan.greens) + sum(plan.yellows) == 90
+        greens = static_plan(90, 3)
+        assert greens == (20, 20, 19, 19)
+        assert sum(greens) + 4 * 3 == 90
 
     def test_cycle_120_exact_split(self):
-        assert static_plan(120, 3).greens == (27, 27, 27, 27)
+        assert static_plan(120, 3) == (27, 27, 27, 27)
 
     def test_boundary_cycle(self):
-        plan = static_plan(32, 3)
-        assert plan.greens == (5, 5, 5, 5)
-        assert sum(plan.greens) + sum(plan.yellows) == 32
+        greens = static_plan(32, 3)
+        assert greens == (5, 5, 5, 5)
+        assert sum(greens) + 4 * 3 == 32
 
     def test_too_small_cycle_rejected(self):
         with pytest.raises(ValueError):
             static_plan(31, 3)
 
     def test_phase_structure(self):
-        plan = static_plan(90, 3)
-        assert plan.phases[1].served == frozenset({Movement.WBL, Movement.EBL})
-        assert plan.phases[0].permissive == frozenset({Movement.WBL, Movement.EBL})
-        assert plan.phases[3].permissive == frozenset()
+        assert lit(PROTECTED_LEFT[1], "G") == {Movement.WBL, Movement.EBL}
+        assert lit(PROTECTED_LEFT[0], "g") == {Movement.WBL, Movement.EBL}
+        assert lit(PROTECTED_LEFT[0], "G") == {Movement.WBT, Movement.WBR, Movement.EBT, Movement.EBR}
+        assert lit(PROTECTED_LEFT[3], "g") == set()
 
 
 class TestDynamicPlan:
@@ -90,18 +97,17 @@ class TestDynamicPlan:
         cc = critical_counts(INT1_COUNTS)
         quotas = [x / sum(cc) * 90 - 3 for x in cc]
         assert brute_force_allocation(quotas, 78) == (29, 21, 20, 8)
-        assert dynamic_plan(INT1_COUNTS, 90, 3).greens == (29, 21, 20, 8)
+        assert dynamic_plan(INT1_COUNTS, 90, 3) == (29, 21, 20, 8)
 
     def test_zero_table_falls_back_to_static(self):
         assert dynamic_plan(TmcTable.zero(), 90, 3) == static_plan(90, 3)
 
     def test_symmetric_counts_match_static_allocation(self):
-        assert dynamic_plan(TmcTable((64,) * 12), 90, 3).greens == static_plan(90, 3).greens
+        assert dynamic_plan(TmcTable((64,) * 12), 90, 3) == static_plan(90, 3)
 
     @given(tmc_tables, cycles)
     def test_cycle_conservation(self, tmc, cycle):
-        plan = dynamic_plan(tmc, cycle, 3)
-        assert sum(plan.greens) + sum(plan.yellows) == cycle
+        assert sum(dynamic_plan(tmc, cycle, 3)) + 4 * 3 == cycle
 
     @given(tmc_tables, st.sampled_from([60, 90]))
     @settings(max_examples=40, deadline=None)
@@ -114,7 +120,7 @@ class TestDynamicPlan:
         quotas = [x / sum(cc) * cycle - 3 for x in cc]
         if min(quotas) < MIN_GREEN + 1:  # keep clear of the clamp/negative region
             return
-        greens = dynamic_plan(tmc, cycle, 3).greens
+        greens = dynamic_plan(tmc, cycle, 3)
         oracle = brute_force_allocation(quotas, cycle - 12)
         cost = lambda gs: sum((g - q) ** 2 for g, q in zip(gs, quotas))
         assert cost(greens) == pytest.approx(cost(oracle))
@@ -127,7 +133,7 @@ class TestDynamicPlan:
         quotas = [x / sum(cc) * cycle - 3 for x in cc]
         if min(quotas) < MIN_GREEN:
             return
-        greens = dynamic_plan(tmc, cycle, 3).greens
+        greens = dynamic_plan(tmc, cycle, 3)
         for g, q in zip(greens, quotas):
             assert abs(g - q) <= 1
 
@@ -136,7 +142,7 @@ class TestDynamicPlan:
         bumped = TmcTable(
             tuple(c + k if i == Movement.EBT else c for i, c in enumerate(tmc.counts))
         )
-        assert dynamic_plan(bumped, cycle, 3).greens[0] >= dynamic_plan(tmc, cycle, 3).greens[0]
+        assert dynamic_plan(bumped, cycle, 3)[0] >= dynamic_plan(tmc, cycle, 3)[0]
 
 
 class TestAllocateGreens:
@@ -169,7 +175,8 @@ class TestBuildProgram:
     def test_static_repeats_one_plan(self, minute_tmcs):
         program = build_program(minute_tmcs, "static", 90)
         assert len(program) == 240
-        assert len(set(program.plans)) == 1
+        assert program.layout == PROTECTED_LEFT
+        assert (program.greens == static_plan(90)).all()
 
     def test_hybrid_empty_peaks_equals_static(self, minute_tmcs):
         hybrid = build_program(minute_tmcs, "hybrid", 90, peak_minutes=())
@@ -188,7 +195,7 @@ class TestBuildProgram:
         assert DEFAULT_PEAK_MINUTES == frozenset(range(60, 180))
         for minute in range(240):
             expected = dynamic if 60 <= minute < 180 else static
-            assert hybrid.plan_at(minute) == expected.plan_at(minute), minute
+            assert hybrid.greens[minute].tolist() == expected.greens[minute].tolist(), minute
 
     def test_unknown_policy_rejected(self, minute_tmcs):
         with pytest.raises(ValueError):
@@ -204,26 +211,54 @@ class TestBuildProgram:
 
 
 class TestProgramStructure:
-    def test_split_phase_plan_serves_one_approach_per_phase(self):
-        plan = split_phase_plan((20, 20, 19, 19), 3, 90)
-        assert plan.phases[0].served == frozenset(
-            {Movement.WBL, Movement.WBT, Movement.WBR}
-        )
-        assert plan.phases[3].served == frozenset(
-            {Movement.SBL, Movement.SBT, Movement.SBR}
-        )
+    def test_split_phase_plan_serves_one_approach_per_phase(self, minute_tmcs):
+        assert build_program(minute_tmcs, "rl", 90, q=rl.QFunction(seed=0)).layout == SPLIT_PHASE
+        assert lit(SPLIT_PHASE[0], "G") == {Movement.WBL, Movement.WBT, Movement.WBR}
+        assert lit(SPLIT_PHASE[3], "G") == {Movement.SBL, Movement.SBT, Movement.SBR}
+        assert all(lit(state, "g") == set() for state in SPLIT_PHASE)
+
+    def test_every_movement_gets_a_green_once_per_cycle(self):
+        for layout in (PROTECTED_LEFT, SPLIT_PHASE):
+            assert sorted(m for state in layout for m in lit(state, "G")) == list(Movement)
 
     def test_phase_validation(self):
-        with pytest.raises(ValueError):
-            Phase(frozenset({Movement.WBL}), green=3)
-        with pytest.raises(ValueError):
-            PhasePlan(tuple(Phase(frozenset(), 10) for _ in range(4)), cycle=90)
-        with pytest.raises(ValueError):
-            PhasePlan(tuple(Phase(frozenset(), 20) for _ in range(4)), cycle=91)
+        # One case per constructor check: (layout, greens, yellow, cycle, message).
+        cases = [
+            (("G" * 12,) * 4, [(20, 20, 19, 19)], 3, 90, "unknown phase layout"),
+            (PROTECTED_LEFT, [], 3, 90, "at least one minute"),
+            (PROTECTED_LEFT, [(26, 26, 26)], 3, 90, "shape"),
+            (PROTECTED_LEFT, [(20.0, 20, 19, 19)], 3, 90, "whole seconds"),
+            (PROTECTED_LEFT, [(26, 26, 25, 25)], -1, 98, "yellow must be non-negative"),
+            (PROTECTED_LEFT, [(20, 20, 19, 19), (34, 4, 20, 20)], 3, 90, "green must be >= 5s, got 4 in minute 1"),
+            (PROTECTED_LEFT, [(20, 20, 20, 20)], 3, 91, "minute 0: phase durations sum to 92, cycle is 91"),
+        ]
+        for layout, greens, yellow, cycle, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SignalProgram(layout, greens, yellow, cycle)
 
     def test_program_needs_uniform_cycle(self):
+        with pytest.raises(ValueError, match="minute 1: phase durations sum to 120, cycle is 90"):
+            SignalProgram(PROTECTED_LEFT, [static_plan(90), static_plan(120)], 3, 90)
+
+    def test_boundary_values_are_accepted(self):
+        program = SignalProgram(SPLIT_PHASE, [(MIN_GREEN,) * 4], 0, 4 * MIN_GREEN)
+        assert len(program) == 1 and program.cycle == 20
+
+    def test_equality_compares_every_field_and_the_greens(self):
+        program = SignalProgram(PROTECTED_LEFT, [(20, 20, 19, 19), (29, 21, 20, 8)], 3, 90)
+        assert program == SignalProgram(PROTECTED_LEFT, np.array([(20, 20, 19, 19), (29, 21, 20, 8)]), 3, 90)
+        assert program != SignalProgram(SPLIT_PHASE, [(20, 20, 19, 19), (29, 21, 20, 8)], 3, 90)
+        assert program != SignalProgram(PROTECTED_LEFT, [(20, 20, 19, 19), (29, 21, 21, 7)], 3, 90)
+        assert program != SignalProgram(PROTECTED_LEFT, [(20, 20, 19, 19)], 3, 90)
+        assert program != SignalProgram(PROTECTED_LEFT, [(21, 21, 20, 20), (30, 22, 21, 9)], 2, 90)
+
+    def test_greens_are_read_only_int64(self):
+        source = np.array([(20, 20, 19, 19)], dtype=np.int32)
+        program = SignalProgram(PROTECTED_LEFT, source, 3, 90)
+        source[0, 0] = 99
+        assert program.greens.dtype == np.int64 and program.greens.tolist() == [[20, 20, 19, 19]]
         with pytest.raises(ValueError):
-            SignalProgram((static_plan(90), static_plan(120)))
+            program.greens[0, 0] = 21
 
 
 def test_program_csv_roundtrip(tmp_path):
@@ -243,6 +278,15 @@ def test_split_phase_program_csv_roundtrip(tmp_path):
     assert read_program(path) == program
 
 
+def test_program_csv_roundtrip_keeps_a_yellow_past_int64(tmp_path):
+    path = tmp_path / "program.csv"
+    path.write_text(f"minute,g1,y1,g2,y2,g3,y3,g4,y4\n" + "0,21" + f",{2**64},21" * 3 + f",{2**64}\n")
+    program = read_program(path)
+    assert program.cycle == 84 + 4 * 2**64
+    write_program(program, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == path.read_text()
+
+
 def test_program_csv_unknown_header_rejected(tmp_path):
     path = tmp_path / "program.csv"
     path.write_text("minute,a1,b1,a2,b2,a3,b3,a4,b4\n0,20,3,20,3,19,3,19,3\n")
@@ -258,10 +302,8 @@ def test_program_csv_unknown_header_rejected(tmp_path):
     st.booleans(),
 )
 def test_program_csv_roundtrip_property(tmp_path_factory, tables, cycle, yellow, split):
-    plans = [dynamic_plan(t, cycle, yellow) for t in tables]
-    if split:
-        plans = [split_phase_plan(p.greens, yellow, cycle) for p in plans]
-    program = SignalProgram(tuple(plans))
+    greens = [dynamic_plan(t, cycle, yellow) for t in tables]
+    program = SignalProgram(SPLIT_PHASE if split else PROTECTED_LEFT, greens, yellow, cycle)
     path = tmp_path_factory.mktemp("p") / "program.csv"
     write_program(program, path)
     assert read_program(path) == program
@@ -275,10 +317,16 @@ def test_program_csv_roundtrip_property(tmp_path_factory, tables, cycle, yellow,
         pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,2x,3\n", id="non-integer-green"),
         pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,21,3\n0,21,3,21,3,21,3,21,3\n", id="repeated-minute"),
         pytest.param("minute,gWB,yWB,gNB,yNB,gEB,yEB,gSB,ySB\n1,21,3,21,3,21,3,21,3\n", id="first-minute-is-not-0"),
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n", id="header-only"),
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,21,3\n1,21,3,21,3,21,3,22,3\n", id="mixed-cycles"),
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,21,3\n1,22,2,22,2,22,2,22,2\n", id="mixed-yellows"),
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,4,21,3\n", id="unequal-yellows-in-a-row"),
+        pytest.param("minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,38,3,4,3,21,3,21,3\n", id="short-green"),
+        pytest.param(f"minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,{2**63},3,21,3,21,3,21,3\n", id="green-past-int64"),
     ],
 )
 def test_program_csv_rejects_malformed_rows(tmp_path, text):
     path = tmp_path / "program.csv"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         read_program(path)

@@ -14,6 +14,7 @@ from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone
 from tmcsignal.sim import (
     SimConfig,
     SimResult,
+    _rate_index,
     assign_lanes,
     evaluate,
     run,
@@ -22,13 +23,12 @@ from tmcsignal.sim import (
 )
 from tmcsignal.model import read_geometries
 from tmcsignal.signals import (
-    PHASE_PERMISSIVE,
-    PHASE_SERVED,
-    Phase,
-    PhasePlan,
+    LAYOUTS,
+    MIN_GREEN,
+    PROTECTED_LEFT,
+    SPLIT_PHASE,
     SignalProgram,
     allocate_greens,
-    split_phase_plan,
     static_plan,
 )
 from tmcsignal.trafficgen import Departures
@@ -55,18 +55,37 @@ def _service_rates(
     full = np.array([lanes[m] / cfg.saturation_headway for m in MOVEMENTS])
     t = 0
     while t < cfg.horizon:
-        plan = program.plan_at(min(t // 60, len(program) - 1))
-        for phase in plan.phases:
-            end = min(t + phase.green, cfg.horizon)
+        greens = program.greens[min(t // 60, len(program) - 1)].tolist()
+        for state, green in zip(program.layout, greens):
+            end = min(t + green, cfg.horizon)
             if end > t:
-                for m in phase.served:
-                    rates[t:end, m] = full[m]
-                for m in phase.permissive:
-                    rates[t:end, m] = cfg.permissive_left_factor * full[m]
-            t += phase.green + phase.yellow
+                for m, light in enumerate(state):
+                    if light == "G":
+                        rates[t:end, m] = full[m]
+                    elif light == "g":
+                        rates[t:end, m] = cfg.permissive_left_factor * full[m]
+            t += green + program.yellow
             if t >= cfg.horizon:
                 break
     return rates.tolist()
+
+
+def loop_rate_index(program: SignalProgram, horizon: int) -> np.ndarray:
+    """The rate-table row in force each second, walked phase by phase as the kernel once did.
+
+    Row 0 is all-red and phase i of ``LAYOUTS[k]`` is row 1 + 4k + i.
+    """
+    out = np.zeros(horizon, dtype=np.uint8)
+    first = 1 + 4 * LAYOUTS.index(program.layout)
+    t = 0
+    while t < horizon:
+        greens = program.greens[min(t // 60, len(program) - 1)].tolist()
+        for phase, green in enumerate(greens):
+            out[t : t + green] = first + phase
+            t += green + program.yellow
+            if t >= horizon:
+                break
+    return out
 
 
 def scalar_run(
@@ -146,7 +165,7 @@ def scalar_run(
 
 
 def static_program(cycle: int = 90, minutes: int = 60) -> SignalProgram:
-    return SignalProgram((static_plan(cycle, 3),) * minutes)
+    return SignalProgram(PROTECTED_LEFT, [static_plan(cycle, 3)] * minutes, 3, cycle)
 
 
 def sorted_plans(raw: list[tuple[int, Movement]]) -> Departures:
@@ -237,7 +256,7 @@ class TestConservationAndDeterminism:
         plans = sorted_plans(raw)
         horizon = data.draw(st.integers(60, 700))
         cycle = data.draw(st.sampled_from([60, 90]))
-        program = SignalProgram((static_plan(cycle, 3),) * 12)
+        program = static_program(cycle, minutes=12)
         result = run([geo], [plans], [program], SimConfig(horizon=horizon))[0]
         assert result.injected == sum(1 for p in rows_of(plans) if p.depart < horizon)
         assert result.served + result.residual_queue == result.injected
@@ -260,13 +279,7 @@ class TestFifoAndMonotonicity:
         cfg = SimConfig(horizon=5400)
 
         def program_with(greens):
-            from tmcsignal.signals import PHASE_PERMISSIVE, PHASE_SERVED, Phase, PhasePlan
-
-            phases = tuple(
-                Phase(PHASE_SERVED[i], greens[i], 3, PHASE_PERMISSIVE[i])
-                for i in range(4)
-            )
-            return SignalProgram((PhasePlan(phases, sum(greens) + 12),) * 90)
+            return SignalProgram(PROTECTED_LEFT, [greens] * 90, 3, sum(greens) + 12)
 
         base = run([geometries["INT1"]], [plans], [program_with((20, 20, 19, 19))], cfg)[0]
         wider = run([geometries["INT1"]], [plans], [program_with((20, 20, 25, 13))], cfg)[0]
@@ -298,7 +311,7 @@ class TestEvaluate:
 
     def test_split_phase_program_serves_all_movements(self, geometries):
         plans = sorted_plans([(i % 300, Movement(i % 12)) for i in range(60)])
-        program = SignalProgram((split_phase_plan((20, 20, 19, 19), 3, 90),) * 20)
+        program = SignalProgram(SPLIT_PHASE, [(20, 20, 19, 19)] * 20, 3, 90)
         result = run([geometries["INT1"]], [plans], [program], SimConfig(horizon=1200))[0]
         assert result.served == 60
 
@@ -319,17 +332,13 @@ def test_result_csv_exports(tmp_path, geometries):
 
 
 @st.composite
-def protected_left_plans(draw, cycle: int) -> PhasePlan:
-    greens = allocate_greens(draw(st.lists(st.integers(0, 50), min_size=4, max_size=4)), cycle - 12)
-    return PhasePlan(
-        tuple(Phase(PHASE_SERVED[i], greens[i], 3, PHASE_PERMISSIVE[i]) for i in range(4)), cycle
-    )
-
-
-@st.composite
-def split_phase_plans(draw, cycle: int) -> PhasePlan:
-    greens = allocate_greens(draw(st.lists(st.integers(0, 50), min_size=4, max_size=4)), cycle - 12)
-    return split_phase_plan(greens, 3, cycle)
+def signal_programs(draw, minutes: int, cycles=st.sampled_from([60, 90]), vary_yellow: bool = False) -> SignalProgram:
+    """A program of either layout whose minutes draw their own greens; yellows of 3 s unless varied."""
+    cycle = draw(cycles)
+    yellow = draw(st.integers(0, min(5, (cycle - 4 * MIN_GREEN) // 4))) if vary_yellow else 3
+    quotas = st.lists(st.integers(0, 50), min_size=4, max_size=4)
+    greens = [allocate_greens(draw(quotas), cycle - 4 * yellow) for _ in range(minutes)]
+    return SignalProgram(draw(st.sampled_from(LAYOUTS)), greens, yellow, cycle)
 
 
 @st.composite
@@ -359,11 +368,21 @@ def batches(draw):
         if programs and draw(st.booleans()):
             programs.append(programs[-1])
             continue
-        cycle = draw(st.sampled_from([60, 90]))
-        plans = draw(st.sampled_from([protected_left_plans, split_phase_plans]))(cycle)
-        minutes = math.ceil(horizon / 60) + draw(st.integers(0, 2))
-        programs.append(SignalProgram(tuple(draw(st.lists(plans, min_size=minutes, max_size=minutes)))))
+        programs.append(draw(signal_programs(math.ceil(horizon / 60) + draw(st.integers(0, 2)))))
     return geometries, cell_demands, programs, cfg
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_rate_index_equals_the_phase_by_phase_loop(data):
+    # Horizons up to four hours, most of them multiples of neither 60 nor the
+    # cycle, and programs up to two minutes longer than the horizon needs.
+    horizon = data.draw(st.integers(1, 14400))
+    minutes = math.ceil(horizon / 60) + data.draw(st.integers(0, 2))
+    program = data.draw(signal_programs(minutes, st.integers(4 * MIN_GREEN, 180), vary_yellow=True))
+    out = np.zeros(horizon, dtype=np.uint8)
+    _rate_index(program, horizon, out)
+    assert out.tolist() == loop_rate_index(program, horizon).tolist()
 
 
 @given(batches())

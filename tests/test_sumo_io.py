@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from departure_rows import departures, rows_of
 from tmcsignal.model import Movement, TmcTable
-from tmcsignal.signals import SignalProgram, build_program, static_plan
+from tmcsignal.signals import PROTECTED_LEFT, SPLIT_PHASE, SignalProgram, build_program, static_plan
 from tmcsignal.sumo_io import (
     XML_DECLARATION,
     emit_tls,
@@ -97,6 +97,10 @@ class TestRoutes:
     def test_parse_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             parse_routes("<notroutes/>")
+        with pytest.raises(ValueError, match="malformed"):
+            parse_routes("<routes>")
+        with pytest.raises(ValueError, match="malformed"):
+            parse_routes("")
         with pytest.raises(ValueError):
             parse_routes(
                 '<routes><vehicle id="x" depart="1.00">'
@@ -135,26 +139,41 @@ class TestRoutes:
         with pytest.raises(ValueError, match="depart"):
             parse_routes(f'<routes><vehicle id="a" depart="{depart}"><route edges="1i 2o"/></vehicle></routes>')
 
+    def test_parse_rejects_a_repeated_vehicle_id(self):
+        vehicles = '<vehicle id="a" depart="0"><route edges="1i 2o"/></vehicle>' * 2
+        with pytest.raises(ValueError, match="'a' appears more than once"):
+            parse_routes(f"<routes>{vehicles}</routes>")
+
+    def test_parse_rejects_departures_out_of_order(self):
+        vehicles = (
+            '<vehicle id="a" depart="1.00"><route edges="1i 2o"/></vehicle>'
+            '<vehicle id="b" depart="0.00"><route edges="1i 2o"/></vehicle>'
+        )
+        with pytest.raises(ValueError, match="sorted"):
+            parse_routes(f"<routes>{vehicles}</routes>")
+
     def test_parse_rounds_half_to_even(self):
-        texts = ["2.50", "3.50", "0.4", "9007199254740993.00", f"{MAX_DEPART}.49"]
+        texts = ["0.4", "2.50", "3.50", "9007199254740993.00", f"{MAX_DEPART}.49"]
         xml = "".join(f'<vehicle id="{t}" depart="{t}"><route edges="1i 2o"/></vehicle>' for t in texts)
-        assert parse_routes(f"<routes>{xml}</routes>").departs.tolist() == [2, 4, 0, 2**53 + 1, MAX_DEPART]
+        assert parse_routes(f"<routes>{xml}</routes>").departs.tolist() == [0, 2, 4, 2**53 + 1, MAX_DEPART]
+
+
+def static_program(minutes: int) -> SignalProgram:
+    return SignalProgram(PROTECTED_LEFT, [static_plan(90, 3)] * minutes, 3, 90)
 
 
 class TestTls:
     def test_static_plan_has_8_entries_with_expected_durations(self):
-        program = SignalProgram((static_plan(90, 3),) * 5)
-        docs, schedule = emit_tls(program)
-        assert len(docs) == 1
-        entries = docs[0].phase_entries()
+        docs, schedule = emit_tls(static_program(5))
+        assert list(docs) == ["p000"]
+        entries = docs["p000"]
         assert [d for d, _ in entries] == [20, 3, 20, 3, 19, 3, 19, 3]
         assert sum(d for d, _ in entries) == 90
         assert schedule == [(m, "p000") for m in range(5)]
 
     def test_protected_left_phase_state(self):
-        program = SignalProgram((static_plan(90, 3),))
-        docs, _ = emit_tls(program)
-        entries = docs[0].phase_entries()
+        docs, _ = emit_tls(static_program(1))
+        entries = docs["p000"]
         # phase order: P1 green, P1 yellow, P2 green, ...
         p2_green = entries[2][1]
         assert len(p2_green) == 12
@@ -163,42 +182,46 @@ class TestTls:
         assert set(p2_green) == {"G", "r"}
 
     def test_permissive_lefts_lowercase_in_p1(self):
-        program = SignalProgram((static_plan(90, 3),))
-        docs, _ = emit_tls(program)
-        p1_green = docs[0].phase_entries()[0][1]
+        docs, _ = emit_tls(static_program(1))
+        p1_green = docs["p000"][0][1]
         assert p1_green[Movement.WBL] == "g"
         assert p1_green[Movement.WBT] == "G"
         assert p1_green[Movement.NBT] == "r"
-        p1_yellow = docs[0].phase_entries()[1][1]
+        p1_yellow = docs["p000"][1][1]
         assert p1_yellow[Movement.WBT] == "y"
         assert p1_yellow[Movement.WBL] == "y"
         assert p1_yellow[Movement.NBT] == "r"
+
+    def test_split_phase_states(self):
+        docs, _ = emit_tls(SignalProgram(SPLIT_PHASE, [(20, 20, 19, 19)], 3, 90))
+        assert docs["p000"] == [
+            (20, "GGGrrrrrrrrr"), (3, "yyyrrrrrrrrr"), (20, "rrrGGGrrrrrr"), (3, "rrryyyrrrrrr"),
+            (19, "rrrrrrGGGrrr"), (3, "rrrrrryyyrrr"), (19, "rrrrrrrrrGGG"), (3, "rrrrrrrrryyy"),
+        ]
 
     def test_distinct_minute_plans_get_distinct_programs(self):
         tables = [TmcTable(tuple((1 + m * i) % 23 for m in range(12))) for i in range(30)]
         program = build_program(MinuteTmc(tuple(tables)), "dynamic", 90)
         docs, schedule = emit_tls(program)
-        assert len({d.program_id for d in docs}) == len(docs)
+        assert len(docs) == len({tuple(g) for g in program.greens.tolist()})
         assert len(schedule) == 30
-        valid_ids = {d.program_id for d in docs}
-        assert all(pid in valid_ids for _, pid in schedule)
+        assert all(docs[pid][0][0] == program.greens[minute, 0] for minute, pid in schedule)
 
     @given(st.builds(TmcTable, st.tuples(*[st.integers(0, 500)] * 12)), st.sampled_from([60, 90, 120, 150]))
     @settings(max_examples=40)
     def test_every_document_sums_to_cycle(self, tmc, cycle):
         from tmcsignal.signals import dynamic_plan
 
-        program = SignalProgram((dynamic_plan(tmc, cycle, 3),))
+        program = SignalProgram(PROTECTED_LEFT, [dynamic_plan(tmc, cycle, 3)], 3, cycle)
         docs, _ = emit_tls(program)
-        for doc in docs:
-            entries = doc.phase_entries()
+        for entries in docs.values():
             assert len(entries) == 8
             assert sum(d for d, _ in entries) == cycle
             assert all(len(state) == 12 for _, state in entries)
             assert all(set(state) <= set("Ggyr") for _, state in entries)
 
     def test_file_outputs(self, tmp_path):
-        program = SignalProgram((static_plan(90, 3),) * 3)
+        program = static_program(3)
         xml_path = tmp_path / "tls.add.xml"
         schedule_path = tmp_path / "tls_schedule.csv"
         write_tls(program, xml_path, schedule_path)
