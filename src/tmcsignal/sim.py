@@ -7,25 +7,34 @@ saturation_headway vehicles per second (fractional service accumulates as
 credit), permissive lefts at a reduced rate; yellows are lost time. Waiting
 accrues one second per queued vehicle per tick. Everything is deterministic.
 
-``run`` advances all cells of a batch together. The queues and credits of the
-batch are one (cells x 12) array, and each one-second tick is the same few
-numpy operations on it. Arrivals are a (seconds x 12) count matrix, built once
-per distinct demand from its departure columns. Service rates are a per-cell
-index per second into a fixed table of multiplier rows: an all-red row, then
-one row per phase of each layout in ``signals.LAYOUTS``, read off the phase's
-green-state string (``G`` 1, ``g`` the permissive left factor, ``r`` 0). The
-rows are scaled by the cell's full discharge rates once a minute; consecutive
-cells that share a program object share its index column. Waits and
-per-minute zone maxima are reduced once a minute.
+``run`` advances all cells of a batch together, but simulates each distinct
+movement column once. A column is a (demand, program, movement, full rate)
+key, the rate compared bit for bit: cells that share a demand and a program
+differ only through their lane rates, and two geometries with the same rate
+for a movement give that movement the same queue. On the six bundled
+geometries that is 20 columns per program instead of 72. The queues and
+credits of the batch are one vector over the distinct columns, and each
+one-second tick is the same few numpy operations on it. Arrivals are a
+(seconds x demands x 12) count array, built once per distinct demand from its
+departure columns. Service rates are a per-program index per second into a
+fixed table of multiplier rows: an all-red row, then one row per phase of each
+layout in ``signals.LAYOUTS``, read off the phase's green-state string (``G``
+1, ``g`` the permissive left factor, ``r`` 0); each column's row is scaled by
+its full rate. Consecutive cells that share a program object share its index
+column. Once a minute the kernel sums each column's waits and, for each
+distinct triple of columns that forms a zone of some cell, the per-second zone
+queues and their maximum; index arrays map columns and zone triples back to
+cells.
 
 Batching is exact. Queues never interact in this model: each movement of each
 cell follows its own Lindley-type recursion, driven only by its own arrivals
-and its own service rate. So the batch can apply to each element the IEEE
-double operations that a loop over one cell and one movement applies, in the
-same order: add the rate to the credit, split off the whole vehicles, serve at
-most the queue, and keep the fraction only while the movement stays queued and
+and its own service rate, so cells with the same key have the same column and
+one copy stands for all. The batch applies to each element the IEEE double
+operations that a loop over one cell and one movement applies, in the same
+order: add the rate to the credit, split off the whole vehicles, serve at most
+the queue, and keep the fraction only while the movement stays queued and
 green. Each step rounds the same way as the loop's: the fraction ``modf``
-returns is exactly ``c - int(c)``, and a rate row of multiplier 1, 0 or the
+returns is exactly ``c - int(c)``, and a rate of multiplier 1, 0 or the
 permissive factor times the full rate is exactly the full rate, zero or the
 factor's product. Queues, waits and zone sums are integers far below 2**53, so
 the order of their sums does not matter, and served is injected minus the
@@ -157,37 +166,60 @@ def _simulate(
         _count_arrivals(plans, arrivals[:, d])
     injected = arrivals.sum(axis=(0, 2), dtype=np.int64)[cell_demand]
 
-    rate_index = np.zeros((horizon, cells), dtype=np.uint8)
-    full = np.empty((cells, 12))
+    # One rate-index column per run of consecutive cells that share a program.
+    runs, cell_run, full = [], np.empty(cells, dtype=np.int64), np.empty((cells, 12))
     previous = None
     for b, (geo, program) in enumerate(zip(geometries, programs, strict=True)):
-        if program is previous:
-            rate_index[:, b] = rate_index[:, b - 1]
-        else:
-            _rate_index(program, horizon, rate_index[:, b])
+        if program is not previous:
+            runs.append(np.empty(horizon, dtype=np.uint8))
+            _rate_index(program, horizon, runs[-1])
             previous = program
+        cell_run[b] = len(runs) - 1
         full[b] = [lanes / cfg.saturation_headway for lanes in assign_lanes(geo)]
-    multipliers = _multipliers(cfg.permissive_left_factor)
+    rate_index = np.array(runs, dtype=np.uint8).reshape(-1, horizon).T.copy()
+
+    # A column is a distinct (demand, program run, movement, full-rate bits);
+    # cell_col maps each cell's 12 movements to their columns, and cell_zone
+    # each cell's 4 zones to the distinct column triples that make them up.
+    keys = np.empty((cells, 12, 4), dtype=np.int64)
+    keys[..., 0] = cell_demand[:, None]
+    keys[..., 1] = cell_run[:, None]
+    keys[..., 2] = np.arange(12)
+    keys[..., 3] = full.view(np.int64)
+    columns, cell_col = np.unique(keys.reshape(-1, 4), axis=0, return_inverse=True)
+    cell_col = cell_col.reshape(cells, 12)
+    zones, cell_zone = np.unique(cell_col.reshape(-1, 3), axis=0, return_inverse=True)
+    cell_zone = cell_zone.reshape(cells, 4)
+    zone_a, zone_b, zone_c = zones.T
+    col_demand, col_run, col_move = columns[:, :3].T
+    col_full = columns[:, 3].copy().view(np.float64)
+    width = len(columns)
+    # Entry r * width + u is row r of the rate table times column u's full
+    # rate: the product a one-cell loop takes.
+    rate_table = (_multipliers(cfg.permissive_left_factor)[:, col_move] * col_full).ravel()
+    lane = np.arange(width)
+    arrival_cols = arrivals.reshape(horizon, -1)
+    col_arrival = col_demand * 12 + col_move
 
     # One minute of seconds at a time: rates, green flags (1.0 where the rate
     # is positive) and arrivals; queues[0] carries the queue into the minute
     # and queues[s] holds it after second s.
-    rates, green, new = (np.empty((60, cells, 12)) for _ in range(3))
-    counted = np.empty((60, cells, 12), dtype=np.int32)
-    queues = np.zeros((61, cells, 12))
-    credit = np.zeros((cells, 12))
-    c, whole, keep = (np.empty((cells, 12)) for _ in range(3))
-    total_wait = np.zeros(cells, dtype=np.int64)
+    rates, green, new = (np.empty((60, width)) for _ in range(3))
+    counted = np.empty((60, width), dtype=np.int32)
+    queues = np.zeros((61, width))
+    credit = np.zeros(width)
+    c, whole, keep = (np.empty(width) for _ in range(3))
+    col_wait = np.zeros(width)
     n_minutes = math.ceil(horizon / 60)
-    zone_max = np.zeros((cells, n_minutes, 4), dtype=np.int64)
+    zone_peak = np.empty((n_minutes, len(zones)))
     for minute in range(n_minutes):
         t0 = 60 * minute
         m = min(60, horizon - t0)
         # Every index is in range by construction; "clip" only spares take a buffer.
-        np.take(multipliers, rate_index[t0 : t0 + m], axis=0, out=rates[:m], mode="clip")
-        np.multiply(rates[:m], full, out=rates[:m])
+        row = rate_index[t0 : t0 + m].take(col_run, axis=1) * np.intp(width) + lane
+        np.take(rate_table, row, out=rates[:m], mode="clip")
         np.greater(rates[:m], 0.0, out=green[:m])
-        np.take(arrivals[t0 : t0 + m], cell_demand, axis=1, out=counted[:m], mode="clip")
+        np.take(arrival_cols[t0 : t0 + m], col_arrival, axis=1, out=counted[:m], mode="clip")
         np.copyto(new[:m], counted[:m])
         # Per second: queue the arrivals, add the rate to the credit, serve its
         # whole part but at most the queue, and keep its fraction only where the
@@ -201,10 +233,14 @@ def _simulate(
             np.minimum(q, g, out=keep)
             np.multiply(c, keep, out=credit)
         seconds = queues[1 : m + 1]
-        total_wait += seconds.sum(axis=(0, 2)).astype(np.int64)
-        zone_max[:, minute] = seconds.reshape(m, cells, 4, 3).sum(axis=3).max(axis=0)
+        col_wait += seconds.sum(axis=0)
+        zone = seconds.take(zone_a, axis=1) + seconds.take(zone_b, axis=1) + seconds.take(zone_c, axis=1)
+        zone_peak[minute] = zone.max(axis=0)
         queues[0] = queues[m]
-    return injected, total_wait, queues[0].sum(axis=1).astype(np.int64), zone_max
+    total_wait = col_wait[cell_col].sum(axis=1).astype(np.int64)
+    residual = queues[0][cell_col].sum(axis=1).astype(np.int64)
+    zone_max = zone_peak[:, cell_zone].transpose(1, 0, 2).astype(np.int64)
+    return injected, total_wait, residual, zone_max
 
 
 def run(
@@ -215,10 +251,13 @@ def run(
 ) -> list[SimResult]:
     """Simulate one cell per (geometry, demand, program) over the horizon; one result per cell.
 
-    All cells advance together, one (cells x 12) step per second. Cells that
-    share a demand should pass the same ``Departures`` object, whose arrivals
-    are then counted once. ``programs`` is read one program at a time, so it
-    may be a generator; it must yield exactly one program per geometry.
+    All cells advance together, one step per second over the batch's distinct
+    (demand, program, movement, full rate) columns. Cells that share a demand
+    should pass the same ``Departures`` object, whose arrivals are then counted
+    once, and cells that share a program should be consecutive and pass the
+    same object, which then shares its columns. ``programs`` is read one
+    program at a time, so it may be a generator; it must yield exactly one
+    program per geometry.
     """
     injected, total_wait, residual, zone_max = _simulate(geometries, demands, programs, cfg)
     return [

@@ -151,7 +151,12 @@ def write_routes(plans: Departures, path: str | Path) -> None:
 
 
 def read_routes(path: str | Path) -> Departures:
-    return parse_routes(Path(path).read_text(encoding="utf-8"))
+    """``parse_routes`` on a file; its ``ValueError`` names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse_routes(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_tls(program: SignalProgram, xml_path: str | Path, schedule_path: str | Path) -> None:

@@ -6,6 +6,7 @@ lines as they complete.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from itertools import combinations
@@ -13,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from departure_rows import departures
-from tmcsignal.experiment import ExperimentSpec, run_experiment
+from tmcsignal.experiment import ExperimentSpec, run_experiment, write_report, write_winners
 from tmcsignal.model import (
     IntersectionGeometry,
     Movement,
@@ -228,7 +229,15 @@ def test_criterion_6_conservation_and_trace():
     report(6, f"conservation on 1000 scenarios; trace wait {trace.total_wait}s in [46,48]", ok)
 
 
-def test_criterion_7_policy_ordering_and_grid():
+# sha256 of report.csv and winners.csv for the default grid at seed 7; the
+# optimised kernel and program builds must leave these bytes unchanged.
+PINNED_GRID_SHA256 = {
+    "report.csv": "9b81bf7b110b315dd5aa7c210ea8696a3c41082c8af30d2a4df94d6b6745bb54",
+    "winners.csv": "46319109fbfb659bbe1cd769d178ffca4a7097b8fc87207f3fc08c3fbaeb1384",
+}
+
+
+def test_criterion_7_policy_ordering_and_grid(tmp_path):
     geometries = read_geometries()
     cfg_hour = SimConfig(horizon=3600)
 
@@ -261,10 +270,15 @@ def test_criterion_7_policy_ordering_and_grid():
     ok &= hybrid_ok == len(geometries)
 
     start = time.perf_counter()
-    matrix = run_experiment(ExperimentSpec())
+    spec = ExperimentSpec()
+    matrix = run_experiment(spec)
     grid_seconds = time.perf_counter() - start
     ok &= len(matrix.results) == 6 * 7 * 4 * 4
     ok &= grid_seconds < 600
+    write_report(matrix, tmp_path / "report.csv")
+    write_winners(matrix, spec, tmp_path / "winners.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_GRID_SHA256}
+    assert digests == PINNED_GRID_SHA256
     report(
         7,
         f"static {static_wins}/6 at off-peak PA, dynamic {dynamic_wins}/6 at peak PC, "

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from departure_rows import departures, rows_of
@@ -333,20 +333,31 @@ def test_result_csv_exports(tmp_path, geometries):
 
 @st.composite
 def signal_programs(draw, minutes: int, cycles=st.sampled_from([60, 90]), vary_yellow: bool = False) -> SignalProgram:
-    """A program of either layout whose minutes draw their own greens; yellows of 3 s unless varied."""
+    """A program of either layout; yellows of 3 s unless varied.
+
+    Minute i takes its greens from a drawn pool of one to three rows, at the
+    pool index ``pattern[i % len(pattern)]`` for a drawn pattern of one to six
+    indices. Adjacent minutes can differ, and a failure shrinks over a few
+    values rather than one row per minute of a four-hour program.
+    """
     cycle = draw(cycles)
     yellow = draw(st.integers(0, min(5, (cycle - 4 * MIN_GREEN) // 4))) if vary_yellow else 3
     quotas = st.lists(st.integers(0, 50), min_size=4, max_size=4)
-    greens = [allocate_greens(draw(quotas), cycle - 4 * yellow) for _ in range(minutes)]
+    pool = [allocate_greens(q, cycle - 4 * yellow) for q in draw(st.lists(quotas, min_size=1, max_size=3))]
+    pattern = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    greens = [pool[pattern[i % len(pattern)]] for i in range(minutes)]
     return SignalProgram(draw(st.sampled_from(LAYOUTS)), greens, yellow, cycle)
 
 
 @st.composite
 def batches(draw):
-    """A batch of cells: geometries, shared demands (one empty) and programs of both layouts.
+    """A batch of cells: pooled geometries, shared demands (one empty) and programs of both layouts.
 
     A cell may reuse the previous cell's program object, as the grid's cells of
-    one program do, so the shared rate-index column is exercised.
+    one program do, so the shared rate-index column is exercised. Geometries
+    come from a pool of two or three, so cells of one demand and program share
+    the columns of movements whose lane rates agree and keep their own where
+    they differ.
     """
     horizon = draw(st.integers(1, 700))
     cfg = SimConfig(
@@ -361,9 +372,10 @@ def batches(draw):
         for _ in range(draw(st.integers(1, 3)))
     ]
     lanes = st.tuples(*[st.integers(1, 6)] * 4)
+    pool = [IntersectionGeometry("X", draw(lanes), draw(lanes)) for _ in range(draw(st.integers(2, 3)))]
     geometries, cell_demands, programs = [], [], []
     for _ in range(draw(st.integers(1, 8))):
-        geometries.append(IntersectionGeometry("X", draw(lanes), draw(lanes)))
+        geometries.append(pool[draw(st.integers(0, len(pool) - 1))])
         cell_demands.append(demands[draw(st.integers(0, len(demands) - 1))])
         if programs and draw(st.booleans()):
             programs.append(programs[-1])
@@ -385,7 +397,22 @@ def test_rate_index_equals_the_phase_by_phase_loop(data):
     assert out.tolist() == loop_rate_index(program, horizon).tolist()
 
 
+def grid_in_miniature():
+    """Every bundled geometry under one dense demand, one program per layout, batched as the grid batches them.
+
+    Queues of several vehicles build up on every movement, so cells that share
+    a movement's column but not a zone's, or differ in one rate, report
+    different waits and zone maxima.
+    """
+    geometries = list(read_geometries().values())
+    plans = sorted_plans([(i * 7 % 600, Movement(i % 12)) for i in range(600)])
+    programs = [SignalProgram(layout, [(20, 20, 19, 19), (30, 15, 19, 14)] * 5, 3, 90) for layout in LAYOUTS]
+    cells = [(geo, program) for program in programs for geo in geometries]
+    return [g for g, _ in cells], [plans] * len(cells), [p for _, p in cells], SimConfig(horizon=600)
+
+
 @given(batches())
+@example(grid_in_miniature())
 @settings(max_examples=150, deadline=None)
 def test_batched_kernel_equals_scalar_oracle(batch):
     geometries, demands, programs, cfg = batch

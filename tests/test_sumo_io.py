@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -120,6 +121,21 @@ class TestRoutes:
         path = tmp_path / "routes.rou.xml"
         write_routes(plans, path)
         assert read_routes(path) == plans
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("<routes>", "malformed routes document"),
+            ("<notroutes/>", "expected <routes> document"),
+            ('<routes><vehicle id="a" depart="x"><route edges="1i 2o"/></vehicle></routes>', "depart"),
+        ],
+        ids=["malformed", "foreign-root", "bad-depart"],
+    )
+    def test_read_names_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "routes.rou.xml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {reason}"):
+            read_routes(path)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, MAX_DEPART), st.sampled_from(list(Movement))), max_size=8))
