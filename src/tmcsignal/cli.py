@@ -69,7 +69,7 @@ def cmd_tmc(args) -> int:
     trajectories = read_trajectories(args.trajectories)
     paths = read_typical_paths(args.paths)
     table = count_movements(trajectories, paths, eps=args.eps, min_sim=args.min_sim)
-    write_minute_tmc(MinuteTmc((table,)), args.out)
+    write_minute_tmc(MinuteTmc([table.counts]), args.out)
     print(f"classified {table.total} of {len(trajectories)} trajectories -> {args.out}")
     return 0
 

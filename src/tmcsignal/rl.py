@@ -1,8 +1,11 @@
 """DQN-style green-time allocator over direction-level volumes.
 
-State is the 4-vector of normalized approach volumes (WB, NB, EB, SB); actions
-are quantized allocation splits of the usable green time; the reward is the
-negative total delay (volume over allocated green, summed over directions).
+State is the 4-vector of normalized approach volumes (WB, NB, EB, SB), a
+minute's counts summed per approach and divided by the stream's peak approach
+volume; actions are quantized allocation splits of the usable green time; the
+reward is the negative total delay, volume over allocated green summed over the
+directions: for volumes v and greens g = action / 10 * usable green it is
+``-(((v0 / g0 + v1 / g1) + v2 / g2) + v3 / g3)``, added in that order.
 
 ``train`` learns a batch of allocators in lockstep, one per TMC stream, and
 each comes out with the bits it would have if trained alone. The networks'
@@ -12,8 +15,8 @@ stacked greedy forward, one stacked TD forward and backward pass, and one Adam
 update of about a dozen in-place ufunc calls. Each stream keeps its own
 ``Generator``, called as a lone run calls it: ``random()``, then
 ``integers(84)`` only when exploring, then the replay sample. Rewards come from
-a (minutes, 84) table per stream built in ``delay``'s operation order. This is
-exact because Adam and the rewards are elementwise, and because a slice of a
+a (minutes, 84) table per stream, added in the order above. This is exact
+because Adam and the rewards are elementwise, and because a slice of a
 stacked (S, k, n) @ (S, n, m) product, like a stacked ``sum`` or ``max``, has
 the bits of the same 2-D operation. A row of a product can, however, change in
 its last bit with the number of rows computed alongside it. So the bootstrap
@@ -27,13 +30,14 @@ length train in separate lockstep groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from tmcsignal.model import TmcTable, write_csv
+from tmcsignal.model import write_csv
 from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, SignalProgram, allocate_greens
 from tmcsignal.trafficgen import MinuteTmc
 
@@ -53,23 +57,6 @@ N_ACTIONS = len(ACTIONS)
 def action_fractions(action: tuple[int, int, int, int]) -> tuple[float, float, float, float]:
     """Allocation shares in [0.1, 0.7] that sum to 1 exactly (tenths over 10)."""
     return tuple(t / 10 for t in action)
-
-
-def direction_volumes(tmc: TmcTable) -> tuple[int, int, int, int]:
-    """Aggregate the 12 movements into per-approach volumes (WB, NB, EB, SB)."""
-    c = tmc.counts
-    return tuple(c[3 * z] + c[3 * z + 1] + c[3 * z + 2] for z in range(4))
-
-
-def delay(volumes: Sequence[float], greens: Sequence[float]) -> float:
-    """Total delay figure: sum over directions of volume / allocated green seconds."""
-    if len(volumes) != 4 or len(greens) != 4:
-        raise ValueError("expected 4 volumes and 4 greens")
-    if min(greens) <= 0:
-        raise ValueError("greens must be positive")
-    if min(volumes) < 0:
-        raise ValueError("volumes must be non-negative")
-    return float(sum(v / g for v, g in zip(volumes, greens)))
 
 
 @dataclass(frozen=True)
@@ -154,22 +141,36 @@ class QFunction:
 
     @classmethod
     def load(cls, path: str | Path) -> QFunction:
+        """Read a snapshot ``save`` wrote.
+
+        ``ValueError`` naming the file for a missing header line, unexpected
+        layer sizes or a weight count that does not match them, and naming the
+        line too for a value that is not a number, a weight that is not finite
+        or a norm that is not finite and positive.
+        """
         lines = Path(path).read_text().splitlines()
         header = {}
-        for line in lines[:4]:
+        for lineno, line in enumerate(lines[:4], start=1):
             key, _, value = line.partition(" ")
-            header[key] = value
+            header[key] = (lineno, value)
         if missing := [k for k in ("layers", "seed", "episodes", "norm") if k not in header]:
             raise ValueError(f"{path}: snapshot header has no {missing[0]!r} line")
-        sizes = tuple(int(s) for s in header["layers"].split())
-        if len(sizes) != 4 or sizes[0] != 4 or sizes[-1] != N_ACTIONS:
-            raise ValueError(f"unexpected layer sizes {sizes}")
-        q = cls(hidden_width=sizes[1], seed=int(header["seed"]), norm=float(header["norm"]))
-        q.episodes_trained = int(header["episodes"])
-        flat = np.array([float(v) for v in lines[4:]])
+
+        def parse(lineno: int, text: str, convert):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+
+        sizes = parse(*header["layers"], lambda text: tuple(int(s) for s in text.split()))
+        if len(sizes) != 4 or sizes[0] != 4 or sizes[-1] != N_ACTIONS or not sizes[1] == sizes[2] >= 1:
+            raise ValueError(f"{path}: unexpected layer sizes {sizes}")
+        q = cls(hidden_width=sizes[1], seed=parse(*header["seed"], int), norm=parse(*header["norm"], _positive_norm))
+        q.episodes_trained = parse(*header["episodes"], int)
+        flat = np.array([parse(lineno, text, _finite) for lineno, text in enumerate(lines[4:], start=5)])
         expected = sum(a * b for a, b in zip(sizes, sizes[1:])) + sum(sizes[1:])
         if flat.size != expected:
-            raise ValueError(f"expected {expected} weights, found {flat.size}")
+            raise ValueError(f"{path}: expected {expected} weights, found {flat.size}")
         offset = 0
         for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
             q.weights[i] = flat[offset : offset + n_in * n_out].reshape(n_in, n_out)
@@ -180,60 +181,31 @@ class QFunction:
         return q
 
 
-class VolumeStreamEnv:
-    """Episode over a per-minute TMC stream; reward is the negative delay."""
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
-    def __init__(
-        self,
-        minute_tmcs: MinuteTmc,
-        cycle: int = 90,
-        yellow: int = DEFAULT_YELLOW,
-        norm: float | None = None,
-    ):
-        if len(minute_tmcs) == 0:
-            raise ValueError("need at least one minute of TMC data")
-        self.volumes = [direction_volumes(t) for t in minute_tmcs.tables]
-        if norm is None:
-            peak = max(max(v) for v in self.volumes)
-            norm = float(peak) if peak > 0 else 1.0
-        self.norm = norm
-        self.states = [tuple(v / norm for v in vols) for vols in self.volumes]
-        self.usable_green = cycle - 4 * yellow
-        if self.usable_green <= 0:
-            raise ValueError("cycle leaves no usable green time")
-        self._t = 0
 
-    def __len__(self) -> int:
-        return len(self.volumes)
+def _positive_norm(text: str) -> float:
+    if (norm := _finite(text)) <= 0:
+        raise ValueError(f"norm must be positive, got {text!r}")
+    return norm
 
-    def reset(self) -> tuple[float, float, float, float]:
-        self._t = 0
-        return self.states[0]
 
-    def step(self, action: tuple[int, int, int, int]):
-        """Apply an allocation to the current minute.
-
-        Returns (reward, next_state, done); the final minute of the stream is
-        terminal and its next_state is None.
-        """
-        if self._t >= len(self.volumes):
-            raise RuntimeError("episode is over; call reset()")
-        shares = action_fractions(action)
-        greens = [s * self.usable_green for s in shares]
-        reward = -delay(self.volumes[self._t], greens)
-        self._t += 1
-        done = self._t == len(self.volumes)
-        next_state = None if done else self.states[self._t]
-        return reward, next_state, done
-
-    def reward_table(self) -> np.ndarray:
-        """The reward ``step`` gives for every (minute, action), shape (minutes, 84).
-
-        Built with ``delay``'s operations in its order, so every entry has its bits.
-        """
-        greens = np.array(ACTIONS) / 10 * self.usable_green
-        ratios = np.array(self.volumes)[:, None, :] / greens
-        return -(((ratios[..., 0] + ratios[..., 1]) + ratios[..., 2]) + ratios[..., 3])
+def _stream_tables(minute_tmcs: MinuteTmc, cycle: int, yellow: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """One stream's (minutes, 4) states, its norm and its (minutes, 84) rewards, added in the order given above."""
+    if len(minute_tmcs) == 0:
+        raise ValueError("need at least one minute of TMC data")
+    volumes = minute_tmcs.counts.reshape(-1, 4, 3).sum(axis=2)
+    norm = float(volumes.max()) or 1.0
+    usable_green = cycle - 4 * yellow
+    if usable_green <= 0:
+        raise ValueError("cycle leaves no usable green time")
+    ratios = volumes[:, None, :] / (np.array(ACTIONS) / 10 * usable_green)
+    rewards = -(((ratios[..., 0] + ratios[..., 1]) + ratios[..., 2]) + ratios[..., 3])
+    return volumes / norm, norm, rewards
 
 
 def train(
@@ -260,13 +232,13 @@ def train(
     if log_path is not None and len(minute_tmcs) != 1:
         raise ValueError("a training log needs a batch of one stream")
     hp = hp or Hyperparams()
-    envs = [VolumeStreamEnv(m, cycle, yellow) for m in minute_tmcs]
+    streams = [_stream_tables(m, cycle, yellow) for m in minute_tmcs]
     groups: dict[int, list[int]] = {}
-    for i, env in enumerate(envs):
-        groups.setdefault(len(env), []).append(i)
-    trained: list[QFunction] = [None] * len(envs)
+    for i, (states, _, _) in enumerate(streams):
+        groups.setdefault(len(states), []).append(i)
+    trained: list[QFunction] = [None] * len(streams)
     for members in groups.values():
-        qs = _train_lockstep([envs[i] for i in members], episodes, [seeds[i] for i in members], hp, log_path)
+        qs = _train_lockstep([streams[i] for i in members], episodes, [seeds[i] for i in members], hp, log_path)
         for i, q in zip(members, qs):
             trained[i] = q
     return trained
@@ -274,17 +246,15 @@ def train(
 
 def rl_plan(
     q: QFunction,
-    tmc: TmcTable,
+    counts: Sequence[int],
     cycle: int,
     yellow: int = DEFAULT_YELLOW,
 ) -> tuple[int, int, int, int]:
-    """Greens of the greedy allocation for the split phases WB, NB, EB, SB."""
-    vols = direction_volumes(tmc)
-    state = tuple(v / q.norm for v in vols)
+    """Greens of the greedy allocation for the split phases WB, NB, EB, SB, from one minute's 12 counts."""
+    state = [sum(counts[3 * z : 3 * z + 3]) / q.norm for z in range(4)]
     action = q.greedy_action(state)
     budget = cycle - 4 * yellow
-    shares = action_fractions(action)
-    return allocate_greens([s * budget for s in shares], budget)
+    return allocate_greens([s * budget for s in action_fractions(action)], budget)
 
 
 def build_rl_program(
@@ -294,7 +264,7 @@ def build_rl_program(
     yellow: int = DEFAULT_YELLOW,
 ) -> SignalProgram:
     """Per-minute split-phasing program from the greedy policy of a trained allocator."""
-    greens = [rl_plan(q, minute_tmcs[m], cycle, yellow) for m in range(len(minute_tmcs))]
+    greens = [rl_plan(q, counts, cycle, yellow) for counts in minute_tmcs.counts.tolist()]
     return SignalProgram(SPLIT_PHASE, greens, yellow, cycle)
 
 
@@ -384,19 +354,19 @@ class _Lockstep:
 
 
 def _train_lockstep(
-    envs: Sequence[VolumeStreamEnv],
+    streams: Sequence[tuple[np.ndarray, float, np.ndarray]],
     episodes: int,
     seeds: Sequence[int],
     hp: Hyperparams,
     log_path: str | Path | None,
 ) -> list[QFunction]:
-    """``train`` for streams of one length: one stacked step per minute for all of them."""
-    n, minutes = len(envs), len(envs[0])
+    """``train`` for streams of one length, each given by its ``_stream_tables``: one stacked step per minute."""
+    n, minutes = len(streams), len(streams[0][0])
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    qs = [QFunction(hp.hidden_width, seed=seed, norm=env.norm) for env, seed in zip(envs, seeds)]
+    qs = [QFunction(hp.hidden_width, seed=seed, norm=norm) for (_, norm, _), seed in zip(streams, seeds)]
     nets = _Lockstep(qs)
-    states = np.array([env.states for env in envs])  # (S, minutes, 4)
-    rewards = np.array([env.reward_table() for env in envs])  # (S, minutes, 84)
+    states = np.array([stream[0] for stream in streams])  # (S, minutes, 4)
+    rewards = np.array([stream[2] for stream in streams])  # (S, minutes, 84)
 
     # Replay ring: deque index i of a buffer holding `size` of `stored`
     # transitions is slot (stored - size + i) % capacity.

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import Movement, TmcTable, check_minutes, convert_rows, read_csv, write_csv
+from tmcsignal.model import Movement, check_minutes, convert_rows, read_csv, write_csv
 from tmcsignal.trafficgen import MinuteTmc
 
 DEFAULT_YELLOW = 3
@@ -81,9 +81,8 @@ class SignalProgram:
         return same and np.array_equal(self.greens, other.greens)
 
 
-def critical_counts(tmc: TmcTable) -> tuple[float, float, float, float]:
-    """Per-phase critical demand: paired through movements are averaged, lefts maxed."""
-    t = tmc
+def critical_counts(t: Sequence[int]) -> tuple[float, float, float, float]:
+    """Per-phase critical demand of one minute's 12 counts: paired through movements are averaged, lefts maxed."""
     return (
         max((t[Movement.WBT] + t[Movement.WBR]) / 2, (t[Movement.EBT] + t[Movement.EBR]) / 2),
         float(max(t[Movement.WBL], t[Movement.EBL])),
@@ -139,14 +138,14 @@ def static_plan(cycle: int, yellow: int = DEFAULT_YELLOW) -> tuple[int, int, int
     return tuple(base + 1 if i < extra else base for i in range(4))
 
 
-def dynamic_plan(tmc: TmcTable, cycle: int, yellow: int = DEFAULT_YELLOW) -> tuple[int, int, int, int]:
-    """Greens proportional to critical counts: share_i * cycle - yellow, integerized.
+def dynamic_plan(counts: Sequence[int], cycle: int, yellow: int = DEFAULT_YELLOW) -> tuple[int, int, int, int]:
+    """Greens proportional to the critical counts of one minute: share_i * cycle - yellow, integerized.
 
-    A zero table falls back to the static plan; after rounding, surplus or
+    Zero counts fall back to the static plan; after rounding, surplus or
     deficit seconds are redistributed by largest remainder so the cycle is
     conserved exactly.
     """
-    crit = critical_counts(tmc)
+    crit = critical_counts(counts)
     total = sum(crit)
     if total == 0:
         return static_plan(cycle, yellow)
@@ -184,10 +183,10 @@ def build_program(
     peaks = DEFAULT_PEAK_MINUTES if peak_minutes is None else frozenset(peak_minutes)
     fixed = static_plan(cycle, yellow)
     greens = [
-        dynamic_plan(minute_tmcs[minute], cycle, yellow)
+        dynamic_plan(counts, cycle, yellow)
         if policy == "dynamic" or (policy == "hybrid" and minute in peaks)
         else fixed
-        for minute in range(len(minute_tmcs))
+        for minute, counts in enumerate(minute_tmcs.counts.tolist())
     ]
     return SignalProgram(PROTECTED_LEFT, greens, yellow, cycle)
 

@@ -1,5 +1,9 @@
 """Bimodal daily demand: hourly totals, zone/turn splits, departures, per-minute TMC.
 
+The per-minute TMC of a demand is one int64 (minutes, 12) count matrix, a row
+per minute and a column per movement (WBL..SBR): aggregation fills it, the CSV
+file holds its rows, and the signal policies and the RL allocator read them.
+
 Departures are held as columns. A ``Departures`` keeps three arrays, in
 departure order: the departure seconds (int64), the movements (int8) and the
 ids. Generated demand keeps its ids as serial numbers and spells them
@@ -148,21 +152,43 @@ class Departures:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinuteTmc:
-    """Per-minute TMC tables covering the generated horizon."""
+    """Per-minute TMC: ``counts`` is a read-only int64 (minutes, 12) array, row m counting minute m.
 
-    tables: tuple[TmcTable, ...]
+    ``ValueError`` unless the counts form a 2-D array of 12 columns of integers
+    within int64, none negative; no minutes is shape (0, 12). ``minute_tmc[m]``
+    is minute m as a ``TmcTable``.
+    """
+
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        counts = np.array(self.counts)
+        if counts.ndim != 2 or counts.shape[1] != 12:
+            raise ValueError(f"counts must be a (minutes, 12) array, got shape {counts.shape}")
+        if counts.dtype.kind not in "iu" or not np.can_cast(counts.dtype, np.int64):
+            raise ValueError("counts must be integers within int64")
+        if np.any(counts < 0):
+            raise ValueError("movement counts must be non-negative")
+        counts = counts.astype(np.int64, copy=False)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return len(self.counts)
 
     def __getitem__(self, minute: int) -> TmcTable:
-        return self.tables[minute]
+        return TmcTable(tuple(self.counts[minute].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MinuteTmc):
+            return NotImplemented
+        return np.array_equal(self.counts, other.counts)
 
     @property
     def total(self) -> int:
-        return sum(t.total for t in self.tables)
+        return int(self.counts.sum())
 
 
 # --- named weight patterns ------------------------------------------------------------
@@ -180,11 +206,6 @@ PATTERNS: dict[str, ZonePattern] = {
 }
 
 UNIVERSAL_WEIGHTS = (0.5, 0.5, 0.5, 0.5)
-
-
-def pattern_library() -> dict[str, ZonePattern]:
-    """The seven named zone-weight patterns PA..PG."""
-    return dict(PATTERNS)
 
 
 def hourly_counts(profile: BimodalProfile, seed) -> list[int]:
@@ -268,14 +289,13 @@ def departure_order(departs: np.ndarray, serials: np.ndarray) -> np.ndarray:
 
 
 def aggregate_per_minute(plans: Departures, minutes: int | None = None) -> MinuteTmc:
-    """Bucket departures into per-minute TMC tables (minute m covers [60m, 60m+60))."""
+    """Count departures per minute and movement (minute m covers [60m, 60m+60))."""
     plans.check_sorted()
     if minutes is None:
         minutes = int(plans.departs[-1]) // 60 + 1 if len(plans) else 0
     inside = plans.departs < 60 * minutes
     cells = plans.departs[inside] // 60 * 12 + plans.movements[inside]
-    counts = np.bincount(cells, minlength=12 * minutes).reshape(minutes, 12)
-    return MinuteTmc(tuple(TmcTable(tuple(row)) for row in counts.tolist()))
+    return MinuteTmc(np.bincount(cells, minlength=12 * minutes).reshape(minutes, 12))
 
 
 # --- demand spec + pipeline -----------------------------------------------------------
@@ -384,25 +404,34 @@ def read_demand_spec(path: str | Path) -> DemandSpec:
 # --- CSV interchange ------------------------------------------------------------------
 
 MINUTE_TMC_FIELDS = ("minute", *[m.name for m in MOVEMENTS])
+MAX_COUNT = 2**32
 DEPARTURE_FIELDS = ("id", "depart", "movement")
 MAX_DEPART = np.iinfo(np.int64).max
 
 
 def write_minute_tmc(minute_tmc: MinuteTmc, path: str | Path) -> None:
-    """Export per-minute TMC as CSV with columns minute,WBL,...,SBR."""
-    rows = ([minute, *table.counts] for minute, table in enumerate(minute_tmc.tables))
+    """Export per-minute TMC as CSV with columns minute,WBL,...,SBR, one row per minute."""
+    rows = ([minute, *counts] for minute, counts in enumerate(minute_tmc.counts.tolist()))
     write_csv(path, MINUTE_TMC_FIELDS, rows)
+
+
+def _count_row(row: Sequence[str]) -> list[int]:
+    counts = [int(field) for field in row[1:]]
+    if bad := [count for count in counts if not 0 <= count < MAX_COUNT]:
+        raise ValueError(f"count must lie in [0, 2**32), got {bad[0]}")
+    return counts
 
 
 def read_minute_tmc(path: str | Path) -> MinuteTmc:
     """Read a per-minute TMC CSV with header ``minute,WBL,WBT,...,SBR``.
 
     ``ValueError`` for another header or field count, minutes that do not count
-    0, 1, 2, ... in order, or a count that is not an integer >= 0.
+    0, 1, 2, ... in order, or a count that is not an integer in [0, 2**32), a
+    bound that keeps int64 sums over any stream under 2**27 minutes exact.
     """
     _, rows = read_csv(path, MINUTE_TMC_FIELDS)
     check_minutes(path, rows)
-    return MinuteTmc(tuple(convert_rows(path, rows, lambda row: TmcTable(tuple(map(int, row[1:]))))))
+    return MinuteTmc(np.array(convert_rows(path, rows, _count_row), dtype=np.int64).reshape(-1, 12))
 
 
 def write_departures(plans: Departures, path: str | Path) -> None:

@@ -23,7 +23,7 @@ from tmcsignal.model import (
     read_tmc_tables,
     zone_capacity_rates,
 )
-from tmcsignal.rl import ACTIONS, direction_volumes, train
+from tmcsignal.rl import ACTIONS, train
 from tmcsignal.sim import SimConfig, evaluate, run
 from tmcsignal.signals import (
     PROTECTED_LEFT,
@@ -42,7 +42,6 @@ from tmcsignal.trafficgen import (
     DemandSpec,
     MinuteTmc,
     generate_demand,
-    pattern_library,
 )
 from tmcsignal.trajectory import Trajectory, classify, lcss, synthetic_typical_paths
 
@@ -78,7 +77,7 @@ def test_criterion_1_capacity_rate_reproduction():
 
 
 def test_criterion_2_pattern_algebra():
-    lib = pattern_library()
+    lib = PATTERNS
     ok = all(sum(p.weights) == 1.0 for p in lib.values())
     for base, comp in (("PC", "PD"), ("PB", "PF"), ("PE", "PG")):
         summed = tuple(a + b for a, b in zip(lib[base].weights, lib[comp].weights))
@@ -115,12 +114,7 @@ def test_criterion_3_dynamic_allocation_oracle():
 
 def test_criterion_4_hybrid_bit_equality(tmp_path):
     rng = np.random.default_rng(7)
-    tables = MinuteTmc(
-        tuple(
-            TmcTable(tuple(int(c) for c in rng.integers(0, 40, size=12)))
-            for _ in range(240)
-        )
-    )
+    tables = MinuteTmc([rng.integers(0, 40, size=12) for _ in range(240)])
     static = build_program(tables, "static", 90)
     dynamic = build_program(tables, "dynamic", 90)
     empty_peaks = build_program(tables, "hybrid", 90, peak_minutes=())
@@ -287,15 +281,17 @@ def test_criterion_7_policy_ordering_and_grid(tmp_path):
     )
 
 
-def test_criterion_8_rl_sanity(tmp_path):
+def test_criterion_8_rl_sanity(tmp_path, dominant_wb_allocators):
     ok = all(sum(a) == 10 and min(a) >= 1 for a in ACTIONS)
     ok &= all(math.fsum(t / 10 for t in a) == 1.0 for a in ACTIONS)
 
-    dominant = TmcTable((20, 60, 20, 2, 6, 2, 2, 6, 2, 2, 6, 2))
-    stream = MinuteTmc((dominant,) * 60)
-    state = tuple(v / max(direction_volumes(dominant)) for v in direction_volumes(dominant))
+    dominant = (20, 60, 20, 2, 6, 2, 2, 6, 2, 2, 6, 2)
+    stream = MinuteTmc([dominant] * 60)
+    volumes = [sum(dominant[3 * z : 3 * z + 3]) for z in range(4)]
+    state = tuple(v / max(volumes) for v in volumes)
     hits = 0
-    for q in train([stream] * 10, episodes=100, seeds=range(10)):
+    # dominant_wb_allocators is train([stream] * 10, episodes=100, seeds=range(10)), trained once per session.
+    for q in dominant_wb_allocators:
         action = q.greedy_action(state)
         hits += action[0] == max(action)
     ok &= hits >= 8
@@ -319,12 +315,7 @@ def test_criterion_9_interchange_roundtrip():
     ok = parse_routes(routes_xml(plans)) == plans
 
     for cycle in (60, 90, 120, 150):
-        tables = MinuteTmc(
-            tuple(
-                TmcTable(tuple(int(c) for c in rng.integers(0, 300, size=12)))
-                for _ in range(30)
-            )
-        )
+        tables = MinuteTmc([rng.integers(0, 300, size=12) for _ in range(30)])
         for policy in ("static", "dynamic", "hybrid"):
             program = build_program(tables, policy, cycle)
             docs, schedule = emit_tls(program)

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from tmcsignal.cli import main
+from tmcsignal.rl import QFunction
 from tmcsignal.signals import SPLIT_PHASE, read_program
 from tmcsignal.sumo_io import read_routes
-from tmcsignal.trafficgen import read_departures, read_minute_tmc, write_minute_tmc
+from tmcsignal.trafficgen import MinuteTmc, read_departures, read_minute_tmc, write_minute_tmc
 from tmcsignal.trajectory import (
     Trajectory,
     synthetic_typical_paths,
@@ -187,11 +188,8 @@ def test_gen_and_export_bytes_are_pinned(tmp_path):
 
 
 def test_rl_train_and_plan(tmp_path):
-    from tmcsignal.model import TmcTable
-    from tmcsignal.trafficgen import MinuteTmc
-
     tmc_file = tmp_path / "tmc.csv"
-    write_minute_tmc(MinuteTmc((TmcTable((5, 20, 5) + (2,) * 9),) * 10), tmc_file)
+    write_minute_tmc(MinuteTmc([(5, 20, 5) + (2,) * 9] * 10), tmc_file)
     weights = tmp_path / "weights.txt"
     log = tmp_path / "log.csv"
     assert run_cli(
@@ -247,11 +245,8 @@ class TestValidationFailures:
         assert code == 1
 
     def test_rl_plan_without_weights(self, tmp_path):
-        from tmcsignal.model import TmcTable
-        from tmcsignal.trafficgen import MinuteTmc
-
         tmc_file = tmp_path / "tmc.csv"
-        write_minute_tmc(MinuteTmc((TmcTable.zero(),)), tmc_file)
+        write_minute_tmc(MinuteTmc([(0,) * 12]), tmc_file)
         assert run_cli("plan", "--tmc", tmc_file, "--policy", "rl", "--out", tmp_path / "p.csv") == 1
 
     def test_missing_file(self, tmp_path):
@@ -266,11 +261,8 @@ class TestValidationFailures:
         assert run_cli("gen", "--demand-spec", bad, "--out-dir", tmp_path / "g") == 1
 
     def test_incomplete_peak_window(self, tmp_path):
-        from tmcsignal.model import TmcTable
-        from tmcsignal.trafficgen import MinuteTmc
-
         tmc_file = tmp_path / "tmc.csv"
-        write_minute_tmc(MinuteTmc((TmcTable.zero(),)), tmc_file)
+        write_minute_tmc(MinuteTmc([(0,) * 12]), tmc_file)
         code = run_cli(
             "plan", "--tmc", tmc_file, "--policy", "hybrid", "--peak-start", 10,
             "--out", tmp_path / "p.csv",
@@ -310,12 +302,8 @@ class TestMalformedInputs:
         self.assert_one_error_line(capsys, code, "cell geometry=INT1 pattern=PA policy=static cycle=20")
 
     def test_truncated_rl_snapshot(self, tmp_path, capsys):
-        from tmcsignal.model import TmcTable
-        from tmcsignal.rl import QFunction
-        from tmcsignal.trafficgen import MinuteTmc
-
         tmc_file = tmp_path / "tmc.csv"
-        write_minute_tmc(MinuteTmc((TmcTable.zero(),)), tmc_file)
+        write_minute_tmc(MinuteTmc([(0,) * 12]), tmc_file)
         weights = tmp_path / "weights.txt"
         QFunction(hidden_width=4).save(weights)
         weights.write_text("".join(weights.read_text().splitlines(keepends=True)[:3]))
@@ -323,6 +311,67 @@ class TestMalformedInputs:
             "plan", "--tmc", tmc_file, "--policy", "rl", "--weights", weights, "--out", tmp_path / "p.csv"
         )
         self.assert_one_error_line(capsys, code, "'norm'")
+
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            pytest.param(4, "norm nan", id="norm-nan"),
+            pytest.param(4, "norm inf", id="norm-inf"),
+            pytest.param(4, "norm 1e400", id="norm-1e400"),
+            pytest.param(4, "norm 0.0", id="norm-zero"),
+            pytest.param(4, "norm x", id="norm-x"),
+            pytest.param(1, "layers 4 four 4 84", id="layers-x"),
+            pytest.param(2, "seed x", id="seed-x"),
+            pytest.param(3, "episodes x", id="episodes-x"),
+            pytest.param(5, "nan", id="first-weight-nan"),
+            pytest.param(9, "inf", id="weight-inf"),
+            pytest.param(9, "-inf", id="weight-minus-inf"),
+            pytest.param(9, "1e400", id="weight-1e400"),
+            pytest.param(9, "x", id="weight-x"),
+            pytest.param(9, "", id="weight-empty"),
+        ],
+    )
+    def test_bad_snapshot_value_names_the_file_and_the_line(self, tmp_path, capsys, line, text):
+        tmc_file, weights = tmp_path / "tmc.csv", tmp_path / "weights.txt"
+        write_minute_tmc(MinuteTmc([(0,) * 12]), tmc_file)
+        QFunction(hidden_width=4).save(weights)
+        lines = weights.read_text().splitlines(keepends=True)
+        lines[line - 1] = text + "\n"
+        weights.write_text("".join(lines))
+        code = run_cli(
+            "plan", "--tmc", tmc_file, "--policy", "rl", "--weights", weights, "--out", tmp_path / "p.csv"
+        )
+        self.assert_one_error_line(capsys, code, f"weights.txt, line {line}: ")
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            pytest.param("layers 4 4 5 84\n", "unexpected layer sizes", id="unequal-hidden-widths"),
+            pytest.param("layers 4 0 0 84\n", "unexpected layer sizes", id="no-hidden-units"),
+            pytest.param("layers 4 5 5 84\n", "expected 559 weights, found 460", id="weights-for-other-sizes"),
+        ],
+    )
+    def test_snapshot_of_other_layer_sizes_names_the_file(self, tmp_path, capsys, text, fragment):
+        tmc_file, weights = tmp_path / "tmc.csv", tmp_path / "weights.txt"
+        write_minute_tmc(MinuteTmc([(0,) * 12]), tmc_file)
+        QFunction(hidden_width=4).save(weights)
+        weights.write_text(text + "".join(weights.read_text().splitlines(keepends=True)[1:]))
+        code = run_cli(
+            "plan", "--tmc", tmc_file, "--policy", "rl", "--weights", weights, "--out", tmp_path / "p.csv"
+        )
+        self.assert_one_error_line(capsys, code, "weights.txt: ", fragment)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(("plan", "--policy", "dynamic"), id="plan-dynamic"),
+            pytest.param(("rl-train", "--episodes", "1"), id="rl-train"),
+        ],
+    )
+    def test_count_of_401_digits_names_the_file_and_the_line(self, tmp_path, capsys, monkeypatch, command):
+        self.write_inputs(tmp_path, monkeypatch, "tmc.csv", "0," + "1," * 11 + "9" * 401 + "\n")
+        code = run_cli(command[0], "--tmc", "tmc.csv", *command[1:], "--out", "out.csv")
+        self.assert_one_error_line(capsys, code, "tmc.csv, line 2: count must lie in [0, 2**32)")
 
     VALID_INPUTS = {
         "tmc.csv": "minute,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\n0,1,1,1,1,1,1,1,1,1,1,1,1\n",

@@ -21,19 +21,73 @@ from tmcsignal.rl import (
     EpsilonSchedule,
     Hyperparams,
     QFunction,
-    VolumeStreamEnv,
+    _stream_tables,
     action_fractions,
     build_rl_program,
-    delay,
-    direction_volumes,
     rl_plan,
     train,
 )
 from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE
 from tmcsignal.trafficgen import MinuteTmc
 
-DOMINANT_WB = TmcTable((20, 60, 20, 2, 6, 2, 2, 6, 2, 2, 6, 2))
-SYMMETRIC = TmcTable((10, 30, 10) * 4)
+DOMINANT_WB = (20, 60, 20, 2, 6, 2, 2, 6, 2, 2, 6, 2)
+SYMMETRIC = (10, 30, 10) * 4
+
+
+def direction_volumes(tmc: TmcTable) -> tuple[int, int, int, int]:
+    """Aggregate the 12 movements into per-approach volumes (WB, NB, EB, SB)."""
+    c = tmc.counts
+    return tuple(c[3 * z] + c[3 * z + 1] + c[3 * z + 2] for z in range(4))
+
+
+def delay(volumes: Sequence[float], greens: Sequence[float]) -> float:
+    """Total delay figure: sum over directions of volume / allocated green seconds."""
+    if len(volumes) != 4 or len(greens) != 4:
+        raise ValueError("expected 4 volumes and 4 greens")
+    if min(greens) <= 0:
+        raise ValueError("greens must be positive")
+    if min(volumes) < 0:
+        raise ValueError("volumes must be non-negative")
+    return float(sum(v / g for v, g in zip(volumes, greens)))
+
+
+class VolumeStreamEnv:
+    """Episode over a per-minute TMC stream; reward is the negative delay.
+
+    The slow reference for the trainer's stream tables: Python ints and floats,
+    one minute and one action at a time.
+    """
+
+    def __init__(self, minute_tmcs: MinuteTmc, cycle: int = 90, yellow: int = DEFAULT_YELLOW):
+        self.volumes = [direction_volumes(minute_tmcs[m]) for m in range(len(minute_tmcs))]
+        peak = max(max(v) for v in self.volumes)
+        self.norm = float(peak) if peak > 0 else 1.0
+        self.states = [tuple(v / self.norm for v in vols) for vols in self.volumes]
+        self.usable_green = cycle - 4 * yellow
+        self._t = 0
+
+    def __len__(self) -> int:
+        return len(self.volumes)
+
+    def reset(self) -> tuple[float, float, float, float]:
+        self._t = 0
+        return self.states[0]
+
+    def step(self, action: tuple[int, int, int, int]):
+        """Apply an allocation to the current minute.
+
+        Returns (reward, next_state, done); the final minute of the stream is
+        terminal and its next_state is None.
+        """
+        if self._t >= len(self.volumes):
+            raise RuntimeError("episode is over; call reset()")
+        shares = action_fractions(action)
+        greens = [s * self.usable_green for s in shares]
+        reward = -delay(self.volumes[self._t], greens)
+        self._t += 1
+        done = self._t == len(self.volumes)
+        next_state = None if done else self.states[self._t]
+        return reward, next_state, done
 
 
 def best_action_by_exhaustion(volumes: Sequence[float], usable_green: float) -> tuple[int, ...]:
@@ -47,8 +101,8 @@ def best_action_by_exhaustion(volumes: Sequence[float], usable_green: float) -> 
     return best
 
 
-def constant_stream(table: TmcTable, minutes: int = 60) -> MinuteTmc:
-    return MinuteTmc((table,) * minutes)
+def constant_stream(counts: Sequence[int], minutes: int = 60) -> MinuteTmc:
+    return MinuteTmc([counts] * minutes)
 
 
 # The one-stream training loop that `train` replaced, kept unchanged as the
@@ -236,11 +290,37 @@ class TestEnv:
     def test_worked_reward(self):
         table = TmcTable((40, 40, 20, 20, 20, 10, 10, 10, 5, 10, 10, 5))
         assert direction_volumes(table) == (100, 50, 25, 25)
-        env = VolumeStreamEnv(constant_stream(table, 2), cycle=90, yellow=3)
+        env = VolumeStreamEnv(constant_stream(table.counts, 2), cycle=90, yellow=3)
         env.reset()
         action = (4, 3, 2, 1)
         reward, _, _ = env.step(action)
         assert reward == pytest.approx(-10.1496, abs=1e-3)
+        _, _, rewards = _stream_tables(constant_stream(table.counts, 2), 90, 3)
+        assert rewards[0, ACTIONS.index(action)] == reward
+
+
+@given(
+    st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 12), min_size=1, max_size=6),
+    st.sampled_from([(90, 3), (60, 4), (150, 0), (21, 5)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_stream_tables_equal_the_env_bit_for_bit(rows, timing):
+    cycle, yellow = timing
+    stream = MinuteTmc(rows)
+    states, norm, rewards = _stream_tables(stream, cycle, yellow)
+    env = VolumeStreamEnv(stream, cycle, yellow)
+    assert norm == env.norm
+    assert states.tolist() == [list(state) for state in env.states]
+    for a, action in enumerate(ACTIONS):
+        env.reset()
+        assert [env.step(action)[0] for _ in range(len(env))] == rewards[:, a].tolist()
+
+
+def test_training_needs_a_minute_and_some_green():
+    with pytest.raises(ValueError, match="at least one minute"):
+        train([MinuteTmc(np.zeros((0, 12), dtype=np.int64))], episodes=1, seeds=[0])
+    with pytest.raises(ValueError, match="no usable green"):
+        train([constant_stream(DOMINANT_WB, 2)], episodes=1, seeds=[0], cycle=12, yellow=3)
 
 
 class TestTraining:
@@ -252,19 +332,19 @@ class TestTraining:
             assert np.array_equal(w1, w2)
 
     def test_zero_demand_trains_without_error(self):
-        stream = constant_stream(TmcTable.zero(), 10)
+        stream = constant_stream((0,) * 12, 10)
         [q] = train([stream], episodes=3, seeds=[0])
         assert q.norm == 1.0
 
     def test_exhaustive_optimum_favors_dominant_direction(self):
-        for action in (best_action_by_exhaustion(direction_volumes(DOMINANT_WB), 78),):
+        for action in (best_action_by_exhaustion(direction_volumes(TmcTable(DOMINANT_WB)), 78),):
             assert action[0] == max(action)
 
-    def test_converges_to_dominant_direction(self):
-        stream = constant_stream(DOMINANT_WB, 60)
-        state = tuple(v / 100 for v in direction_volumes(DOMINANT_WB))
+    def test_converges_to_dominant_direction(self, dominant_wb_allocators):
+        state = tuple(v / 100 for v in direction_volumes(TmcTable(DOMINANT_WB)))
         hits = 0
-        for q in train([stream] * 10, episodes=100, seeds=range(10)):
+        # dominant_wb_allocators is train([constant_stream(DOMINANT_WB, 60)] * 10, episodes=100, seeds=range(10)).
+        for q in dominant_wb_allocators:
             action = q.greedy_action(state)
             hits += action[0] == max(action)
         assert hits >= 8
@@ -312,15 +392,16 @@ class TestRlPlan:
         # within one quantization step: shares differ by at most 0.1 of usable green
         assert max(greens) - min(greens) <= 0.1 * 78 + 1
 
-    def test_dominant_demand_gets_max_share(self):
-        stream = constant_stream(DOMINANT_WB, 60)
-        [q] = train([stream], episodes=100, seeds=[4])
+    def test_dominant_demand_gets_max_share(self, dominant_wb_allocators):
+        # Seed 4's allocator of the shared batch has the bits of
+        # train([constant_stream(DOMINANT_WB, 60)], episodes=100, seeds=[4]).
+        q = dominant_wb_allocators[4]
         greens = rl_plan(q, DOMINANT_WB, cycle=90)
         assert greens[0] == max(greens)
 
     def test_zero_demand_plan_still_conserves_cycle(self):
         q = QFunction(seed=0)
-        assert sum(rl_plan(q, TmcTable.zero(), cycle=120)) + 4 * 3 == 120
+        assert sum(rl_plan(q, (0,) * 12, cycle=120)) + 4 * 3 == 120
 
     def test_split_phasing_structure(self):
         q = QFunction(seed=0)
@@ -370,11 +451,11 @@ def test_snapshot_header_lines_in_any_order_but_all_present(tmp_path):
 def training_batches(draw):
     """Streams of unequal length (some all zero), a replay ring that wraps, seeds and episodes."""
     tables = st.one_of(
-        st.just(TmcTable.zero()),
-        st.builds(TmcTable, st.tuples(*[st.integers(0, 60)] * 12)),
+        st.just((0,) * 12),
+        st.tuples(*[st.integers(0, 60)] * 12),
     )
     streams = [
-        MinuteTmc(tuple(draw(st.lists(tables, min_size=minutes, max_size=minutes))))
+        MinuteTmc(draw(st.lists(tables, min_size=minutes, max_size=minutes)))
         for minutes in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
     ]
     episodes = draw(st.integers(1, 4))

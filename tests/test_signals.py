@@ -109,6 +109,12 @@ class TestDynamicPlan:
     def test_cycle_conservation(self, tmc, cycle):
         assert sum(dynamic_plan(tmc, cycle, 3)) + 4 * 3 == cycle
 
+    @given(tmc_tables, cycles)
+    def test_a_matrix_row_plans_as_its_table(self, tmc, cycle):
+        row = MinuteTmc([tmc.counts]).counts.tolist()[0]
+        assert dynamic_plan(row, cycle, 3) == dynamic_plan(tmc, cycle, 3)
+        assert critical_counts(row) == critical_counts(tmc)
+
     @given(tmc_tables, st.sampled_from([60, 90]))
     @settings(max_examples=40, deadline=None)
     def test_achieves_brute_force_optimum_when_no_clamp(self, tmc, cycle):
@@ -164,11 +170,11 @@ class TestAllocateGreens:
 
 @pytest.fixture(scope="module")
 def minute_tmcs():
-    tables = []
+    rows = []
     for minute in range(240):
         base = 5 + (minute % 7)
-        tables.append(TmcTable(tuple((base + i) % 11 for i in range(12))))
-    return MinuteTmc(tuple(tables))
+        rows.append([(base + i) % 11 for i in range(12)])
+    return MinuteTmc(rows)
 
 
 class TestBuildProgram:
@@ -262,7 +268,7 @@ class TestProgramStructure:
 
 
 def test_program_csv_roundtrip(tmp_path):
-    tables = MinuteTmc(tuple(TmcTable(tuple(range(i, i + 12))) for i in range(10)))
+    tables = MinuteTmc([range(i, i + 12) for i in range(10)])
     program = build_program(tables, "dynamic", 90)
     path = tmp_path / "program.csv"
     write_program(program, path)
@@ -270,7 +276,7 @@ def test_program_csv_roundtrip(tmp_path):
 
 
 def test_split_phase_program_csv_roundtrip(tmp_path):
-    tables = MinuteTmc(tuple(TmcTable(tuple(range(i, i + 12))) for i in range(10)))
+    tables = MinuteTmc([range(i, i + 12) for i in range(10)])
     program = build_program(tables, "rl", 90, q=rl.QFunction(seed=0))
     path = tmp_path / "program.csv"
     write_program(program, path)

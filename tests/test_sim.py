@@ -350,6 +350,25 @@ def signal_programs(draw, minutes: int, cycles=st.sampled_from([60, 90]), vary_y
 
 
 @st.composite
+def departure_sets(draw, horizon: int) -> Departures:
+    """Sparse or dense departures: up to 120 on any movements, or 100-400 on one to three over at most 600 s.
+
+    Dense demand queues several vehicles on a movement, so that columns or zone
+    triples mixed up between cells show in their waits and zone maxima. Its
+    seconds and movements come from a drawn numpy seed, so a failure shrinks
+    over a few numbers rather than hundreds of departures.
+    """
+    if draw(st.booleans()):
+        return sorted_plans(
+            draw(st.lists(st.tuples(st.integers(0, horizon + 120), st.sampled_from(list(Movement))), max_size=120))
+        )
+    pool = draw(st.lists(st.sampled_from(list(Movement)), min_size=1, max_size=3, unique=True))
+    span, size = draw(st.integers(1, 600)), draw(st.integers(100, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return sorted_plans(list(zip(rng.integers(0, span, size=size).tolist(), rng.choice(pool, size=size))))
+
+
+@st.composite
 def batches(draw):
     """A batch of cells: pooled geometries, shared demands (one empty) and programs of both layouts.
 
@@ -365,12 +384,7 @@ def batches(draw):
         saturation_headway=draw(st.sampled_from([2.0, 1.7, 2.5])),
         permissive_left_factor=draw(st.sampled_from([0.5, 0.0, 1.0, 0.37])),
     )
-    demands = [departures([])] + [
-        sorted_plans(
-            draw(st.lists(st.tuples(st.integers(0, horizon + 120), st.sampled_from(list(Movement))), max_size=120))
-        )
-        for _ in range(draw(st.integers(1, 3)))
-    ]
+    demands = [departures([])] + [draw(departure_sets(horizon)) for _ in range(draw(st.integers(1, 3)))]
     lanes = st.tuples(*[st.integers(1, 6)] * 4)
     pool = [IntersectionGeometry("X", draw(lanes), draw(lanes)) for _ in range(draw(st.integers(2, 3)))]
     geometries, cell_demands, programs = [], [], []

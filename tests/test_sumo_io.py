@@ -216,8 +216,8 @@ class TestTls:
         ]
 
     def test_distinct_minute_plans_get_distinct_programs(self):
-        tables = [TmcTable(tuple((1 + m * i) % 23 for m in range(12))) for i in range(30)]
-        program = build_program(MinuteTmc(tuple(tables)), "dynamic", 90)
+        rows = [[(1 + m * i) % 23 for m in range(12)] for i in range(30)]
+        program = build_program(MinuteTmc(rows), "dynamic", 90)
         docs, schedule = emit_tls(program)
         assert len(docs) == len({tuple(g) for g in program.greens.tolist()})
         assert len(schedule) == 30

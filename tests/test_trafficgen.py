@@ -23,7 +23,6 @@ from tmcsignal.trafficgen import (
     generate_demand,
     hourly_counts,
     parse_demand_spec,
-    pattern_library,
     read_departures,
     read_minute_tmc,
     schedule_departures,
@@ -65,7 +64,7 @@ def aggregate_per_minute_oracle(plans, minutes=None) -> MinuteTmc:
     for p in plans:
         if p.depart // 60 < minutes:
             buckets[p.depart // 60][p.movement] += 1
-    return MinuteTmc(tuple(TmcTable(tuple(b)) for b in buckets))
+    return MinuteTmc(np.array(buckets, dtype=np.int64).reshape(-1, 12))
 
 
 def generate_demand_oracle(spec: DemandSpec) -> tuple[list[Row], MinuteTmc]:
@@ -120,17 +119,17 @@ class TestHourlyCounts:
 
 class TestPatternLibrary:
     def test_complement_definitions(self):
-        lib = pattern_library()
+        lib = PATTERNS
         assert lib["PD"].weights == (0.1, 0.4, 0.1, 0.4)
         assert lib["PF"].weights == (0.1, 0.1, 0.4, 0.4)
         assert lib["PG"].weights == (0.4, 0.1, 0.1, 0.4)
 
     def test_every_pattern_sums_to_one(self):
-        for pattern in pattern_library().values():
+        for pattern in PATTERNS.values():
             assert sum(pattern.weights) == 1.0
 
     def test_complement_algebra_bit_exact(self):
-        lib = pattern_library()
+        lib = PATTERNS
         for base, comp in (("PC", "PD"), ("PB", "PF"), ("PE", "PG")):
             total = tuple(a + b for a, b in zip(lib[base].weights, lib[comp].weights))
             assert total == UNIVERSAL_WEIGHTS
@@ -292,7 +291,7 @@ class TestAggregatePerMinute:
     def test_empty_plans_fixed_minutes(self):
         minute_tmc = aggregate_per_minute(departures([]), minutes=5)
         assert len(minute_tmc) == 5
-        assert all(t == TmcTable.zero() for t in minute_tmc.tables)
+        assert minute_tmc.counts.tolist() == [[0] * 12] * 5
 
     def test_rejects_unsorted(self):
         plans = departures([("a", 100, Movement.WBL), ("b", 10, Movement.WBL)])
@@ -383,7 +382,7 @@ def test_departures_roundtrip(tmp_path):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(*[st.integers(0, 10**6)] * 12), max_size=5))
 def test_minute_tmc_roundtrip_property(tmp_path_factory, counts):
-    minute_tmc = MinuteTmc(tuple(TmcTable(c) for c in counts))
+    minute_tmc = MinuteTmc(np.array(counts, dtype=np.int64).reshape(-1, 12))
     out = tmp_path_factory.mktemp("m") / "m.csv"
     write_minute_tmc(minute_tmc, out)
     assert read_minute_tmc(out) == minute_tmc
@@ -417,6 +416,8 @@ ONES = ",".join(["1"] * 12)
         pytest.param(f"{MINUTE_HEADER}\n0,{ONES}\n0,{ONES}\n", id="repeated-minute"),
         pytest.param(f"{MINUTE_HEADER}\n1,{ONES}\n0,{ONES}\n", id="minutes-out-of-order"),
         pytest.param(f"{MINUTE_HEADER}\n0,{ONES}\n2,{ONES}\n", id="missing-minute"),
+        pytest.param(f"{MINUTE_HEADER}\n0,{ONES}\n1,{ONES[:-1]}{2**32}\n", id="count-past-bound"),
+        pytest.param(f"{MINUTE_HEADER}\n0,-1{ONES[1:]}\n", id="negative-count"),
     ],
 )
 def test_minute_tmc_file_rejects_malformed_rows(tmp_path, text):
@@ -424,6 +425,65 @@ def test_minute_tmc_file_rejects_malformed_rows(tmp_path, text):
     bad.write_text(text)
     with pytest.raises(ValueError):
         read_minute_tmc(bad)
+
+
+def test_minute_tmc_file_names_the_line_of_a_count_outside_the_bound(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(f"{MINUTE_HEADER}\n0,{ONES}\n1,{ONES[:-1]}{2**32 - 1}\n")
+    assert read_minute_tmc(path)[1].counts == (1,) * 11 + (2**32 - 1,)
+    for count in (2**32, -1, "9" * 401):
+        path.write_text(f"{MINUTE_HEADER}\n0,{ONES}\n1,{ONES[:-1]}{count}\n")
+        with pytest.raises(ValueError, match=r"m\.csv, line 3: count must lie in \[0, 2\*\*32\)"):
+            read_minute_tmc(path)
+
+
+def test_header_only_minute_tmc_file_is_no_minutes(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(MINUTE_HEADER + "\n")
+    minute_tmc = read_minute_tmc(path)
+    assert minute_tmc.counts.shape == (0, 12) and len(minute_tmc) == 0 and minute_tmc.total == 0
+    write_minute_tmc(minute_tmc, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == MINUTE_HEADER + "\n"
+
+
+class TestMinuteTmc:
+    def test_counts_are_a_read_only_int64_copy(self):
+        source = np.array([[1] * 12, [2] * 12], dtype=np.int32)
+        minute_tmc = MinuteTmc(source)
+        source[0, 0] = 99
+        assert minute_tmc.counts.dtype == np.int64 and minute_tmc.counts.tolist() == [[1] * 12, [2] * 12]
+        with pytest.raises(ValueError):
+            minute_tmc.counts[0, 0] = 3
+
+    def test_minute_is_a_table_and_total_sums_every_count(self):
+        minute_tmc = MinuteTmc([range(12), range(12, 24)])
+        assert minute_tmc[1] == TmcTable(tuple(range(12, 24)))
+        assert minute_tmc[-1] == minute_tmc[1]
+        assert len(minute_tmc) == 2 and minute_tmc.total == sum(range(24))
+
+    def test_equality_compares_the_counts(self):
+        assert MinuteTmc([[1] * 12]) == MinuteTmc(np.ones((1, 12), dtype=np.uint8))
+        assert MinuteTmc([[1] * 12]) != MinuteTmc([[1] * 11 + [2]])
+        assert MinuteTmc([[1] * 12]) != MinuteTmc([[1] * 12] * 2)
+        assert MinuteTmc(np.zeros((0, 12), dtype=np.int64)) == MinuteTmc(np.zeros((0, 12), dtype=np.int8))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            pytest.param([], id="no-rows-and-no-columns"),
+            pytest.param([1] * 12, id="one-dimensional"),
+            pytest.param([[1] * 11], id="eleven-columns"),
+            pytest.param([[[1] * 12]], id="three-dimensional"),
+            pytest.param([[1.0] * 12], id="float-counts"),
+            pytest.param([[True] * 12], id="boolean-counts"),
+            pytest.param([[2**63] * 12], id="past-int64"),
+            pytest.param(np.full((1, 12), 2**63, dtype=np.uint64), id="uint64"),
+            pytest.param([[0] * 11 + [-1]], id="negative-count"),
+        ],
+    )
+    def test_rejects_anything_but_a_matrix_of_counts(self, counts):
+        with pytest.raises(ValueError):
+            MinuteTmc(counts)
 
 
 @pytest.mark.parametrize(
