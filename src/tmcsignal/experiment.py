@@ -52,6 +52,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown policy {p!r}")
         if not self.cycles:
             raise ValueError("need at least one cycle time")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
     Demand is drawn once per pattern (seeded from the grid seed and the
     pattern's index) and shared across intersections, policies, and cycles.
     The RL allocator is likewise trained once per pattern, all patterns in one
-    lockstep ``rl.train`` call: its delay objective scales uniformly with the
-    usable green, so the greedy allocation does not depend on the cycle time.
+    ``rl.train`` call: its delay objective scales uniformly with the usable
+    green, so the greedy allocation does not depend on the cycle time. That
+    call trains the patterns in lockstep, split over the usable CPUs with forked
+    children; each allocator has the bits it would have if trained alone, so
+    the report does not depend on the CPU count.
     A program depends only on (pattern, policy, cycle), so each is built once
     and serves every geometry; programs are built while the kernel reads them,
     so one program is held at a time.

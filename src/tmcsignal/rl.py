@@ -26,11 +26,19 @@ any other stream is recomputed on its own non-terminal rows. For the same
 reason ``rl_plan`` runs one forward per minute, never one (minutes, 4) product,
 since a last-bit change can flip an argmax near a tie. Streams of unequal
 length train in separate lockstep groups.
+
+Because no stream's bits depend on the streams trained beside it, ``train``
+also splits its streams into at most one job per usable CPU, each job a few
+lockstep calls on parts of the length groups. The calling process runs the
+first job; every other job runs in a child forked from it, which inherits the
+stream tables without copying and sends its allocators back through a pipe.
+Any split gives the same bits as one call for all streams.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -145,8 +153,9 @@ class QFunction:
 
         ``ValueError`` naming the file for a missing header line, unexpected
         layer sizes or a weight count that does not match them, and naming the
-        line too for a value that is not a number, a weight that is not finite
-        or a norm that is not finite and positive.
+        line too for a value that is not a number, a weight that is not finite,
+        a norm that is not finite and positive, or a negative seed or episode
+        count.
         """
         lines = Path(path).read_text().splitlines()
         header = {}
@@ -165,8 +174,9 @@ class QFunction:
         sizes = parse(*header["layers"], lambda text: tuple(int(s) for s in text.split()))
         if len(sizes) != 4 or sizes[0] != 4 or sizes[-1] != N_ACTIONS or not sizes[1] == sizes[2] >= 1:
             raise ValueError(f"{path}: unexpected layer sizes {sizes}")
-        q = cls(hidden_width=sizes[1], seed=parse(*header["seed"], int), norm=parse(*header["norm"], _positive_norm))
-        q.episodes_trained = parse(*header["episodes"], int)
+        seed, norm = parse(*header["seed"], _non_negative_int), parse(*header["norm"], _positive_norm)
+        q = cls(hidden_width=sizes[1], seed=seed, norm=norm)
+        q.episodes_trained = parse(*header["episodes"], _non_negative_int)
         flat = np.array([parse(lineno, text, _finite) for lineno, text in enumerate(lines[4:], start=5)])
         expected = sum(a * b for a, b in zip(sizes, sizes[1:])) + sum(sizes[1:])
         if flat.size != expected:
@@ -185,6 +195,12 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
@@ -224,11 +240,22 @@ def train(
     seeds, and each allocator is the one its stream and seed give alone. For a
     batch of one, ``log_path`` gets one ``episode,epsilon,mean_reward`` CSV row
     per episode.
+
+    With more than one stream and more than one usable CPU, the streams are
+    split into at most one job per CPU, balanced by stream count (7 streams on
+    2 CPUs train as 4 here and 3 in one forked child). That cannot move a bit,
+    since each stream trains as it would alone. Every argument, seeds included,
+    is checked before any child starts; an error in a child is raised here, and
+    no child outlives the call. With one job the training runs in this process
+    and forks nothing.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if len(seeds) != len(minute_tmcs):
         raise ValueError(f"{len(minute_tmcs)} streams but {len(seeds)} seeds")
+    for i, seed in enumerate(seeds):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"stream {i}: seed must be a non-negative integer, got {seed!r}")
     if log_path is not None and len(minute_tmcs) != 1:
         raise ValueError("a training log needs a batch of one stream")
     hp = hp or Hyperparams()
@@ -236,12 +263,91 @@ def train(
     groups: dict[int, list[int]] = {}
     for i, (states, _, _) in enumerate(streams):
         groups.setdefault(len(states), []).append(i)
-    trained: list[QFunction] = [None] * len(streams)
-    for members in groups.values():
+    jobs = _jobs(list(groups.values()), _usable_cpus())
+    if len(jobs) == 1:
+        trained = _train_job(jobs[0], streams, episodes, seeds, hp, log_path)
+    else:
+        trained = _train_forked(jobs, streams, episodes, seeds, hp)
+    return [trained[i] for i in range(len(streams))]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say, so nothing forks there."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _jobs(groups: list[list[int]], cpus: int) -> list[list[list[int]]]:
+    """Stream indices per job and per lockstep call: at most ``cpus`` jobs, balanced by stream count.
+
+    The largest piece of a length group is halved until there is a piece per
+    CPU or none holds two streams. With more pieces than CPUs, each piece,
+    largest first, joins the job with the fewest streams.
+    """
+    pieces = sorted(groups, key=len, reverse=True)
+    while len(pieces) < cpus and len(pieces[0]) > 1:
+        largest = pieces.pop(0)
+        half = (len(largest) + 1) // 2
+        pieces = sorted([*pieces, largest[:half], largest[half:]], key=len, reverse=True)
+    jobs: list[list[list[int]]] = [[] for _ in range(min(cpus, len(pieces)))]
+    for piece in pieces:
+        min(jobs, key=lambda job: sum(map(len, job))).append(piece)
+    return jobs
+
+
+def _train_job(job, streams, episodes, seeds, hp, log_path) -> dict[int, QFunction]:
+    """One job's lockstep calls, in this process; the allocators by stream index."""
+    trained = {}
+    for members in job:
         qs = _train_lockstep([streams[i] for i in members], episodes, [seeds[i] for i in members], hp, log_path)
-        for i, q in zip(members, qs):
-            trained[i] = q
+        trained.update(zip(members, qs))
     return trained
+
+
+def _train_forked(jobs, streams, episodes, seeds, hp) -> dict[int, QFunction]:
+    """Job 0 in this process and each other job in a forked child; every child is reaped before returning.
+
+    ``fork`` rather than ``spawn``: a forked child shares the stream tables
+    and the imported modules with this process, where a spawned one would
+    import numpy and this package again and be sent every table. The child
+    runs only numpy arithmetic and one pipe write, then exits.
+    """
+    import multiprocessing  # here, so that importing the package imports no multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for job in jobs[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_train_child, args=(sender, job, streams, episodes, seeds, hp))
+            child.start()
+            sender.close()  # the child holds the only write end, so its death ends the pipe
+            children.append((child, receiver))
+        trained = _train_job(jobs[0], streams, episodes, seeds, hp, None)
+        for child, receiver in children:
+            try:
+                ok, result = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"training child exited with code {child.exitcode} and sent no allocators") from None
+            if not ok:
+                raise result
+            trained.update(result)
+            child.join()
+        return trained
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.terminate()  # no-op for a child already joined
+            child.join()
+
+
+def _train_child(sender, job, streams, episodes, seeds, hp) -> None:
+    """A forked child's job: sends ``(True, allocators by stream)``, or ``(False, exception)`` if training raised."""
+    try:
+        result = (True, _train_job(job, streams, episodes, seeds, hp, None))
+    except Exception as exc:
+        result = (False, exc)
+    sender.send(result)
 
 
 def rl_plan(

@@ -322,7 +322,9 @@ class TestMalformedInputs:
             pytest.param(4, "norm x", id="norm-x"),
             pytest.param(1, "layers 4 four 4 84", id="layers-x"),
             pytest.param(2, "seed x", id="seed-x"),
+            pytest.param(2, "seed -1", id="seed-negative"),
             pytest.param(3, "episodes x", id="episodes-x"),
+            pytest.param(3, "episodes -4", id="episodes-negative"),
             pytest.param(5, "nan", id="first-weight-nan"),
             pytest.param(9, "inf", id="weight-inf"),
             pytest.param(9, "-inf", id="weight-minus-inf"),
@@ -372,6 +374,29 @@ class TestMalformedInputs:
         self.write_inputs(tmp_path, monkeypatch, "tmc.csv", "0," + "1," * 11 + "9" * 401 + "\n")
         code = run_cli(command[0], "--tmc", "tmc.csv", *command[1:], "--out", "out.csv")
         self.assert_one_error_line(capsys, code, "tmc.csv, line 2: count must lie in [0, 2**32)")
+
+    @pytest.mark.parametrize(
+        "command, fragment",
+        [
+            pytest.param(
+                ("rl-train", "--tmc", "tmc.csv", "--episodes", "1", "--seed", "-3", "--out", "w.txt"),
+                "stream 0: seed must be a non-negative integer, got -3",
+                id="rl-train",
+            ),
+            pytest.param(
+                ("simulate", "--geometry", "INT1", "--departures", "departures.csv", "--policy", "rl",
+                 "--seed", "-2", "--out-dir", "sim"),
+                "stream 0: seed must be a non-negative integer, got -2",
+                id="simulate-rl",
+            ),
+            pytest.param(("experiment", "--seed", "-1", "--out-dir", "exp"), "seed must be non-negative, got -1",
+                         id="experiment"),
+        ],
+    )
+    def test_negative_seed_is_named(self, tmp_path, capsys, monkeypatch, command, fragment):
+        self.write_inputs(tmp_path, monkeypatch, "tmc.csv", "0,1,1,1,1,1,1,1,1,1,1,1,1\n")
+        code = run_cli(*command)
+        self.assert_one_error_line(capsys, code, fragment)
 
     VALID_INPUTS = {
         "tmc.csv": "minute,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\n0,1,1,1,1,1,1,1,1,1,1,1,1\n",

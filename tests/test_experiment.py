@@ -76,6 +76,8 @@ class TestSpecParsing:
             parse_experiment_spec("frobnicate = 1")
         with pytest.raises(ValueError):
             ExperimentSpec(cycles=())
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            parse_experiment_spec("seed = -1")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: key 'cycles' given twice"):

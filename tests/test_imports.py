@@ -1,8 +1,11 @@
-"""Every name a module under src/ or tests/ imports is used in that module."""
+"""Every name a module under src/ or tests/ imports is used in that module, and the CLI imports lightly."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,12 @@ def test_the_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    """``rl.train`` imports multiprocessing only when it forks, so the CLI's start-up does not pay for it."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, tmcsignal.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import os
+import signal
 import tempfile
+import time
 from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -14,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcsignal import rl as rl_mod
 from tmcsignal.model import TmcTable, write_csv
 from tmcsignal.rl import (
     ACTIONS,
@@ -496,3 +502,102 @@ def test_training_log_needs_a_batch_of_one(tmp_path):
         train(streams, episodes=1, seeds=[0, 1], log_path=tmp_path / "log.csv")
     with pytest.raises(ValueError, match="seeds"):
         train(streams, episodes=1, seeds=[0])
+
+
+def test_every_seed_is_checked_before_training(monkeypatch):
+    monkeypatch.setattr(rl_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rl_mod, "_train_forked", lambda *args: pytest.fail("training started"))
+    streams = [constant_stream(DOMINANT_WB, 3)] * 3
+    for bad in (-1, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"stream 2: seed must be a non-negative integer, got {bad!r}"):
+            train(streams, episodes=1, seeds=[0, 1, bad])
+    assert len(train(streams[:1], episodes=1, seeds=[np.int64(0)])) == 1
+
+
+# --- one job per CPU: forked children ---------------------------------------------------
+
+
+def trained_bits(qs: Sequence[QFunction]) -> list:
+    return [(q.seed, q.norm, q.episodes_trained, [a.tobytes() for a in q.weights + q.biases]) for q in qs]
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Turn a wait longer than ``seconds`` into a ``TimeoutError`` (forked children inherit no alarm)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def unequal_streams() -> list[MinuteTmc]:
+    """Five streams in two length groups (6 and 4 minutes), interleaved."""
+    rng = np.random.default_rng(3)
+    return [MinuteTmc(rng.integers(0, 30, size=(minutes, 12))) for minutes in (6, 4, 6, 6, 4)]
+
+
+def test_job_count_does_not_change_the_result(monkeypatch):
+    streams, seeds = unequal_streams(), [11, 0, 7, 2**32 - 1, 5]
+    hp = Hyperparams(buffer_capacity=8, batch_size=4, hidden_width=5)
+    job_counts, jobs = [], rl_mod._jobs
+
+    def counted_jobs(*args):
+        split = jobs(*args)
+        job_counts.append(len(split))
+        return split
+
+    monkeypatch.setattr(rl_mod, "_jobs", counted_jobs)
+    results = {}
+    for cpus in (1, 2, 3, len(streams)):
+        monkeypatch.setattr(rl_mod, "_usable_cpus", lambda: cpus)
+        with time_limit(60):
+            results[cpus] = trained_bits(train(streams, episodes=3, seeds=seeds, hp=hp))
+        assert multiprocessing.active_children() == []
+    assert job_counts == [1, 2, 3, len(streams)]
+    lone = [trained_bits(train([stream], episodes=3, seeds=[seed], hp=hp))[0] for stream, seed in zip(streams, seeds)]
+    assert all(bits == lone for bits in results.values())
+
+
+def test_jobs_split_length_groups_by_stream_count():
+    assert rl_mod._jobs([list(range(7))], 2) == [[[0, 1, 2, 3]], [[4, 5, 6]]]
+    assert rl_mod._jobs([[0, 2, 3], [1, 4]], 1) == [[[0, 2, 3], [1, 4]]]
+    assert rl_mod._jobs([[0], [1], [2]], 2) == [[[0], [2]], [[1]]]
+    assert rl_mod._jobs([[0, 1]], 8) == [[[0]], [[1]]]
+
+
+def split_lockstep(in_parent, in_child):
+    """A ``_train_lockstep`` that first calls ``in_parent`` in this process or ``in_child`` in a child."""
+    parent, lockstep = os.getpid(), rl_mod._train_lockstep
+
+    def patched(*args):
+        (in_parent if os.getpid() == parent else in_child)()
+        return lockstep(*args)
+
+    return patched
+
+
+def boom():
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize(
+    "in_parent, in_child, error, match",
+    [
+        pytest.param(lambda: None, boom, ValueError, "boom", id="child-raises"),
+        pytest.param(lambda: None, lambda: os._exit(1), RuntimeError, "exited with code 1", id="child-exits"),
+        pytest.param(boom, lambda: time.sleep(60), ValueError, "boom", id="parent-raises-while-child-trains"),
+    ],
+)
+def test_a_failed_job_raises_and_leaves_no_child(monkeypatch, in_parent, in_child, error, match):
+    monkeypatch.setattr(rl_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rl_mod, "_train_lockstep", split_lockstep(in_parent, in_child))
+    with time_limit(20), pytest.raises(error, match=match):
+        train(unequal_streams(), episodes=2, seeds=range(5))
+    assert multiprocessing.active_children() == []
