@@ -8,8 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -85,7 +84,16 @@ class Movement(IntEnum):
 
 
 MOVEMENTS: tuple[Movement, ...] = tuple(Movement)
-_MOVEMENT_NAMED = {m.name: m for m in MOVEMENTS}
+MOVEMENT_NAMES: tuple[str, ...] = tuple(m.name for m in MOVEMENTS)
+
+
+class _MovementIndex(dict):
+    def __missing__(self, name):
+        raise ValueError(f"unknown movement label {name!r}")
+
+
+# Movement label -> movement value; ``MOVEMENT_INDEX[name]`` raises ``ValueError`` for an unknown label.
+MOVEMENT_INDEX: dict[str, int] = _MovementIndex((name, value) for value, name in enumerate(MOVEMENT_NAMES))
 
 
 def movements_from(zone: Zone) -> tuple[Movement, ...]:
@@ -96,6 +104,11 @@ def movements_from(zone: Zone) -> tuple[Movement, ...]:
 def movements_into(zone: Zone) -> tuple[Movement, ...]:
     """The three movements whose destination is ``zone``."""
     return tuple(m for m in MOVEMENTS if m.destination is zone)
+
+
+# Past this a lane count's share of a zone and its service rate stop being
+# finite floats; no real approach comes near it.
+MAX_LANES = 2**31
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,8 @@ class IntersectionGeometry:
         for n in (*self.lanes_in, *self.lanes_out):
             if n < 1:
                 raise ValueError(f"{self.id}: lane counts must be >= 1, got {n}")
+            if n >= MAX_LANES:
+                raise ValueError(f"{self.id}: lane counts must be below 2**31, got {n}")
 
     @property
     def total_lanes(self) -> int:
@@ -196,11 +211,20 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer.writerows(rows)
 
 
-def read_csv(path: str | Path, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], list[list[str]]]:
-    """The header and the rows of a CSV file whose header must be one of ``headers``.
+# Rows a CSV reader holds at once. Each chunk's fields move into the columns
+# and its rows are dropped. A chunk stays below the 700 allocations between two
+# young garbage collections, so few rows live long enough to reach the old
+# generation, whose growth is what triggers a full collection.
+_CHUNK_ROWS = 512
 
-    Raises ``ValueError`` naming the file for another header, or naming the line
-    for a row with another field count.
+
+def read_csv(path: str | Path, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], list[list[str]]]:
+    """The header and the columns of a CSV file whose header must be one of ``headers``.
+
+    Column k lists field k of every row after the header, in file order.
+    Raises ``ValueError`` naming the file for another header, or naming the
+    line for a row with another field count or a field past the csv module's
+    size limit.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -208,59 +232,71 @@ def read_csv(path: str | Path, *headers: tuple[str, ...]) -> tuple[tuple[str, ..
         if header not in headers:
             expected = " or ".join(",".join(h) for h in headers)
             raise ValueError(f"{path}: header {','.join(header)!r} is not {expected!r}")
-        rows = list(reader)
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}, line {line}: expected {len(header)} fields, got {len(row)}")
-    return header, rows
+        columns: list[list[str]] = [[] for _ in header]
+        line = 2
+        try:
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                if set(map(len, chunk)) != {len(header)}:
+                    bad = next(k for k, row in enumerate(chunk) if len(row) != len(header))
+                    raise ValueError(f"{path}, line {line + bad}: expected {len(header)} fields, got {len(chunk[bad])}")
+                for column, values in zip(columns, zip(*chunk)):
+                    column.extend(values)
+                line += len(chunk)
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return header, columns
 
 
 T = TypeVar("T")
 
 
-def convert_rows(path: str | Path, rows: Sequence[Sequence[str]], convert: Callable[[Sequence[str]], T]) -> list[T]:
-    """``convert(row)`` for each row of a ``read_csv`` result.
+def convert_column(path: str | Path, values: Sequence, convert: Callable[..., T]) -> list[T]:
+    """``convert(value)`` for each value of a ``read_csv`` column, in one ``map``.
 
     A ``ValueError`` from ``convert``, e.g. a field that is not a number, is
-    raised again prefixed with ``<path>, line <n>:``.
+    raised again prefixed with ``<path>, line <n>:``, n being the line of the
+    first value that raises.
     """
-    out = []
-    for line, row in enumerate(rows, start=2):
-        try:
-            out.append(convert(row))
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {line}: {exc}") from exc
-    return out
+    try:
+        return list(map(convert, values))
+    except ValueError:
+        for line, value in enumerate(values, start=2):
+            try:
+                convert(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line}: {exc}") from exc
+        raise
 
 
 def movement_named(name: str) -> Movement:
     """The movement labelled ``name`` (e.g. 'WBT'); ``ValueError`` for an unknown label."""
-    try:
-        return _MOVEMENT_NAMED[name]
-    except KeyError:
-        raise ValueError(f"unknown movement label {name!r}") from None
+    return MOVEMENTS[MOVEMENT_INDEX[name]]
 
 
-def check_unique_ids(path: str | Path, rows: Sequence[Sequence[str]]) -> None:
-    """Raise ``ValueError`` naming an id (a row's first field) given more than once."""
-    if repeated := [key for key, n in Counter(row[0] for row in rows).items() if n > 1]:
-        raise ValueError(f"{path}: id {repeated[0]!r} appears more than once")
+def check_unique_ids(path: str | Path, ids: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming an id of the column ``ids`` given more than once."""
+    if len(set(ids)) != len(ids):
+        repeated = next(key for key, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"{path}: id {repeated!r} appears more than once")
 
 
-def check_minutes(path: str | Path, rows: Sequence[Sequence[str]]) -> None:
-    """Raise ``ValueError`` unless the rows' first fields count minutes 0, 1, 2, ... in order."""
-    for minute, row in enumerate(rows):
-        if row[0] != str(minute):
-            raise ValueError(f"{path}, line {minute + 2}: minute {row[0]!r}, expected {minute}")
+def check_minutes(path: str | Path, minutes: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless the column ``minutes`` counts 0, 1, 2, ... in order."""
+    for minute, text in enumerate(minutes):
+        if text != str(minute):
+            raise ValueError(f"{path}, line {minute + 2}: minute {text!r}, expected {minute}")
 
 
-def group_rows(path: str | Path, rows: Sequence[Sequence]) -> dict[str, list[Sequence]]:
-    """Rows grouped by their first field; ``ValueError`` when one key's rows are split apart."""
-    groups: dict[str, list[Sequence]] = {}
-    for key, group in groupby(rows, itemgetter(0)):
+def group_rows(path: str | Path, keys: Sequence[str]) -> dict[str, slice]:
+    """Each key's run of rows in the column ``keys``, as a slice; ``ValueError`` when one key's rows are split apart."""
+    groups: dict[str, slice] = {}
+    start = 0
+    for key, run in groupby(keys):
         if key in groups:
             raise ValueError(f"{path}: the rows of {key!r} are not contiguous")
-        groups[key] = list(group)
+        stop = start + len(list(run))
+        groups[key] = slice(start, stop)
+        start = stop
     return groups
 
 
@@ -276,16 +312,14 @@ def read_geometries(path: str | Path | None = None) -> dict[str, IntersectionGeo
     """Load intersection geometries from a CSV config (bundled fixtures when ``path`` is None).
 
     Header ``id,lanes_1i,lanes_1o,...,lanes_4o``. ``ValueError`` for another header or
-    field count, an id given twice, or a lane count that is not an integer >= 1.
+    field count, an id given twice, or a lane count that is not an integer in [1, 2**31).
     """
     source = path if path is not None else _bundled("intersections.csv")
-    _, rows = read_csv(source, GEOMETRY_FIELDS)
-    check_unique_ids(source, rows)
-    geometries = convert_rows(
-        source,
-        rows,
-        lambda row: IntersectionGeometry(row[0], tuple(map(int, row[1::2])), tuple(map(int, row[2::2]))),
-    )
+    _, (ids, *lanes) = read_csv(source, GEOMETRY_FIELDS)
+    check_unique_ids(source, ids)
+    lanes = [convert_column(source, column, int) for column in lanes]
+    rows = list(zip(ids, zip(*lanes[0::2]), zip(*lanes[1::2])))
+    geometries = convert_column(source, rows, lambda row: IntersectionGeometry(*row))
     return {geo.id: geo for geo in geometries}
 
 
@@ -301,6 +335,8 @@ def read_tmc_tables(path: str | Path | None = None) -> dict[str, TmcTable]:
     count, an id given twice, or a count that is not an integer >= 0.
     """
     source = path if path is not None else _bundled("tmc_counts.csv")
-    _, rows = read_csv(source, TMC_TABLE_FIELDS)
-    check_unique_ids(source, rows)
-    return dict(convert_rows(source, rows, lambda row: (row[0], TmcTable(tuple(map(int, row[1:]))))))
+    _, (ids, *counts) = read_csv(source, TMC_TABLE_FIELDS)
+    check_unique_ids(source, ids)
+    counts = [convert_column(source, column, int) for column in counts]
+    rows = list(zip(ids, zip(*counts)))
+    return dict(convert_column(source, rows, lambda row: (row[0], TmcTable(row[1]))))

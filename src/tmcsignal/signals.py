@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import Movement, check_minutes, convert_rows, read_csv, write_csv
+from tmcsignal.model import Movement, check_minutes, convert_column, read_csv, write_csv
 from tmcsignal.trafficgen import MinuteTmc
 
 DEFAULT_YELLOW = 3
@@ -219,21 +219,16 @@ def read_program(path: str | Path) -> SignalProgram:
     yellows, or anything ``SignalProgram`` rejects: no rows, a green under
     ``MIN_GREEN``, or minutes of different cycle lengths.
     """
-    header, rows = read_csv(path, *_LAYOUT_OF_HEADER)
-    check_minutes(path, rows)
-
-    def durations(row: Sequence[str]) -> tuple[tuple[int, ...], int]:
-        yellows = set(map(int, row[2::2]))
-        if len(yellows) != 1:
-            raise ValueError("per-phase yellows must be equal")
-        return tuple(map(int, row[1::2])), yellows.pop()
-
-    parsed = convert_rows(path, rows, durations)
-    yellows = {yellow for _, yellow in parsed}
-    if len(yellows) > 1:
+    header, (minutes, *durations) = read_csv(path, *_LAYOUT_OF_HEADER)
+    check_minutes(path, minutes)
+    yellows = [convert_column(path, column, int) for column in durations[1::2]]
+    for line, row in enumerate(zip(*yellows), start=2):
+        if len(set(row)) != 1:
+            raise ValueError(f"{path}, line {line}: per-phase yellows must be equal")
+    greens = list(zip(*(convert_column(path, column, int) for column in durations[0::2])))
+    if len(set(yellows[0])) > 1:
         raise ValueError(f"{path}: all minute plans must share one yellow")
-    greens = [row for row, _ in parsed]
-    yellow = yellows.pop() if yellows else DEFAULT_YELLOW
+    yellow = yellows[0][0] if greens else DEFAULT_YELLOW
     cycle = sum(greens[0]) + 4 * yellow if greens else 0
     try:
         return SignalProgram(_LAYOUT_OF_HEADER[header], greens, yellow, cycle)

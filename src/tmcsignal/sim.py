@@ -210,6 +210,9 @@ def _simulate(
     credit = np.zeros(width)
     c, whole, keep = (np.empty(width) for _ in range(3))
     col_wait = np.zeros(width)
+    # The row views of those buffers, made once: second s of a minute reads
+    # queues[s], new[s], rates[s] and green[s] and writes queues[s + 1].
+    steps = list(zip(queues, queues[1:], new, rates, green))
     n_minutes = math.ceil(horizon / 60)
     zone_peak = np.empty((n_minutes, len(zones)))
     for minute in range(n_minutes):
@@ -224,7 +227,7 @@ def _simulate(
         # Per second: queue the arrivals, add the rate to the credit, serve its
         # whole part but at most the queue, and keep its fraction only where the
         # movement is still queued and green.
-        for before, q, a, r, g in zip(queues, queues[1 : m + 1], new, rates, green):
+        for before, q, a, r, g in steps[:m]:
             np.add(before, a, out=q)
             np.add(credit, r, out=c)
             np.modf(c, c, whole)

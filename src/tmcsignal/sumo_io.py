@@ -12,9 +12,10 @@ The route document is written straight from the departure columns, one
 string join over all vehicles, in exactly the bytes that ElementTree's
 ``indent`` and ``tostring`` give for the same tree: two-space indents,
 ``depart="N.00"``, ``<route edges="..." />``, attribute values escaped for
-``& < > " \n \r \t``, and ``<routes />`` for no vehicles. Departure seconds
-are written and read back exactly, never through a float; the reader returns
-``Departures`` with the ids as read.
+``& < > " \n \r \t``, and ``<routes />`` for no vehicles. An id holding a
+character XML 1.0 cannot carry is a ``ValueError``, never a document that
+cannot be read back. Departure seconds are written and read back exactly,
+never through a float; the reader returns ``Departures`` with the ids as read.
 """
 
 from __future__ import annotations
@@ -34,23 +35,32 @@ XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 # origin/destination zone pair -> movement, for parsing route edges back
 _EDGE_LOOKUP = {(m.origin, m.destination): m for m in MOVEMENTS}
 _EDGES = [f"{m.origin.edge_in} {m.destination.edge_out}" for m in MOVEMENTS]
-# What ElementTree escapes in an attribute value.
+# Characters XML 1.0 cannot carry, not even as a character reference.
+_NOT_XML = [*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]
+# What ElementTree escapes in an attribute value; a character of _NOT_XML
+# becomes NUL, the separator routes_xml joins the ids with.
 _ATTRIBUTE_ESCAPES = str.maketrans(
-    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+    dict.fromkeys(_NOT_XML, "\0")
+    | {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
 )
 _TO_YELLOW = str.maketrans("Gg", "yy")
 
 
 def routes_xml(plans: Departures) -> str:
-    """The route document, one vehicle element per plan; ``ValueError`` unless depart-sorted."""
+    """The route document, one vehicle element per plan.
+
+    ``ValueError`` unless depart-sorted, or naming the first vehicle whose id
+    holds a character XML 1.0 cannot carry.
+    """
     plans.check_sorted()
     if not len(plans):
         return XML_DECLARATION + "<routes />\n"
-    vehicles = zip(
-        (ident.translate(_ATTRIBUTE_ESCAPES) for ident in plans.ids),
-        plans.departs.tolist(),
-        [_EDGES[m] for m in plans.movements.tolist()],
-    )
+    ids = plans.ids
+    escaped = "\0".join(ids).translate(_ATTRIBUTE_ESCAPES).split("\0")
+    if len(escaped) != len(ids):
+        bad = next(ident for ident in ids if "\0" in ident.translate(_ATTRIBUTE_ESCAPES))
+        raise ValueError(f"vehicle {bad!r}: the id holds a character XML 1.0 cannot carry")
+    vehicles = zip(escaped, plans.departs.tolist(), map(_EDGES.__getitem__, plans.movements.tolist()))
     body = "".join(
         f'  <vehicle id="{ident}" depart="{depart}.00">\n    <route edges="{edges}" />\n  </vehicle>\n'
         for ident, depart, edges in vehicles

@@ -28,8 +28,8 @@ from typing import Literal
 import numpy as np
 
 from tmcsignal.apportion import proportional_split
-from tmcsignal.model import MOVEMENTS, Movement, TmcTable, Zone
-from tmcsignal.model import check_minutes, check_unique_ids, convert_rows, movement_named, read_csv, write_csv
+from tmcsignal.model import MOVEMENT_INDEX, MOVEMENT_NAMES, MOVEMENTS, TmcTable, Zone
+from tmcsignal.model import check_minutes, check_unique_ids, convert_column, read_csv, write_csv
 
 HourKind = Literal["offpeak", "peak"]
 SplitMode = Literal["deterministic", "sampled"]
@@ -131,7 +131,7 @@ class Departures:
     @property
     def ids(self) -> list[str]:
         if isinstance(self._ids, np.ndarray):
-            return [f"v{serial:06d}" for serial in self._ids.tolist()]
+            return ["v%06d" % serial for serial in self._ids.tolist()]
         return list(self._ids)
 
     def check_sorted(self) -> None:
@@ -311,6 +311,10 @@ class DemandSpec:
     seed: int = 0
     mode: SplitMode = "deterministic"
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 def generate_demand(spec: DemandSpec) -> tuple[Departures, MinuteTmc]:
     """Run the full pipeline: hourly draws -> zone split -> turn split -> departures.
@@ -398,7 +402,12 @@ def parse_demand_spec(text: str) -> DemandSpec:
 
 
 def read_demand_spec(path: str | Path) -> DemandSpec:
-    return parse_demand_spec(Path(path).read_text())
+    """``parse_demand_spec`` on a file; its ``ValueError`` names the file."""
+    text = Path(path).read_text()
+    try:
+        return parse_demand_spec(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- CSV interchange ------------------------------------------------------------------
@@ -415,11 +424,11 @@ def write_minute_tmc(minute_tmc: MinuteTmc, path: str | Path) -> None:
     write_csv(path, MINUTE_TMC_FIELDS, rows)
 
 
-def _count_row(row: Sequence[str]) -> list[int]:
-    counts = [int(field) for field in row[1:]]
-    if bad := [count for count in counts if not 0 <= count < MAX_COUNT]:
-        raise ValueError(f"count must lie in [0, 2**32), got {bad[0]}")
-    return counts
+def _count(text: str) -> int:
+    count = int(text)
+    if not 0 <= count < MAX_COUNT:
+        raise ValueError(f"count must lie in [0, 2**32), got {count}")
+    return count
 
 
 def read_minute_tmc(path: str | Path) -> MinuteTmc:
@@ -429,21 +438,15 @@ def read_minute_tmc(path: str | Path) -> MinuteTmc:
     0, 1, 2, ... in order, or a count that is not an integer in [0, 2**32), a
     bound that keeps int64 sums over any stream under 2**27 minutes exact.
     """
-    _, rows = read_csv(path, MINUTE_TMC_FIELDS)
-    check_minutes(path, rows)
-    return MinuteTmc(np.array(convert_rows(path, rows, _count_row), dtype=np.int64).reshape(-1, 12))
+    _, (minutes, *counts) = read_csv(path, MINUTE_TMC_FIELDS)
+    check_minutes(path, minutes)
+    counts = [convert_column(path, column, _count) for column in counts]
+    return MinuteTmc(np.array(counts, dtype=np.int64).T)
 
 
 def write_departures(plans: Departures, path: str | Path) -> None:
-    names = [MOVEMENTS[m].name for m in plans.movements.tolist()]
+    names = list(map(MOVEMENT_NAMES.__getitem__, plans.movements.tolist()))
     write_csv(path, DEPARTURE_FIELDS, zip(plans.ids, plans.departs.tolist(), names))
-
-
-def _departure_row(row: Sequence[str]) -> tuple[int, Movement]:
-    depart = int(row[1])
-    if not 0 <= depart <= MAX_DEPART:
-        raise ValueError(f"departure must lie in [0, {MAX_DEPART}], got {depart}")
-    return depart, movement_named(row[2])
 
 
 def read_departures(path: str | Path) -> Departures:
@@ -452,7 +455,10 @@ def read_departures(path: str | Path) -> Departures:
     ``ValueError`` for another header or field count, an id given twice, a
     departure that is not an integer in [0, 2**63), or an unknown movement label.
     """
-    _, rows = read_csv(path, DEPARTURE_FIELDS)
-    check_unique_ids(path, rows)
-    departs, movements = zip(*convert_rows(path, rows, _departure_row)) if rows else ((), ())
-    return Departures(departs, movements, tuple(row[0] for row in rows))
+    _, (ids, departs, names) = read_csv(path, DEPARTURE_FIELDS)
+    check_unique_ids(path, ids)
+    departs = convert_column(path, departs, int)
+    if departs and not (0 <= min(departs) and max(departs) <= MAX_DEPART):
+        line, depart = next((line, d) for line, d in enumerate(departs, start=2) if not 0 <= d <= MAX_DEPART)
+        raise ValueError(f"{path}, line {line}: departure must lie in [0, {MAX_DEPART}], got {depart}")
+    return Departures(departs, convert_column(path, names, MOVEMENT_INDEX.__getitem__), tuple(ids))

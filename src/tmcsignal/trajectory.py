@@ -50,7 +50,7 @@ from tmcsignal.model import (
     MOVEMENTS,
     Movement,
     TmcTable,
-    convert_rows,
+    convert_column,
     group_rows,
     movement_named,
     read_csv,
@@ -274,22 +274,24 @@ def read_trajectories(path: str | Path) -> list[Trajectory]:
     non-numeric field, a NaN or infinite coordinate, or a track of fewer than
     two points.
     """
-    _, rows = read_csv(path, TRAJECTORY_FIELDS)
-    rows = convert_rows(path, rows, lambda row: (row[0], int(row[1]), int(row[2]), float(row[3]), float(row[4])))
+    _, (ids, classes, frames, xs, ys) = read_csv(path, TRAJECTORY_FIELDS)
+    classes = convert_column(path, classes, int)
+    frames = convert_column(path, frames, int)
+    xs = convert_column(path, xs, float)
+    ys = convert_column(path, ys, float)
     out = []
-    for tid, samples in group_rows(path, rows).items():
-        labels = {row[1] for row in samples}
+    for tid, rows in group_rows(path, ids).items():
+        labels = set(classes[rows])
         if len(labels) != 1:
             raise ValueError(f"{path}: trajectory {tid} changes class")
-        frames = [row[2] for row in samples]
-        if frames != sorted(frames):
+        track_frames = frames[rows]
+        if track_frames != sorted(track_frames):
             raise ValueError(f"{path}: trajectory {tid}: frames out of order")
-        if len(samples) < 2:
+        if len(track_frames) < 2:
             raise ValueError(f"{path}: trajectory {tid}: needs at least two points")
-        points = tuple((row[3], row[4]) for row in samples)
-        if not all(map(math.isfinite, chain.from_iterable(points))):
+        if not all(map(math.isfinite, chain(xs[rows], ys[rows]))):
             raise ValueError(f"{path}: trajectory {tid}: a coordinate is not a finite number")
-        out.append(Trajectory(tid, labels.pop(), points))
+        out.append(Trajectory(tid, labels.pop(), tuple(zip(xs[rows], ys[rows]))))
     return out
 
 
@@ -307,16 +309,17 @@ def read_typical_paths(path: str | Path) -> tuple[TypicalPath, ...]:
     count, an unknown movement, a path split apart by another, a non-numeric,
     NaN or infinite coordinate, or a path of fewer than two points.
     """
-    _, rows = read_csv(path, PATH_FIELDS)
-    rows = convert_rows(path, rows, lambda row: (row[0], movement_named(row[0]), float(row[1]), float(row[2])))
+    _, (names, xs, ys) = read_csv(path, PATH_FIELDS)
+    movements = convert_column(path, names, movement_named)
+    xs = convert_column(path, xs, float)
+    ys = convert_column(path, ys, float)
     paths = []
-    for name, samples in group_rows(path, rows).items():
-        if len(samples) < 2:
+    for name, rows in group_rows(path, names).items():
+        if rows.stop - rows.start < 2:
             raise ValueError(f"{path}: path {name}: needs at least two points")
-        points = tuple((x, y) for _, _, x, y in samples)
-        if not all(map(math.isfinite, chain.from_iterable(points))):
+        if not all(map(math.isfinite, chain(xs[rows], ys[rows]))):
             raise ValueError(f"{path}: path {name}: a coordinate is not a finite number")
-        paths.append(TypicalPath(samples[0][1], points))
+        paths.append(TypicalPath(movements[rows.start], tuple(zip(xs[rows], ys[rows]))))
     paths.sort(key=lambda p: p.movement)
     return tuple(paths)
 

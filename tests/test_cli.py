@@ -295,6 +295,13 @@ class TestMalformedInputs:
         )
         self.assert_one_error_line(capsys, code, "'XYZ'")
 
+    @pytest.mark.parametrize("ident", ["v\x00", "v\x01"])
+    def test_departure_id_xml_cannot_carry(self, tmp_path, capsys, monkeypatch, ident):
+        self.write_inputs(tmp_path, monkeypatch, "departures.csv", f"{ident},0,WBT\n")
+        code = run_cli(*self.COMMANDS["export-sumo"])
+        self.assert_one_error_line(capsys, code, f"vehicle {ident!r}: ")
+        assert not (tmp_path / "sumo" / "routes.rou.xml").exists()
+
     def test_failing_grid_cell(self, tmp_path, capsys):
         spec = tmp_path / "grid.txt"
         spec.write_text("geometries = INT1\npatterns = PA\npolicies = static\ncycles = 20\nhours = offpeak\n")
@@ -391,10 +398,14 @@ class TestMalformedInputs:
             ),
             pytest.param(("experiment", "--seed", "-1", "--out-dir", "exp"), "seed must be non-negative, got -1",
                          id="experiment"),
+            pytest.param(("gen", "--seed", "-1", "--out-dir", "g"), "seed must be non-negative, got -1", id="gen"),
+            pytest.param(("gen", "--demand-spec", "demand.txt", "--out-dir", "g"),
+                         "demand.txt: seed must be non-negative, got -4", id="demand-spec"),
         ],
     )
     def test_negative_seed_is_named(self, tmp_path, capsys, monkeypatch, command, fragment):
         self.write_inputs(tmp_path, monkeypatch, "tmc.csv", "0,1,1,1,1,1,1,1,1,1,1,1,1\n")
+        (tmp_path / "demand.txt").write_text("pattern = PC\nseed = -4\n")
         code = run_cli(*command)
         self.assert_one_error_line(capsys, code, fragment)
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmcsignal import model
 from tmcsignal.model import (
     MOVEMENTS,
     TMC_TABLE_FIELDS,
@@ -75,6 +80,9 @@ def test_geometry_invariants():
     assert geo.total_lanes == 37
     with pytest.raises(ValueError):
         IntersectionGeometry("bad", (0, 1, 1, 1), (1, 1, 1, 1))
+    assert IntersectionGeometry("wide", (2**31 - 1, 1, 1, 1), (1, 1, 1, 1)).lanes_in[0] == 2**31 - 1
+    with pytest.raises(ValueError, match="below 2"):
+        IntersectionGeometry("bad", (1, 1, 1, 1), (1, 1, 1, 2**31))
 
 
 def test_tmc_table_validation():
@@ -176,6 +184,7 @@ TMC_HEADER = "id,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR"
         pytest.param(f"{GEOMETRY_HEADER}\nINT1,6,4,5,3,6,4,6,x\n", id="non-integer-lane-count"),
         pytest.param(f"{GEOMETRY_HEADER}\nINT1,6,4,5,3,6,4,6,3\nINT1,5,4,3,2,5,4,3,2\n", id="repeated-id"),
         pytest.param(f"{GEOMETRY_HEADER},extra\nINT1,6,4,5,3,6,4,6,3,1\n", id="extra-column"),
+        pytest.param(f"{GEOMETRY_HEADER}\nINT1,{'9' * 401},4,5,3,6,4,6,3\n", id="lane-count-of-401-digits"),
     ],
 )
 def test_geometry_file_rejects_malformed_rows(tmp_path, text):
@@ -209,8 +218,8 @@ def test_tmc_table_file_rejects_malformed_rows(tmp_path, text):
 
 def test_read_csv_names_the_file_and_the_line(tmp_path):
     path = tmp_path / "f.csv"
-    path.write_text("a,b\n1,2\n")
-    assert read_csv(path, ("x",), ("a", "b")) == (("a", "b"), [["1", "2"]])
+    path.write_text("a,b\n1,2\n3,4\n")
+    assert read_csv(path, ("x",), ("a", "b")) == (("a", "b"), [["1", "3"], ["2", "4"]])
     with pytest.raises(ValueError, match="f.csv: header 'a,b' is not 'a'"):
         read_csv(path, ("a",))
     path.write_text("a,b\n1,2\n3\n")
@@ -218,6 +227,68 @@ def test_read_csv_names_the_file_and_the_line(tmp_path):
         read_csv(path, ("a", "b"))
     path.write_text("")
     with pytest.raises(ValueError, match="header ''"):
+        read_csv(path, ("a", "b"))
+
+
+def read_csv_rows(path, *headers):
+    """The row reader ``read_csv`` replaced, kept as its oracle: the header and every row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header not in headers:
+            expected = " or ".join(",".join(h) for h in headers)
+            raise ValueError(f"{path}: header {','.join(header)!r} is not {expected!r}")
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}, line {line}: expected {len(header)} fields, got {len(row)}")
+    return header, rows
+
+
+CSV_HEADERS = (("a", "b"), ("a", "b", "c"))
+csv_fields = st.text(st.sampled_from('ab1 ,"\r\n'), max_size=4)
+line_ends = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A header and rows as csv.writer writes them; now and then a short or long row, a blank line or loose text."""
+    out = io.StringIO(newline="")
+    header = draw(st.sampled_from([*CSV_HEADERS, *CSV_HEADERS, ("a",), ("b", "a")]))
+    csv.writer(out, lineterminator=draw(line_ends)).writerow(header)
+    width = len(header)
+    for kind in draw(st.lists(st.sampled_from(["row"] * 12 + ["short", "long", "blank", "loose"]), max_size=16)):
+        if kind == "blank":
+            out.write(draw(line_ends))
+        elif kind == "loose":
+            out.write(draw(csv_fields) + draw(line_ends))
+        else:
+            size = {"row": width, "short": width - 1, "long": width + 1}[kind]
+            row = draw(st.lists(csv_fields, min_size=size, max_size=size))
+            csv.writer(out, lineterminator=draw(line_ends)).writerow(row)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts(), st.integers(1, 4))
+def test_read_csv_columns_equal_the_row_oracle(tmp_path_factory, text, chunk_rows):
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_text(text, newline="")
+    with mock.patch.object(model, "_CHUNK_ROWS", chunk_rows):
+        try:
+            header, rows = read_csv_rows(path, *CSV_HEADERS)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                read_csv(path, *CSV_HEADERS)
+            assert str(raised.value) == str(exc)
+            return
+        assert read_csv(path, *CSV_HEADERS) == (header, [[row[k] for row in rows] for k in range(len(header))])
+
+
+def test_read_csv_names_the_line_of_a_field_past_the_size_limit(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text(f"a,b\n1,2\n3,{'4' * (csv.field_size_limit() + 1)}\n")
+    with pytest.raises(ValueError, match="f.csv, line 3: field larger than field limit"):
         read_csv(path, ("a", "b"))
 
 

@@ -1,0 +1,133 @@
+"""Every CSV reader either returns what its writer wrote or fails with one ``error:`` line.
+
+One valid small input per reader is mutated once: truncated, a line deleted or
+duplicated, or one field replaced from a pool of hostile values. The mutated
+file goes through ``cli.main`` with warnings raised as errors. The run must
+exit 0, and then the value the reader returns must read back equal after its
+writer writes it; or it must exit 1 with exactly one ``error:`` line.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmcsignal.cli import main
+from tmcsignal.model import read_geometries, write_geometries
+from tmcsignal.signals import read_program, write_program
+from tmcsignal.sumo_io import read_routes
+from tmcsignal.trafficgen import read_departures, read_minute_tmc, write_departures, write_minute_tmc
+from tmcsignal.trajectory import (
+    read_trajectories,
+    read_typical_paths,
+    synthetic_typical_paths,
+    write_trajectories,
+    write_typical_paths,
+)
+
+POOL = ("nan", "inf", "1e400", "-1", "x", "", '"', "\x00", "9" * 401)
+
+VALID = {
+    "departures.csv": "id,depart,movement\nv0,0,WBT\nv1,4,NBT\nv2,4,EBL\nv3,30,SBR\n",
+    "tmc.csv": (
+        "minute,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\n"
+        "0,1,2,1,1,1,1,1,1,1,1,1,1\n1,0,0,0,0,0,0,0,0,0,0,0,3\n"
+    ),
+    "geometries.csv": (
+        "id,lanes_1i,lanes_1o,lanes_2i,lanes_2o,lanes_3i,lanes_3o,lanes_4i,lanes_4o\n"
+        "X,2,2,2,2,2,2,2,2\nY,1,2,3,4,1,2,3,4\n"
+    ),
+    "program.csv": "minute,g1,y1,g2,y2,g3,y3,g4,y4\n0,21,3,21,3,21,3,21,3\n1,30,3,12,3,21,3,21,3\n",
+    "trajectories.csv": "id,class,frame,x,y\na,1,0,0,240\na,1,1,100,220\na,1,2,200,200\nb,0,0,5,5\nb,0,1,6,6\n",
+    "paths.csv": "movement,x,y\n"
+    + "".join(f"{p.movement.name},{x},{y}\n" for p in synthetic_typical_paths(points_per_path=5) for x, y in p.points),
+}
+# name -> (command templates, reader, writer); "{stem}" in a template is the path of input stem.csv.
+READERS = {
+    "departures.csv": (
+        [
+            ("simulate", "--geometry", "INT1", "--departures", "{departures}", "--policy", "static",
+             "--out-dir", "{out}"),
+            ("export-sumo", "--departures", "{departures}", "--program", "{program}", "--out-dir", "{out}"),
+        ],
+        read_departures,
+        write_departures,
+    ),
+    "tmc.csv": ([("plan", "--tmc", "{tmc}", "--policy", "dynamic", "--out", "{out}/p.csv")], read_minute_tmc,
+                write_minute_tmc),
+    "geometries.csv": (
+        [("simulate", "--geometry", "X", "--geometry-file", "{geometries}", "--departures", "{departures}",
+          "--policy", "static", "--out-dir", "{out}")],
+        read_geometries,
+        lambda geometries, path: write_geometries(geometries.values(), path),
+    ),
+    "program.csv": (
+        [("export-sumo", "--departures", "{departures}", "--program", "{program}", "--out-dir", "{out}")],
+        read_program,
+        write_program,
+    ),
+    "trajectories.csv": (
+        [("tmc", "--trajectories", "{trajectories}", "--paths", "{paths}", "--out", "{out}/t.csv")],
+        read_trajectories,
+        write_trajectories,
+    ),
+    "paths.csv": (
+        [("tmc", "--trajectories", "{trajectories}", "--paths", "{paths}", "--out", "{out}/t.csv")],
+        read_typical_paths,
+        write_typical_paths,
+    ),
+}
+
+
+@st.composite
+def mutated_inputs(draw):
+    """(input name, command index, mutated text)."""
+    name = draw(st.sampled_from(sorted(READERS)))
+    text = VALID[name]
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["truncate", "delete", "duplicate", "replace", "replace"]))
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    else:
+        k = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            lines[k : k + 1] = []
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            fields = lines[k].rstrip("\n").split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(POOL))
+            lines[k] = ",".join(fields) + "\n"
+        text = "".join(lines)
+    return name, draw(st.integers(0, len(READERS[name][0]) - 1)), text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_inputs())
+def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_factory, mutation):
+    name, command, text = mutation
+    work = tmp_path_factory.mktemp("mutation")
+    paths = {file_name: work / file_name for file_name in READERS}
+    for file_name, content in VALID.items():
+        paths[file_name].write_text(content)
+    paths[name].write_text(text)
+    templates, reader, writer = READERS[name]
+    stems = {file_name.removesuffix(".csv"): path for file_name, path in paths.items()}
+    argv = [arg.format_map({"out": work / "out", **stems}) for arg in templates[command]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 1:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()
+        return
+    assert code == 0 and err.getvalue() == ""
+    value = reader(paths[name])
+    writer(value, work / "again.csv")
+    assert reader(work / "again.csv") == value
+    if argv[0] == "export-sumo":
+        assert read_routes(work / "out" / "routes.rou.xml") == read_departures(paths["departures.csv"])

@@ -49,6 +49,8 @@ def routes_xml_oracle(plans) -> str:
 read_back_ids = st.text(
     st.sampled_from('&<>"\r\n\t\'v0 ,é') | st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8
 )
+# A character outside XML 1.0's Char production, which no document may carry.
+NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class TestRoutes:
@@ -87,8 +89,19 @@ class TestRoutes:
         plans = departures(sorted(rows, key=lambda row: row[1]))
         out = tmp_path_factory.mktemp("routes")
         write_departures(plans, out / "departures.csv")
-        write_routes(read_departures(out / "departures.csv"), out / "routes.rou.xml")
+        read_back = read_departures(out / "departures.csv")
+        if unwritable := [ident for ident in plans.ids if NOT_XML.search(ident)]:
+            with pytest.raises(ValueError, match=re.escape(f"vehicle {unwritable[0]!r}: ")):
+                write_routes(read_back, out / "routes.rou.xml")
+            return
+        write_routes(read_back, out / "routes.rou.xml")
         assert (out / "routes.rou.xml").read_bytes() == routes_xml_oracle(plans).encode("utf-8")
+
+    @pytest.mark.parametrize("ident", ["a\x00b", "\x01", "v\x1f", "\ud800", "\ufffe"])
+    def test_an_id_xml_cannot_carry_is_named(self, ident):
+        plans = departures([("ok", 0, Movement.WBL), (ident, 1, Movement.WBT), ("\x02", 2, Movement.WBT)])
+        with pytest.raises(ValueError, match=re.escape(f"vehicle {ident!r}: ")):
+            routes_xml(plans)
 
     def test_unsorted_rejected(self):
         plans = departures([("a", 10, Movement.WBL), ("b", 5, Movement.WBL)])
