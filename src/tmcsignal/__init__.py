@@ -1,14 +1,10 @@
 """Turning-movement-count toolkit: demand generation, signal design, queue simulation."""
 
 from tmcsignal.model import (
-    CapacityReport,
     IntersectionGeometry,
     Movement,
-    TmcTable,
     Turn,
     Zone,
-    inflow_count,
-    outflow_count,
     read_geometries,
     read_tmc_tables,
     zone_capacity_rates,
@@ -17,14 +13,10 @@ from tmcsignal.model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityReport",
     "IntersectionGeometry",
     "Movement",
-    "TmcTable",
     "Turn",
     "Zone",
-    "inflow_count",
-    "outflow_count",
     "read_geometries",
     "read_tmc_tables",
     "zone_capacity_rates",

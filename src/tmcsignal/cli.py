@@ -22,7 +22,6 @@ from tmcsignal.sumo_io import write_routes, write_tls
 from tmcsignal.trafficgen import (
     PATTERNS,
     DemandSpec,
-    MinuteTmc,
     generate_demand,
     read_demand_spec,
     read_departures,
@@ -69,7 +68,7 @@ def cmd_tmc(args) -> int:
     trajectories = read_trajectories(args.trajectories)
     paths = read_typical_paths(args.paths)
     table = count_movements(trajectories, paths, eps=args.eps, min_sim=args.min_sim)
-    write_minute_tmc(MinuteTmc([table.counts]), args.out)
+    write_minute_tmc(table, args.out)
     print(f"classified {table.total} of {len(trajectories)} trajectories -> {args.out}")
     return 0
 

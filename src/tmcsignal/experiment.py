@@ -97,7 +97,12 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
 
 
 def read_experiment_spec(path: str | Path) -> ExperimentSpec:
-    return parse_experiment_spec(Path(path).read_text())
+    """``parse_experiment_spec`` on a file; its ``ValueError`` names the file."""
+    text = Path(path).read_text()
+    try:
+        return parse_experiment_spec(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:

@@ -1,9 +1,12 @@
-"""Domain vocabulary: zones, turning movements, geometry, count tables, capacity rates."""
+"""Domain vocabulary: zones, turning movements, geometry, capacity rates, CSV interchange.
+
+Twelve movement counts are one row of an int64 (n, 12) matrix, columns in
+``Movement`` order (WBL..SBR), and per-zone sums are array expressions on it.
+"""
 
 from __future__ import annotations
 
 import csv
-import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
@@ -11,6 +14,8 @@ from importlib import resources
 from itertools import groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 
 class Zone(IntEnum):
@@ -96,16 +101,6 @@ class _MovementIndex(dict):
 MOVEMENT_INDEX: dict[str, int] = _MovementIndex((name, value) for value, name in enumerate(MOVEMENT_NAMES))
 
 
-def movements_from(zone: Zone) -> tuple[Movement, ...]:
-    """The three movements entering from ``zone``."""
-    return MOVEMENTS[3 * zone.index : 3 * zone.index + 3]
-
-
-def movements_into(zone: Zone) -> tuple[Movement, ...]:
-    """The three movements whose destination is ``zone``."""
-    return tuple(m for m in MOVEMENTS if m.destination is zone)
-
-
 # Past this a lane count's share of a zone and its service rate stop being
 # finite floats; no real approach comes near it.
 MAX_LANES = 2**31
@@ -126,78 +121,28 @@ class IntersectionGeometry:
             if n >= MAX_LANES:
                 raise ValueError(f"{self.id}: lane counts must be below 2**31, got {n}")
 
-    @property
-    def total_lanes(self) -> int:
-        return sum(self.lanes_in) + sum(self.lanes_out)
 
-    def lanes_in_at(self, zone: Zone) -> int:
-        return self.lanes_in[zone.index]
-
-    def lanes_out_at(self, zone: Zone) -> int:
-        return self.lanes_out[zone.index]
+# Movement columns grouped by destination: row z lists the three movements
+# that leave the junction through zone z + 1.
+_INTO_ZONE = np.array([[m for m in MOVEMENTS if m.destination is zone] for zone in Zone])
 
 
-@dataclass(frozen=True)
-class TmcTable:
-    """Counts for the 12 turning movements (absent movements stored as 0)."""
+def zone_capacity_rates(lanes_in, lanes_out, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inflow, outflow and total count-per-lane rates of an (n, 12) count matrix, each int64.
 
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != 12:
-            raise ValueError(f"expected 12 movement counts, got {len(self.counts)}")
-        for c in self.counts:
-            if c < 0:
-                raise ValueError(f"movement counts must be non-negative, got {c}")
-
-    @classmethod
-    def zero(cls) -> TmcTable:
-        return cls((0,) * 12)
-
-    def __getitem__(self, movement: Movement) -> int:
-        return self.counts[movement]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """Per-zone inflow/outflow rates (count per lane) and the total capacity rate."""
-
-    inflow_rates: tuple[int, int, int, int]
-    outflow_rates: tuple[int, int, int, int]
-    total_rate: int
-
-
-def round_half_away(x: float) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return -int(math.floor(-x + 0.5))
-
-
-def inflow_count(tmc: TmcTable, zone: Zone) -> int:
-    """Total vehicles entering the junction from ``zone``."""
-    return sum(tmc[m] for m in movements_from(zone))
-
-
-def outflow_count(tmc: TmcTable, zone: Zone) -> int:
-    """Total vehicles leaving the junction through ``zone``."""
-    return sum(tmc[m] for m in movements_into(zone))
-
-
-def zone_capacity_rates(geo: IntersectionGeometry, tmc: TmcTable) -> CapacityReport:
-    """Per-zone count-per-lane rates and the intersection-wide total rate."""
-    inflow = tuple(
-        round_half_away(inflow_count(tmc, z) / geo.lanes_in_at(z)) for z in Zone
+    ``lanes_in`` and ``lanes_out`` are (n, 4) lane counts, or one (4,) row for
+    every count row. The (n, 4) inflow rates count vehicles entering from each
+    zone per inbound lane, the (n, 4) outflow rates those leaving through it
+    per outbound lane, and the (n,) total rates every count over every lane:
+    the paper's vehicles-per-lane ratio. Float64 quotients round halves up.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    quotients = (
+        counts.reshape(-1, 4, 3).sum(axis=2) / np.asarray(lanes_in),
+        counts[:, _INTO_ZONE].sum(axis=2) / np.asarray(lanes_out),
+        counts.sum(axis=1) / (np.sum(lanes_in, axis=-1) + np.sum(lanes_out, axis=-1)),
     )
-    outflow = tuple(
-        round_half_away(outflow_count(tmc, z) / geo.lanes_out_at(z)) for z in Zone
-    )
-    total = round_half_away(tmc.total / geo.total_lanes)
-    return CapacityReport(inflow, outflow, total)
+    return tuple(np.floor(q + 0.5).astype(np.int64) for q in quotients)
 
 
 # --- CSV file interchange -----------------------------------------------------------
@@ -268,6 +213,23 @@ def convert_column(path: str | Path, values: Sequence, convert: Callable[..., T]
         raise
 
 
+# Counts lie in [0, 2**32): int64 sums over any (n, 12) matrix of under 2**27
+# rows stay exact, and so does a float64 rate of three or twelve counts.
+MAX_COUNT = 2**32
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if not 0 <= count < MAX_COUNT:
+        raise ValueError(f"count must lie in [0, 2**32), got {count}")
+    return count
+
+
+def count_matrix(path: str | Path, columns: Sequence[Sequence[str]]) -> np.ndarray:
+    """The int64 (rows, 12) matrix of 12 ``read_csv`` columns of counts in [0, 2**32); ``ValueError`` names the line."""
+    return np.array([convert_column(path, column, _count) for column in columns], dtype=np.int64).T
+
+
 def movement_named(name: str) -> Movement:
     """The movement labelled ``name`` (e.g. 'WBT'); ``ValueError`` for an unknown label."""
     return MOVEMENTS[MOVEMENT_INDEX[name]]
@@ -324,19 +286,21 @@ def read_geometries(path: str | Path | None = None) -> dict[str, IntersectionGeo
 
 
 def write_geometries(geos: Iterable[IntersectionGeometry], path: str | Path) -> None:
-    rows = ([g.id, *(n for z in Zone for n in (g.lanes_in_at(z), g.lanes_out_at(z)))] for g in geos)
+    rows = ([g.id, *(n for pair in zip(g.lanes_in, g.lanes_out) for n in pair)] for g in geos)
     write_csv(path, GEOMETRY_FIELDS, rows)
 
 
-def read_tmc_tables(path: str | Path | None = None) -> dict[str, TmcTable]:
+def read_tmc_tables(path: str | Path | None = None) -> tuple[tuple[str, ...], np.ndarray]:
     """Load per-intersection hourly TMC tables (bundled observed counts when ``path`` is None).
 
-    Header ``id,WBL,WBT,...,SBR``. ``ValueError`` for another header or field
-    count, an id given twice, or a count that is not an integer >= 0.
+    Returns the ids in file order and a read-only int64 (ids, 12) matrix, row k
+    counting id k's movements WBL..SBR. Header ``id,WBL,WBT,...,SBR``.
+    ``ValueError`` for another header or field count, an id given twice, or a
+    count that is not an integer in [0, 2**32).
     """
     source = path if path is not None else _bundled("tmc_counts.csv")
     _, (ids, *counts) = read_csv(source, TMC_TABLE_FIELDS)
     check_unique_ids(source, ids)
-    counts = [convert_column(source, column, int) for column in counts]
-    rows = list(zip(ids, zip(*counts)))
-    return dict(convert_column(source, rows, lambda row: (row[0], TmcTable(row[1]))))
+    counts = count_matrix(source, counts)
+    counts.flags.writeable = False
+    return tuple(ids), counts

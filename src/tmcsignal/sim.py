@@ -52,7 +52,7 @@ import numpy as np
 
 from tmcsignal import rl as rl_mod
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import IntersectionGeometry, Zone, write_csv
+from tmcsignal.model import IntersectionGeometry, write_csv
 from tmcsignal.signals import DEFAULT_YELLOW, LAYOUTS, SignalProgram, build_program
 from tmcsignal.trafficgen import Departures, aggregate_per_minute
 
@@ -95,18 +95,14 @@ def assign_lanes(geo: IntersectionGeometry) -> tuple[float, ...]:
     split 2:1 between through and right by largest remainder; narrower
     approaches share fractionally in proportion 1:2:1.
     """
-    eff: list[float] = [0.0] * 12
-    for zone in Zone:
-        n = geo.lanes_in_at(zone)
-        base = 3 * zone.index
+    eff: list[float] = []
+    total = sum(SHARED_LANE_WEIGHTS)
+    for n in geo.lanes_in:
         if n >= 3:
-            through, right = largest_remainder(
-                [2 / 3 * (n - 1), 1 / 3 * (n - 1)], n - 1
-            )
-            eff[base : base + 3] = [1.0, float(through), float(right)]
+            through, right = largest_remainder([2 / 3 * (n - 1), 1 / 3 * (n - 1)], n - 1)
+            eff += [1.0, float(through), float(right)]
         else:
-            total = sum(SHARED_LANE_WEIGHTS)
-            eff[base : base + 3] = [n * w / total for w in SHARED_LANE_WEIGHTS]
+            eff += [n * w / total for w in SHARED_LANE_WEIGHTS]
     return tuple(eff)
 
 

@@ -1,8 +1,8 @@
 """Bimodal daily demand: hourly totals, zone/turn splits, departures, per-minute TMC.
 
-The per-minute TMC of a demand is one int64 (minutes, 12) count matrix, a row
-per minute and a column per movement (WBL..SBR): aggregation fills it, the CSV
-file holds its rows, and the signal policies and the RL allocator read them.
+Counts are int64 (n, 12) matrices, a column per movement (WBL..SBR): one row
+per hour for the drawn demand, one per minute for its TMC, which the CSV file
+holds and the signal policies and the RL allocator read.
 
 Departures are held as columns. A ``Departures`` keeps three arrays, in
 departure order: the departure seconds (int64), the movements (int8) and the
@@ -20,6 +20,7 @@ keeps that order too.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +29,8 @@ from typing import Literal
 import numpy as np
 
 from tmcsignal.apportion import proportional_split
-from tmcsignal.model import MOVEMENT_INDEX, MOVEMENT_NAMES, MOVEMENTS, TmcTable, Zone
-from tmcsignal.model import check_minutes, check_unique_ids, convert_column, read_csv, write_csv
+from tmcsignal.model import MOVEMENT_INDEX, MOVEMENT_NAMES, MOVEMENTS
+from tmcsignal.model import check_minutes, check_unique_ids, convert_column, count_matrix, read_csv, write_csv
 
 HourKind = Literal["offpeak", "peak"]
 SplitMode = Literal["deterministic", "sampled"]
@@ -55,6 +56,9 @@ class BimodalProfile:
     hours: tuple[HourKind, ...] = DEFAULT_HOURS
 
     def __post_init__(self) -> None:
+        for name in ("mu_offpeak", "sigma_offpeak", "mu_peak", "sigma_peak"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_offpeak < 0 or self.sigma_peak < 0:
             raise ValueError("sigmas must be non-negative")
         for kind in self.hours:
@@ -80,9 +84,6 @@ class ZonePattern:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
 
-    def __getitem__(self, zone: Zone) -> float:
-        return self.weights[zone.index]
-
 
 @dataclass(frozen=True)
 class TurnRatio:
@@ -106,9 +107,6 @@ class TurnRatio:
     @classmethod
     def default(cls) -> TurnRatio:
         return cls.uniform(*DEFAULT_TURN_FRACTIONS)
-
-    def for_zone(self, zone: Zone) -> tuple[float, float, float]:
-        return self.by_zone[zone.index]
 
 
 class Departures:
@@ -152,13 +150,29 @@ class Departures:
         )
 
 
+@dataclass(frozen=True)
+class TmcTable:
+    """One minute of a ``MinuteTmc``: its 12 movement counts as a tuple of ints, none negative."""
+
+    counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.counts) != 12 or min(self.counts) < 0:
+            raise ValueError(f"expected 12 non-negative movement counts, got {self.counts}")
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+
 @dataclass(frozen=True, eq=False)
 class MinuteTmc:
     """Per-minute TMC: ``counts`` is a read-only int64 (minutes, 12) array, row m counting minute m.
 
     ``ValueError`` unless the counts form a 2-D array of 12 columns of integers
-    within int64, none negative; no minutes is shape (0, 12). ``minute_tmc[m]``
-    is minute m as a ``TmcTable``.
+    within int64, none negative; no minutes is shape (0, 12). The same form
+    holds one row of counts, such as a classified trajectory file's tally.
+    ``minute_tmc[m]`` is row m as a ``TmcTable``.
     """
 
     counts: np.ndarray
@@ -238,40 +252,32 @@ def split_by_movement(
     ratios: TurnRatio,
     mode: SplitMode = "deterministic",
     seed=None,
-) -> TmcTable:
-    """Apportion each zone's count into (left, through, right); totals preserved."""
+) -> tuple[int, ...]:
+    """Apportion each zone's count into (left, through, right): the 12 movement counts, totals preserved."""
     rng = np.random.default_rng(seed) if mode == "sampled" else None
-    counts = [0] * 12
-    for zone in Zone:
-        n = int(zone_counts[zone.index])
+    counts: list[int] = []
+    for n, triple in zip(map(int, zone_counts), ratios.by_zone, strict=True):
         if n < 0:
             raise ValueError("zone counts must be non-negative")
-        triple = ratios.for_zone(zone)
-        if rng is None:
-            parts = proportional_split(triple, n)
-        else:
-            parts = [int(c) for c in rng.multinomial(n, triple)]
-        counts[3 * zone.index : 3 * zone.index + 3] = parts
-    return TmcTable(tuple(counts))
+        counts += proportional_split(triple, n) if rng is None else rng.multinomial(n, triple).tolist()
+    return tuple(counts)
 
 
-def schedule_departures(hourly_tmcs: Sequence[TmcTable], seed) -> Departures:
-    """Assign each counted vehicle a uniform departure second within its hour.
+def schedule_departures(hourly: np.ndarray, seed) -> Departures:
+    """Assign each vehicle of an (hours, 12) count matrix a uniform departure second within its hour.
 
-    Serials are assigned in (hour, movement) order, one ``rng.integers`` draw
-    per nonzero count, so a fixed seed yields a bit-identical schedule. The
-    output is sorted by departure second, ties broken by id string.
+    Serials are assigned in row-major (hour, movement) order, one
+    ``rng.integers`` draw per nonzero count, so a fixed seed yields a
+    bit-identical schedule. The output is sorted by departure second, ties
+    broken by id string.
     """
     rng = np.random.default_rng(seed)
-    departs, movements = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int8)]
-    for hour, tmc in enumerate(hourly_tmcs):
-        lo, hi = 3600 * hour, 3600 * (hour + 1)
-        for movement in MOVEMENTS:
-            n = tmc[movement]
-            if n:
-                departs.append(rng.integers(lo, hi, size=n))
-                movements.append(np.full(n, movement, dtype=np.int8))
-    departs, movements = np.concatenate(departs), np.concatenate(movements)
+    counts = np.asarray(hourly, dtype=np.int64)
+    hours, movements = np.nonzero(counts)
+    sizes = counts[hours, movements]
+    draws = [rng.integers(3600 * h, 3600 * (h + 1), size=n) for h, n in zip(hours.tolist(), sizes.tolist())]
+    departs = np.concatenate([np.empty(0, dtype=np.int64), *draws])
+    movements = np.repeat(movements.astype(np.int8), sizes)
     serials = np.arange(len(departs), dtype=np.int64)
     order = departure_order(departs, serials)
     return Departures(departs[order], movements[order], serials[order])
@@ -327,11 +333,11 @@ def generate_demand(spec: DemandSpec) -> tuple[Departures, MinuteTmc]:
     totals = hourly_counts(spec.profile, s_hour)
     zone_seeds = s_zone.spawn(len(totals))
     move_seeds = s_move.spawn(len(totals))
-    tables = []
+    hourly = []
     for h, total in enumerate(totals):
         zones = split_by_zone(total, spec.pattern, spec.mode, zone_seeds[h])
-        tables.append(split_by_movement(zones, spec.ratios, spec.mode, move_seeds[h]))
-    plans = schedule_departures(tables, s_depart)
+        hourly.append(split_by_movement(zones, spec.ratios, spec.mode, move_seeds[h]))
+    plans = schedule_departures(np.array(hourly, dtype=np.int64).reshape(-1, 12), s_depart)
     return plans, aggregate_per_minute(plans, minutes=60 * len(totals))
 
 
@@ -413,7 +419,6 @@ def read_demand_spec(path: str | Path) -> DemandSpec:
 # --- CSV interchange ------------------------------------------------------------------
 
 MINUTE_TMC_FIELDS = ("minute", *[m.name for m in MOVEMENTS])
-MAX_COUNT = 2**32
 DEPARTURE_FIELDS = ("id", "depart", "movement")
 MAX_DEPART = np.iinfo(np.int64).max
 
@@ -422,13 +427,6 @@ def write_minute_tmc(minute_tmc: MinuteTmc, path: str | Path) -> None:
     """Export per-minute TMC as CSV with columns minute,WBL,...,SBR, one row per minute."""
     rows = ([minute, *counts] for minute, counts in enumerate(minute_tmc.counts.tolist()))
     write_csv(path, MINUTE_TMC_FIELDS, rows)
-
-
-def _count(text: str) -> int:
-    count = int(text)
-    if not 0 <= count < MAX_COUNT:
-        raise ValueError(f"count must lie in [0, 2**32), got {count}")
-    return count
 
 
 def read_minute_tmc(path: str | Path) -> MinuteTmc:
@@ -440,8 +438,7 @@ def read_minute_tmc(path: str | Path) -> MinuteTmc:
     """
     _, (minutes, *counts) = read_csv(path, MINUTE_TMC_FIELDS)
     check_minutes(path, minutes)
-    counts = [convert_column(path, column, _count) for column in counts]
-    return MinuteTmc(np.array(counts, dtype=np.int64).T)
+    return MinuteTmc(count_matrix(path, counts))
 
 
 def write_departures(plans: Departures, path: str | Path) -> None:

@@ -49,13 +49,13 @@ import numpy as np
 from tmcsignal.model import (
     MOVEMENTS,
     Movement,
-    TmcTable,
     convert_column,
     group_rows,
     movement_named,
     read_csv,
     write_csv,
 )
+from tmcsignal.trafficgen import MinuteTmc
 
 Point = tuple[float, float]
 
@@ -215,8 +215,8 @@ def count_movements(
     paths: Sequence[TypicalPath],
     eps: float = DEFAULT_EPS,
     min_sim: float = DEFAULT_MIN_SIMILARITY,
-) -> TmcTable:
-    """Tally classified vehicle trajectories; pedestrians and unmatched are dropped.
+) -> MinuteTmc:
+    """Tally classified vehicle trajectories as one row of 12 counts; pedestrians and unmatched are dropped.
 
     The arguments are checked as in ``classify``, before any trajectory is read.
     """
@@ -224,7 +224,7 @@ def count_movements(
     vehicles = [t for t in trajectories if t.class_label == VEHICLE]
     best = _best_paths(vehicles, ordered, eps, min_sim)
     movements = np.array([p.movement for p in ordered], dtype=np.int64)
-    return TmcTable(tuple(np.bincount(movements[best[best >= 0]], minlength=12).tolist()))
+    return MinuteTmc(np.bincount(movements[best[best >= 0]], minlength=12)[None])
 
 
 # --- synthetic reference paths --------------------------------------------------------

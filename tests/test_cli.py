@@ -409,6 +409,27 @@ class TestMalformedInputs:
         code = run_cli(*command)
         self.assert_one_error_line(capsys, code, fragment)
 
+    @pytest.mark.parametrize(
+        "command, text, fragment",
+        [
+            pytest.param("gen", "mu_peak = inf", "mu_peak must be finite, got inf", id="gen-mu-inf"),
+            pytest.param("gen", "mu_peak = 1e400", "mu_peak must be finite, got inf", id="gen-mu-1e400"),
+            pytest.param("gen", "mu_peak = nan", "mu_peak must be finite, got nan", id="gen-mu-nan"),
+            pytest.param("gen", "sigma_offpeak = -inf", "sigma_offpeak must be finite, got -inf", id="gen-sigma-inf"),
+            pytest.param("experiment", "mu_offpeak = inf", "mu_offpeak must be finite, got inf", id="grid-mu-inf"),
+            pytest.param("experiment", "sigma_peak = nan", "sigma_peak must be finite, got nan", id="grid-sigma-nan"),
+            pytest.param("experiment", "cycles = 60, x", "invalid literal for int() with base 10: 'x'",
+                         id="grid-cycle-x"),
+        ],
+    )
+    def test_bad_spec_value_names_the_file(self, tmp_path, capsys, monkeypatch, command, text, fragment):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.txt").write_text(f"hours = offpeak\n{text}\n")
+        option = "--demand-spec" if command == "gen" else "--spec"
+        code = run_cli(command, option, "spec.txt", "--out-dir", "out")
+        self.assert_one_error_line(capsys, code, f"spec.txt: {fragment}")
+        assert not (tmp_path / "out").exists()
+
     VALID_INPUTS = {
         "tmc.csv": "minute,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\n0,1,1,1,1,1,1,1,1,1,1,1,1\n",
         "departures.csv": "id,depart,movement\nv0,0,WBT\nv1,4,NBT\n",

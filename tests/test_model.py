@@ -4,31 +4,31 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcsignal import model
 from tmcsignal.model import (
+    MAX_COUNT,
+    MAX_LANES,
     MOVEMENTS,
     TMC_TABLE_FIELDS,
     IntersectionGeometry,
     Movement,
-    TmcTable,
     Zone,
-    inflow_count,
     movement_named,
-    movements_into,
-    outflow_count,
     read_csv,
     read_geometries,
     read_tmc_tables,
-    round_half_away,
     write_csv,
     zone_capacity_rates,
 )
+from tmcsignal.trafficgen import TmcTable
 
 # Published per-zone rates (C1i,C1o,...,C4i,C4o) and total rate for the six
 # bundled intersections; reproduction tolerance is +/-1 per cell.
@@ -41,12 +41,44 @@ EXPECTED_RATES = {
     "INT6": ((447, 555), (684, 456), (533, 1795), (198, 381), 294),
 }
 
-tmc_tables = st.builds(TmcTable, st.tuples(*[st.integers(0, 5000)] * 12))
+count_rows = st.lists(st.integers(0, 5000), min_size=12, max_size=12)
+ONE_LANE = (1, 1, 1, 1)
+
+
+def round_half_away(x: float) -> int:
+    """Round to the nearest integer, halves away from zero."""
+    if x >= 0:
+        return int(math.floor(x + 0.5))
+    return -int(math.floor(-x + 0.5))
+
+
+def zone_capacity_rates_oracle(geo: IntersectionGeometry, counts) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The scalar rates the array ``zone_capacity_rates`` replaced, kept as its oracle: one geometry, one row."""
+    inflow = tuple(
+        round_half_away(sum(counts[m] for m in MOVEMENTS if m.origin is z) / geo.lanes_in[z.index]) for z in Zone
+    )
+    outflow = tuple(
+        round_half_away(sum(counts[m] for m in MOVEMENTS if m.destination is z) / geo.lanes_out[z.index]) for z in Zone
+    )
+    return inflow, outflow, round_half_away(sum(counts) / (sum(geo.lanes_in) + sum(geo.lanes_out)))
+
+
+def zone_counts(counts) -> tuple[list[int], list[int]]:
+    """Each zone's inflow and outflow count of one row of 12 counts: its rates over one lane per zone."""
+    inflow, outflow, _ = zone_capacity_rates(ONE_LANE, ONE_LANE, [counts])
+    return inflow[0].tolist(), outflow[0].tolist()
 
 
 @pytest.fixture(scope="module")
 def fixtures():
-    return read_geometries(), read_tmc_tables()
+    ids, counts = read_tmc_tables()
+    return read_geometries(), dict(zip(ids, counts.tolist()))
+
+
+def rates_of(geo: IntersectionGeometry, counts) -> tuple[list[int], list[int], int]:
+    """``zone_capacity_rates`` of one geometry and one row, as lists of ints."""
+    inflow, outflow, total = zone_capacity_rates(geo.lanes_in, geo.lanes_out, [counts])
+    return inflow[0].tolist(), outflow[0].tolist(), int(total[0])
 
 
 def test_zone_ordering_and_labels():
@@ -71,13 +103,16 @@ def test_movement_destinations():
 
 
 def test_north_outflow_composition():
-    # The north-exit tally must aggregate WBL, EBR and SBT.
-    assert movements_into(Zone.NORTH) == (Movement.WBL, Movement.EBR, Movement.SBT)
+    # The north-exit tally must aggregate WBL, EBR and SBT, and nothing else.
+    counts = [0] * 12
+    counts[Movement.WBL], counts[Movement.EBR], counts[Movement.SBT] = 1, 10, 100
+    assert zone_counts(counts)[1] == [0, 111, 0, 0]
+    assert zone_counts([1000] * 12)[1] == [3000] * 4
 
 
 def test_geometry_invariants():
     geo = IntersectionGeometry("X", (6, 5, 6, 6), (4, 3, 4, 3))
-    assert geo.total_lanes == 37
+    assert rates_of(geo, [37] * 12)[2] == 12  # all counts over all 37 lanes
     with pytest.raises(ValueError):
         IntersectionGeometry("bad", (0, 1, 1, 1), (1, 1, 1, 1))
     assert IntersectionGeometry("wide", (2**31 - 1, 1, 1, 1), (1, 1, 1, 1)).lanes_in[0] == 2**31 - 1
@@ -86,7 +121,8 @@ def test_geometry_invariants():
 
 
 def test_tmc_table_validation():
-    assert TmcTable.zero().total == 0
+    assert TmcTable((0,) * 12).total == 0
+    assert TmcTable(tuple(range(12))).total == 66
     with pytest.raises(ValueError):
         TmcTable((1,) * 11)
     with pytest.raises(ValueError):
@@ -95,16 +131,16 @@ def test_tmc_table_validation():
 
 def test_inflow_count_examples(fixtures):
     _, tmcs = fixtures
-    assert inflow_count(tmcs["INT1"], Zone.NORTH) == 233 + 757 + 214
-    assert inflow_count(TmcTable.zero(), Zone.WEST) == 0
-    assert inflow_count(tmcs["INT2"], Zone.EAST) == 8 + 744 + 0
+    assert zone_counts(tmcs["INT1"])[0][Zone.NORTH.index] == 233 + 757 + 214
+    assert zone_counts([0] * 12)[0] == [0, 0, 0, 0]
+    assert zone_counts(tmcs["INT2"])[0][Zone.EAST.index] == 8 + 744 + 0
 
 
 def test_outflow_count_examples(fixtures):
     _, tmcs = fixtures
-    assert outflow_count(tmcs["INT1"], Zone.NORTH) == 505 + 10 + 645
-    assert outflow_count(TmcTable.zero(), Zone.NORTH) == 0
-    assert outflow_count(tmcs["INT1"], Zone.WEST) == 214 + 1345 + 99
+    assert zone_counts(tmcs["INT1"])[1][Zone.NORTH.index] == 505 + 10 + 645
+    assert zone_counts([0] * 12)[1] == [0, 0, 0, 0]
+    assert zone_counts(tmcs["INT1"])[1][Zone.WEST.index] == 214 + 1345 + 99
 
 
 def test_round_half_away():
@@ -113,47 +149,82 @@ def test_round_half_away():
     assert round_half_away(0.5) == 1
     assert round_half_away(-0.5) == -1
     assert round_half_away(2.0) == 2
+    # The array rates round halves up, as the oracle does for non-negative rates.
+    inflow, _, _ = zone_capacity_rates((5, 2, 2, 4), ONE_LANE, [[1204, 0, 0, 829, 0, 0, 1, 0, 0, 4, 0, 0]])
+    assert inflow.tolist() == [[241, 415, 1, 1]]
 
 
 def test_capacity_rate_examples(fixtures):
     geos, tmcs = fixtures
-    r1 = zone_capacity_rates(geos["INT1"], tmcs["INT1"])
-    assert r1.inflow_rates[Zone.NORTH.index] == 241
-    assert r1.outflow_rates[Zone.NORTH.index] == 387
-    assert r1.total_rate == 103
-    assert zone_capacity_rates(geos["INT5"], tmcs["INT5"]).total_rate == 483
-    rz = zone_capacity_rates(geos["INT1"], TmcTable.zero())
-    assert rz.inflow_rates == rz.outflow_rates == (0, 0, 0, 0)
-    assert rz.total_rate == 0
+    inflow, outflow, total = rates_of(geos["INT1"], tmcs["INT1"])
+    assert inflow[Zone.NORTH.index] == 241
+    assert outflow[Zone.NORTH.index] == 387
+    assert total == 103
+    assert rates_of(geos["INT5"], tmcs["INT5"])[2] == 483
+    assert rates_of(geos["INT1"], [0] * 12) == ([0, 0, 0, 0], [0, 0, 0, 0], 0)
 
 
 def test_capacity_rates_reproduce_published_table(fixtures):
     geos, tmcs = fixtures
     for key, (west, north, east, south, tc) in EXPECTED_RATES.items():
-        report = zone_capacity_rates(geos[key], tmcs[key])
-        got = list(zip(report.inflow_rates, report.outflow_rates))
+        inflow, outflow, total = rates_of(geos[key], tmcs[key])
         for zone, (want_in, want_out) in zip(Zone, (west, north, east, south)):
-            gi, go = got[zone.index]
+            gi, go = inflow[zone.index], outflow[zone.index]
             assert abs(gi - want_in) <= 1, f"{key} C{zone.value}i: {gi} vs {want_in}"
             assert abs(go - want_out) <= 1, f"{key} C{zone.value}o: {go} vs {want_out}"
-        assert abs(report.total_rate - tc) <= 1, f"{key} TC: {report.total_rate} vs {tc}"
+        assert abs(total - tc) <= 1, f"{key} TC: {total} vs {tc}"
 
 
-@given(tmc_tables)
-def test_partition_property(tmc):
+def test_all_geometries_in_one_call_equal_one_at_a_time(fixtures):
+    geos, tmcs = fixtures
+    ids = list(tmcs)
+    lanes_in = [geos[i].lanes_in for i in ids]
+    lanes_out = [geos[i].lanes_out for i in ids]
+    inflow, outflow, total = zone_capacity_rates(lanes_in, lanes_out, [tmcs[i] for i in ids])
+    assert inflow.dtype == outflow.dtype == total.dtype == np.int64
+    assert inflow.shape == outflow.shape == (6, 4) and total.shape == (6,)
+    for k, i in enumerate(ids):
+        assert (inflow[k].tolist(), outflow[k].tolist(), int(total[k])) == rates_of(geos[i], tmcs[i])
+
+
+lane_rows = st.tuples(*[st.integers(1, MAX_LANES - 1)] * 4)
+
+
+@st.composite
+def capacity_cases(draw):
+    """Lanes and 12 counts; some zones' inflow is put on, or one off, a half-lane boundary, where rounding shows."""
+    lanes_in, lanes_out = draw(lane_rows), draw(lane_rows)
+    counts = draw(st.lists(st.integers(0, MAX_COUNT - 1), min_size=12, max_size=12))
+    for zone, lanes in enumerate(lanes_in):
+        if draw(st.booleans()):
+            near = draw(st.integers(0, MAX_COUNT // lanes - 1)) * lanes + lanes // 2 + draw(st.integers(-1, 1))
+            counts[3 * zone : 3 * zone + 3] = [min(max(near, 0), MAX_COUNT - 1), 0, 0]
+    return lanes_in, lanes_out, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(capacity_cases(), min_size=1, max_size=4))
+def test_capacity_rates_equal_the_scalar_oracle(cases):
+    lanes_in, lanes_out, counts = zip(*cases)
+    inflow, outflow, total = zone_capacity_rates(lanes_in, lanes_out, counts)
+    for k, case in enumerate(cases):
+        expected = zone_capacity_rates_oracle(IntersectionGeometry("X", case[0], case[1]), case[2])
+        assert (tuple(inflow[k].tolist()), tuple(outflow[k].tolist()), int(total[k])) == expected
+
+
+@given(st.lists(count_rows, min_size=1, max_size=5))
+def test_partition_property(rows):
     # Every movement has exactly one origin and one destination.
-    assert sum(inflow_count(tmc, z) for z in Zone) == tmc.total
-    assert sum(outflow_count(tmc, z) for z in Zone) == tmc.total
+    inflow, outflow, _ = zone_capacity_rates(ONE_LANE, ONE_LANE, rows)
+    assert inflow.sum(axis=1).tolist() == outflow.sum(axis=1).tolist() == [sum(row) for row in rows]
 
 
-@given(tmc_tables, st.sampled_from(MOVEMENTS), st.integers(1, 500))
-def test_total_rate_monotone_in_any_movement(tmc, movement, k):
+@given(count_rows, st.sampled_from(MOVEMENTS), st.integers(1, 500))
+def test_total_rate_monotone_in_any_movement(counts, movement, k):
     geo = IntersectionGeometry("X", (6, 5, 6, 6), (4, 3, 4, 3))
-    bumped = TmcTable(
-        tuple(c + k if i == movement else c for i, c in enumerate(tmc.counts))
-    )
-    before = zone_capacity_rates(geo, tmc).total_rate
-    after = zone_capacity_rates(geo, bumped).total_rate
+    bumped = [c + k if i == movement else c for i, c in enumerate(counts)]
+    before = rates_of(geo, counts)[2]
+    after = rates_of(geo, bumped)[2]
     assert after >= before
 
 
@@ -175,6 +246,7 @@ def test_geometry_file_rejects_missing_columns(tmp_path):
 
 GEOMETRY_HEADER = "id,lanes_1i,lanes_1o,lanes_2i,lanes_2o,lanes_3i,lanes_3o,lanes_4i,lanes_4o"
 TMC_HEADER = "id,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR"
+OUT_OF_BOUNDS = "count must lie in [0, 2**32)"
 
 
 @pytest.mark.parametrize(
@@ -194,26 +266,35 @@ def test_geometry_file_rejects_malformed_rows(tmp_path, text):
         read_geometries(bad)
 
 
-def test_tmc_tables_roundtrip(tmp_path, fixtures):
-    _, tables = fixtures
+def test_tmc_tables_roundtrip(tmp_path):
+    ids, counts = read_tmc_tables()
+    assert ids == ("INT1", "INT2", "INT3", "INT4", "INT5", "INT6")
+    assert counts.dtype == np.int64 and counts.shape == (6, 12) and not counts.flags.writeable
     out = tmp_path / "tmc.csv"
-    write_csv(out, TMC_TABLE_FIELDS, ([tid, *t.counts] for tid, t in tables.items()))
-    assert read_tmc_tables(out) == tables
+    write_csv(out, TMC_TABLE_FIELDS, ([tid, *row] for tid, row in zip(ids, counts.tolist())))
+    again_ids, again = read_tmc_tables(out)
+    assert again_ids == ids and np.array_equal(again, counts)
+    (tmp_path / "empty.csv").write_text(",".join(TMC_TABLE_FIELDS) + "\n")
+    assert read_tmc_tables(tmp_path / "empty.csv")[1].shape == (0, 12)
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, fragment",
     [
-        pytest.param("id,WBL,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\nA,1,1,1,1,1,1,1,1,1,1,1\n", id="no-wbt"),
-        pytest.param(f"{TMC_HEADER}\nA,1,1,1,1,1,1,1,1,1,1,1,1\nA,2,2,2,2,2,2,2,2,2,2,2,2\n", id="repeated-id"),
-        pytest.param(f"{TMC_HEADER}\nA,1,1,1,1,1,1,1,1,1,1,1,1.5\n", id="non-integer-count"),
+        pytest.param(f"{TMC_HEADER.replace(',WBT', '')}\nA,1,1,1,1,1,1,1,1,1,1,1\n", "header", id="no-wbt"),
+        pytest.param(f"{TMC_HEADER}\nA{',1' * 12}\nA{',2' * 12}\n", "'A' appears", id="repeated-id"),
+        pytest.param(f"{TMC_HEADER}\nA{',1' * 11},1.5\n", "line 2", id="non-integer-count"),
+        pytest.param(f"{TMC_HEADER}\nA{',1' * 11},-1\n", f"line 2: {OUT_OF_BOUNDS}", id="negative-count"),
+        pytest.param(f"{TMC_HEADER}\nA{',1' * 12}\nB,{2**32}{',1' * 11}\n", f"line 3: {OUT_OF_BOUNDS}", id="count-of-2**32"),
+        pytest.param(f"{TMC_HEADER}\nA{',1' * 11},{'9' * 401}\n", f"line 2: {OUT_OF_BOUNDS}", id="count-of-401-digits"),
     ],
 )
-def test_tmc_table_file_rejects_malformed_rows(tmp_path, text):
+def test_tmc_table_file_rejects_malformed_rows(tmp_path, text, fragment):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad.csv") as raised:
         read_tmc_tables(bad)
+    assert fragment in str(raised.value)
 
 
 def test_read_csv_names_the_file_and_the_line(tmp_path):

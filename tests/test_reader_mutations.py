@@ -1,26 +1,40 @@
-"""Every CSV reader either returns what its writer wrote or fails with one ``error:`` line.
+"""Every file reader either returns what its writer wrote or fails with one ``error:`` line.
 
 One valid small input per reader is mutated once: truncated, a line deleted or
-duplicated, or one field replaced from a pool of hostile values. The mutated
-file goes through ``cli.main`` with warnings raised as errors. The run must
-exit 0, and then the value the reader returns must read back equal after its
-writer writes it; or it must exit 1 with exactly one ``error:`` line.
+duplicated, or one field (a CSV field, or a keyed-text key or list item)
+replaced from a pool of hostile values. The mutated file goes through
+``cli.main``, or straight to its reader when no command reads it alone, with
+warnings raised as errors. The run must exit 0, and then the value the reader
+returns must read back equal after its writer writes it; or it must exit 1
+with exactly one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import re
+import sys
 import warnings
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmcsignal.cli import main
-from tmcsignal.model import read_geometries, write_geometries
+from tmcsignal.experiment import ExperimentSpec, read_experiment_spec
+from tmcsignal.model import TMC_TABLE_FIELDS, read_geometries, read_tmc_tables, write_csv, write_geometries
 from tmcsignal.signals import read_program, write_program
 from tmcsignal.sumo_io import read_routes
-from tmcsignal.trafficgen import read_departures, read_minute_tmc, write_departures, write_minute_tmc
+from tmcsignal.trafficgen import (
+    BimodalProfile,
+    DemandSpec,
+    read_demand_spec,
+    read_departures,
+    read_minute_tmc,
+    write_departures,
+    write_minute_tmc,
+)
 from tmcsignal.trajectory import (
     read_trajectories,
     read_typical_paths,
@@ -45,8 +59,59 @@ VALID = {
     "trajectories.csv": "id,class,frame,x,y\na,1,0,0,240\na,1,1,100,220\na,1,2,200,200\nb,0,0,5,5\nb,0,1,6,6\n",
     "paths.csv": "movement,x,y\n"
     + "".join(f"{p.movement.name},{x},{y}\n" for p in synthetic_typical_paths(points_per_path=5) for x, y in p.points),
+    "tmc_tables.csv": (
+        "id,WBL,WBT,WBR,NBL,NBT,NBR,EBL,EBT,EBR,SBL,SBT,SBR\n"
+        "A,1,2,3,4,5,6,7,8,9,10,11,12\nB,0,0,0,0,0,0,0,0,0,0,0,7\n"
+    ),
+    "demand.txt": (
+        "mu_peak = 60\nsigma_peak = 5\nmu_offpeak = 30\nsigma_offpeak = 4\nhours = offpeak, peak\n"
+        "pattern = PC\nturn_ratios = 0.25, 0.5, 0.25\nseed = 3\nmode = sampled\n"
+    ),
+    "grid.txt": (
+        "geometries = INT1, INT2\npatterns = PA, PC\npolicies = static, rl\ncycles = 60, 90\nseed = 7\n"
+        "rl_episodes = 2\nhours = offpeak\nmu_offpeak = 100\ngeometry_file = g.csv\n"
+    ),
 }
-# name -> (command templates, reader, writer); "{stem}" in a template is the path of input stem.csv.
+
+
+def read_tmc_table_rows(path):
+    ids, counts = read_tmc_tables(path)
+    return ids, counts.tolist()
+
+
+def write_tmc_table_rows(tables, path) -> None:
+    ids, rows = tables
+    write_csv(path, TMC_TABLE_FIELDS, ([tid, *row] for tid, row in zip(ids, rows)))
+
+
+def profile_text(profile: BimodalProfile) -> str:
+    keys = ("mu_offpeak", "sigma_offpeak", "mu_peak", "sigma_peak")
+    return "".join(f"{key} = {getattr(profile, key)!r}\n" for key in keys)
+
+
+def write_demand_spec(spec: DemandSpec, path) -> None:
+    """Keyed text that ``read_demand_spec`` reads back as ``spec``, whose turn ratios are one triple for every zone."""
+    (ratios,) = set(spec.ratios.by_zone)
+    Path(path).write_text(
+        f"{profile_text(spec.profile)}hours = {', '.join(spec.profile.hours)}\n"
+        f"weights = {', '.join(map(repr, spec.pattern.weights))}\nturn_ratios = {', '.join(map(repr, ratios))}\n"
+        f"seed = {spec.seed}\nmode = {spec.mode}\n"
+    )
+
+
+def write_experiment_spec(spec: ExperimentSpec, path) -> None:
+    """Keyed text that ``read_experiment_spec`` reads back as ``spec``."""
+    geometry_file = "" if spec.geometry_file is None else f"geometry_file = {spec.geometry_file}\n"
+    Path(path).write_text(
+        f"geometries = {', '.join(spec.geometry_ids) or 'all'}\npatterns = {', '.join(spec.patterns)}\n"
+        f"policies = {', '.join(spec.policies)}\ncycles = {', '.join(map(str, spec.cycles))}\nseed = {spec.seed}\n"
+        f"rl_episodes = {spec.rl_episodes}\n{profile_text(spec.profile)}hours = {', '.join(spec.profile.hours)}\n"
+        f"{geometry_file}"
+    )
+
+
+# name -> (command templates, reader, writer); "{stem}" in a template is the path of input stem.csv or
+# stem.txt, and a template of None reads the input with ``reader`` alone.
 READERS = {
     "departures.csv": (
         [
@@ -80,6 +145,10 @@ READERS = {
         read_typical_paths,
         write_typical_paths,
     ),
+    "tmc_tables.csv": ([None], read_tmc_table_rows, write_tmc_table_rows),
+    "demand.txt": ([("gen", "--demand-spec", "{demand}", "--out-dir", "{out}")], read_demand_spec, write_demand_spec),
+    # ``experiment --spec`` would run the grid, so the grid file goes to its reader alone.
+    "grid.txt": ([None], read_experiment_spec, write_experiment_spec),
 }
 
 
@@ -99,15 +168,27 @@ def mutated_inputs(draw):
         elif kind == "duplicate":
             lines.insert(k, lines[k])
         else:
-            fields = lines[k].rstrip("\n").split(",")
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(POOL))
-            lines[k] = ",".join(fields) + "\n"
+            # Fields and their separators alternate: "key = a, b" is ["key ", "=", " a", ",", " b"].
+            fields = re.split("([=,])", lines[k].rstrip("\n"))
+            fields[2 * draw(st.integers(0, len(fields) // 2))] = draw(st.sampled_from(POOL))
+            lines[k] = "".join(fields) + "\n"
         text = "".join(lines)
     return name, draw(st.integers(0, len(READERS[name][0]) - 1)), text
 
 
-@settings(max_examples=400, deadline=None)
+def read_alone(reader, path) -> int:
+    """``reader(path)`` with the CLI's outcome: 0, or 1 after its ``ValueError`` is printed as an ``error:`` line."""
+    try:
+        reader(path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+@settings(max_examples=500, deadline=None)
 @given(mutated_inputs())
+@example(("demand.txt", 0, VALID["demand.txt"].replace("mu_peak = 60", "mu_peak = inf")))
 def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_factory, mutation):
     name, command, text = mutation
     work = tmp_path_factory.mktemp("mutation")
@@ -116,12 +197,13 @@ def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_fa
         paths[file_name].write_text(content)
     paths[name].write_text(text)
     templates, reader, writer = READERS[name]
-    stems = {file_name.removesuffix(".csv"): path for file_name, path in paths.items()}
-    argv = [arg.format_map({"out": work / "out", **stems}) for arg in templates[command]]
+    stems = {Path(file_name).stem: path for file_name, path in paths.items()}
+    template = templates[command]
+    argv = template and [arg.format_map({"out": work / "out", **stems}) for arg in template]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(argv)
+        code = main(argv) if argv else read_alone(reader, paths[name])
     if code == 1:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()
         return
@@ -129,5 +211,5 @@ def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_fa
     value = reader(paths[name])
     writer(value, work / "again.csv")
     assert reader(work / "again.csv") == value
-    if argv[0] == "export-sumo":
+    if argv and argv[0] == "export-sumo":
         assert read_routes(work / "out" / "routes.rou.xml") == read_departures(paths["departures.csv"])

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcsignal import rl as rl_mod
-from tmcsignal.model import TmcTable, write_csv
+from tmcsignal.model import write_csv
 from tmcsignal.rl import (
     ACTIONS,
     N_ACTIONS,
@@ -40,9 +40,8 @@ DOMINANT_WB = (20, 60, 20, 2, 6, 2, 2, 6, 2, 2, 6, 2)
 SYMMETRIC = (10, 30, 10) * 4
 
 
-def direction_volumes(tmc: TmcTable) -> tuple[int, int, int, int]:
-    """Aggregate the 12 movements into per-approach volumes (WB, NB, EB, SB)."""
-    c = tmc.counts
+def direction_volumes(c: Sequence[int]) -> tuple[int, int, int, int]:
+    """Aggregate the 12 movement counts into per-approach volumes (WB, NB, EB, SB)."""
     return tuple(c[3 * z] + c[3 * z + 1] + c[3 * z + 2] for z in range(4))
 
 
@@ -65,7 +64,7 @@ class VolumeStreamEnv:
     """
 
     def __init__(self, minute_tmcs: MinuteTmc, cycle: int = 90, yellow: int = DEFAULT_YELLOW):
-        self.volumes = [direction_volumes(minute_tmcs[m]) for m in range(len(minute_tmcs))]
+        self.volumes = [direction_volumes(row) for row in minute_tmcs.counts.tolist()]
         peak = max(max(v) for v in self.volumes)
         self.norm = float(peak) if peak > 0 else 1.0
         self.states = [tuple(v / self.norm for v in vols) for vols in self.volumes]
@@ -294,14 +293,14 @@ class TestEnv:
         assert max(state) == 1.0 and min(state) >= 0.0
 
     def test_worked_reward(self):
-        table = TmcTable((40, 40, 20, 20, 20, 10, 10, 10, 5, 10, 10, 5))
+        table = (40, 40, 20, 20, 20, 10, 10, 10, 5, 10, 10, 5)
         assert direction_volumes(table) == (100, 50, 25, 25)
-        env = VolumeStreamEnv(constant_stream(table.counts, 2), cycle=90, yellow=3)
+        env = VolumeStreamEnv(constant_stream(table, 2), cycle=90, yellow=3)
         env.reset()
         action = (4, 3, 2, 1)
         reward, _, _ = env.step(action)
         assert reward == pytest.approx(-10.1496, abs=1e-3)
-        _, _, rewards = _stream_tables(constant_stream(table.counts, 2), 90, 3)
+        _, _, rewards = _stream_tables(constant_stream(table, 2), 90, 3)
         assert rewards[0, ACTIONS.index(action)] == reward
 
 
@@ -343,11 +342,11 @@ class TestTraining:
         assert q.norm == 1.0
 
     def test_exhaustive_optimum_favors_dominant_direction(self):
-        for action in (best_action_by_exhaustion(direction_volumes(TmcTable(DOMINANT_WB)), 78),):
+        for action in (best_action_by_exhaustion(direction_volumes(DOMINANT_WB), 78),):
             assert action[0] == max(action)
 
     def test_converges_to_dominant_direction(self, dominant_wb_allocators):
-        state = tuple(v / 100 for v in direction_volumes(TmcTable(DOMINANT_WB)))
+        state = tuple(v / 100 for v in direction_volumes(DOMINANT_WB))
         hits = 0
         # dominant_wb_allocators is train([constant_stream(DOMINANT_WB, 60)] * 10, episodes=100, seeds=range(10)).
         for q in dominant_wb_allocators:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcsignal import rl
-from tmcsignal.model import Movement, TmcTable
+from tmcsignal.model import Movement
 from tmcsignal.signals import (
     DEFAULT_PEAK_MINUTES,
     MIN_GREEN,
@@ -27,10 +27,10 @@ from tmcsignal.signals import (
 )
 from tmcsignal.trafficgen import MinuteTmc
 
-tmc_tables = st.builds(TmcTable, st.tuples(*[st.integers(0, 3000)] * 12))
+tmc_tables = st.tuples(*[st.integers(0, 3000)] * 12)
 cycles = st.sampled_from([60, 90, 120, 150])
 
-INT1_COUNTS = TmcTable((505, 0, 0, 233, 757, 214, 0, 1345, 10, 99, 645, 0))
+INT1_COUNTS = (505, 0, 0, 233, 757, 214, 0, 1345, 10, 99, 645, 0)
 
 
 def lit(state: str, light: str) -> set[Movement]:
@@ -60,10 +60,10 @@ class TestCriticalCounts:
         assert cc == (677.5, 505.0, 485.5, 233.0)
 
     def test_zero_table(self):
-        assert critical_counts(TmcTable.zero()) == (0, 0, 0, 0)
+        assert critical_counts((0,) * 12) == (0, 0, 0, 0)
 
     def test_symmetric_table(self):
-        cc = critical_counts(TmcTable((100,) * 12))
+        cc = critical_counts((100,) * 12)
         assert cc == (100.0, 100.0, 100.0, 100.0)
 
 
@@ -100,10 +100,10 @@ class TestDynamicPlan:
         assert dynamic_plan(INT1_COUNTS, 90, 3) == (29, 21, 20, 8)
 
     def test_zero_table_falls_back_to_static(self):
-        assert dynamic_plan(TmcTable.zero(), 90, 3) == static_plan(90, 3)
+        assert dynamic_plan((0,) * 12, 90, 3) == static_plan(90, 3)
 
     def test_symmetric_counts_match_static_allocation(self):
-        assert dynamic_plan(TmcTable((64,) * 12), 90, 3) == static_plan(90, 3)
+        assert dynamic_plan((64,) * 12, 90, 3) == static_plan(90, 3)
 
     @given(tmc_tables, cycles)
     def test_cycle_conservation(self, tmc, cycle):
@@ -111,7 +111,7 @@ class TestDynamicPlan:
 
     @given(tmc_tables, cycles)
     def test_a_matrix_row_plans_as_its_table(self, tmc, cycle):
-        row = MinuteTmc([tmc.counts]).counts.tolist()[0]
+        row = MinuteTmc([tmc]).counts.tolist()[0]
         assert dynamic_plan(row, cycle, 3) == dynamic_plan(tmc, cycle, 3)
         assert critical_counts(row) == critical_counts(tmc)
 
@@ -145,9 +145,7 @@ class TestDynamicPlan:
 
     @given(tmc_tables, cycles, st.integers(1, 400))
     def test_increasing_ebt_never_shrinks_phase1(self, tmc, cycle, k):
-        bumped = TmcTable(
-            tuple(c + k if i == Movement.EBT else c for i, c in enumerate(tmc.counts))
-        )
+        bumped = tuple(c + k if i == Movement.EBT else c for i, c in enumerate(tmc))
         assert dynamic_plan(bumped, cycle, 3)[0] >= dynamic_plan(tmc, cycle, 3)[0]
 
 

@@ -196,7 +196,7 @@ class TestAssignLanes:
             lanes = assign_lanes(geo)
             for zone in Zone:
                 share = sum(lanes[m] for m in Movement if m.origin is zone)
-                assert share == pytest.approx(geo.lanes_in_at(zone))
+                assert share == pytest.approx(geo.lanes_in[zone.index])
                 assert all(
                     lanes[m] > 0 for m in Movement if m.origin is zone
                 )

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmcsignal import trajectory
-from tmcsignal.model import MOVEMENTS, Movement, TmcTable
+from tmcsignal.model import MOVEMENTS, Movement
+from tmcsignal.trafficgen import MinuteTmc
 from tmcsignal.trajectory import (
     Trajectory,
     TypicalPath,
@@ -200,12 +201,12 @@ class TestClassify:
 
 class TestCountMovements:
     def test_empty_input(self, paths):
-        assert count_movements([], paths) == TmcTable.zero()
+        assert count_movements([], paths) == MinuteTmc([[0] * 12])
 
     def test_twelve_exact_paths(self, paths):
         trajs = [Trajectory(p.movement.name, 1, p.points) for p in paths]
         table = count_movements(trajs, paths)
-        assert table.counts == (1,) * 12
+        assert table == MinuteTmc([[1] * 12])
 
     def test_pedestrians_excluded(self, paths):
         wbt = next(p for p in paths if p.movement is Movement.WBT)
@@ -228,7 +229,7 @@ class TestCountMovements:
             )
             trajs.append(Trajectory(f"t{i}", 1, pts))
         table = count_movements(trajs, paths, eps=eps)
-        assert 47 <= table[Movement.EBT] <= 50
+        assert 47 <= table.counts[0, Movement.EBT] <= 50
         assert table.total <= 50
 
     def test_population_conserved(self, paths):
@@ -363,7 +364,7 @@ def test_count_movements_and_classify_match_the_scalar_oracle(inputs, data):
     for t, movement in zip(tracks, expected):
         if t.class_label == 1 and movement is not None:
             counts[movement] += 1
-    assert count_movements(tracks, paths, eps, min_sim) == TmcTable(tuple(counts))
+    assert count_movements(tracks, paths, eps, min_sim) == MinuteTmc([counts])
 
 
 @given(st.lists(grid_seq(0, 150), max_size=6), st.lists(grid_seq(0, 200), max_size=4), st.sampled_from([0.5, 1.5]))
