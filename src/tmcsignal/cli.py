@@ -82,8 +82,15 @@ def cmd_plan(args) -> int:
         q = rl_mod.QFunction.load(args.weights)
     peaks = None
     if args.peak_start is not None or args.peak_end is not None:
+        if args.policy != "hybrid":
+            raise ValueError(f"--peak-start and --peak-end apply to the hybrid policy only, not {args.policy}")
         if args.peak_start is None or args.peak_end is None:
             raise ValueError("give both --peak-start and --peak-end, or neither")
+        if not 0 <= args.peak_start < args.peak_end <= len(minute_tmc):
+            raise ValueError(
+                f"--peak-start {args.peak_start} and --peak-end {args.peak_end} must satisfy "
+                f"0 <= start < end <= {len(minute_tmc)}, the minutes in {args.tmc}"
+            )
         peaks = range(args.peak_start, args.peak_end)
     program = build_program(minute_tmc, args.policy, args.cycle, args.yellow, peaks, q=q)
     write_program(program, args.out)

@@ -23,9 +23,9 @@ its last bit with the number of rows computed alongside it. So the bootstrap
 forward keeps the rows a lone run uses: the stacked pass over all sampled next
 states serves only the streams whose sample holds no terminal transition, and
 any other stream is recomputed on its own non-terminal rows. For the same
-reason ``rl_plan`` runs one forward per minute, never one (minutes, 4) product,
-since a last-bit change can flip an argmax near a tie. Streams of unequal
-length train in separate lockstep groups.
+reason ``build_rl_program`` runs one greedy forward per minute, never one
+(minutes, 4) product, since a last-bit change can flip an argmax near a tie.
+Streams of unequal length train in separate lockstep groups.
 
 Because no stream's bits depend on the streams trained beside it, ``train``
 also splits its streams into at most one job per usable CPU, each job a few
@@ -60,11 +60,6 @@ ACTIONS: tuple[tuple[int, int, int, int], ...] = tuple(
 )
 
 N_ACTIONS = len(ACTIONS)
-
-
-def action_fractions(action: tuple[int, int, int, int]) -> tuple[float, float, float, float]:
-    """Allocation shares in [0.1, 0.7] that sum to 1 exactly (tenths over 10)."""
-    return tuple(t / 10 for t in action)
 
 
 @dataclass(frozen=True)
@@ -350,28 +345,15 @@ def _train_child(sender, job, streams, episodes, seeds, hp) -> None:
     sender.send(result)
 
 
-def rl_plan(
-    q: QFunction,
-    counts: Sequence[int],
-    cycle: int,
-    yellow: int = DEFAULT_YELLOW,
-) -> tuple[int, int, int, int]:
-    """Greens of the greedy allocation for the split phases WB, NB, EB, SB, from one minute's 12 counts."""
-    state = [sum(counts[3 * z : 3 * z + 3]) / q.norm for z in range(4)]
-    action = q.greedy_action(state)
+def build_rl_program(q: QFunction, minute_tmcs: MinuteTmc, cycle: int, yellow: int = DEFAULT_YELLOW) -> SignalProgram:
+    """Per-minute split-phasing program from the greedy policy of a trained allocator.
+
+    A minute's quota row, for the phases WB, NB, EB, SB, is its greedy action's tenths of the usable green.
+    """
+    states = minute_tmcs.counts.reshape(-1, 4, 3).sum(axis=2) / q.norm
+    actions = np.array([q.greedy_action(state) for state in states]).reshape(-1, 4)
     budget = cycle - 4 * yellow
-    return allocate_greens([s * budget for s in action_fractions(action)], budget)
-
-
-def build_rl_program(
-    q: QFunction,
-    minute_tmcs: MinuteTmc,
-    cycle: int,
-    yellow: int = DEFAULT_YELLOW,
-) -> SignalProgram:
-    """Per-minute split-phasing program from the greedy policy of a trained allocator."""
-    greens = [rl_plan(q, counts, cycle, yellow) for counts in minute_tmcs.counts.tolist()]
-    return SignalProgram(SPLIT_PHASE, greens, yellow, cycle)
+    return SignalProgram(SPLIT_PHASE, allocate_greens(actions / 10 * budget, budget), yellow, cycle)
 
 
 class _Lockstep:

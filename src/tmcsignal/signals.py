@@ -1,5 +1,10 @@
 """Signal programs: static, dynamic (critical-count proportional), hybrid and rl policies.
 
+A policy is a quota row: ``allocate_greens`` splits each minute's usable green
+in proportion to a row of four quotas, a zero row evenly. A program is one
+(minutes, 4) quota matrix: all zeros (static), critical-count cycle shares
+(dynamic), those inside the peak only (hybrid), or greedy action tenths (rl).
+
 A program holds what a SUMO tlLogic holds for each minute: four phases, each a
 green and then a yellow, over the 12 controlled links WBL..SBR (origin zone W,
 N, E, S, then left/through/right). Which movements a phase lets go is written
@@ -14,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from tmcsignal.apportion import largest_remainder
-from tmcsignal.model import Movement, check_minutes, convert_column, read_csv, write_csv
+from tmcsignal.model import check_minutes, convert_column, read_csv, write_csv
 from tmcsignal.trafficgen import MinuteTmc
 
 DEFAULT_YELLOW = 3
@@ -81,76 +86,53 @@ class SignalProgram:
         return same and np.array_equal(self.greens, other.greens)
 
 
-def critical_counts(t: Sequence[int]) -> tuple[float, float, float, float]:
-    """Per-phase critical demand of one minute's 12 counts: paired through movements are averaged, lefts maxed."""
-    return (
-        max((t[Movement.WBT] + t[Movement.WBR]) / 2, (t[Movement.EBT] + t[Movement.EBR]) / 2),
-        float(max(t[Movement.WBL], t[Movement.EBL])),
-        max((t[Movement.NBT] + t[Movement.NBR]) / 2, (t[Movement.SBT] + t[Movement.SBR]) / 2),
-        float(max(t[Movement.NBL], t[Movement.SBL])),
-    )
+def critical_counts(counts) -> np.ndarray:
+    """Per-phase critical demand of (n, 12) counts, (n, 4) float64: through pairs averaged, lefts maxed.
+
+    Phases 1-4 take the W/E through pairs, the W/E lefts, the N/S through pairs and the N/S lefts.
+    """
+    zones = np.asarray(counts, dtype=np.int64).reshape(-1, 4, 3)  # origin W, N, E, S; then left, through, right
+    through, left = (zones[..., 1] + zones[..., 2]) / 2, zones[..., 0]
+    return np.stack([np.maximum(x[:, z], x[:, z + 2]) for z in (0, 1) for x in (through, left)], axis=1)
 
 
-def allocate_greens(quotas: Sequence[float], budget: int) -> tuple[int, ...]:
-    """Integer greens proportional to ``quotas`` that sum to ``budget`` exactly.
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row of an (n, 4) array summed in order, ``((a + b) + c) + d``, as Python's ``sum`` adds four floats."""
+    return ((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]
+
+
+def allocate_greens(quotas, budget: int) -> np.ndarray:
+    """Integer greens proportional to each row of the (n, 4) ``quotas``, every row summing to ``budget``.
 
     Largest-remainder apportionment, then any phase under ``MIN_GREEN`` is
     pinned there and the rest of the budget is re-apportioned among the others,
-    again by largest remainder on the (rescaled) quotas.
+    again by largest remainder on the (rescaled) quotas; a row of zero quotas
+    gets equal greens. A round that pins nothing ends it. Every other pins a
+    phase, and as the budget is at least ``4 * MIN_GREEN`` one phase of each
+    row stays unpinned, so there are at most four rounds. Returns an int64
+    (n, 4) array; the budget must be below 2**53, where floats count seconds.
     """
-    n = len(quotas)
-    if budget < n * MIN_GREEN:
-        raise ValueError(f"budget {budget}s cannot give {n} phases {MIN_GREEN}s each")
-    if any(q < 0 for q in quotas):
+    if budget < 4 * MIN_GREEN:
+        raise ValueError(f"budget {budget}s cannot give 4 phases {MIN_GREEN}s each")
+    if budget >= 2**53:
+        raise ValueError(f"budget {budget}s is not below 2**53")
+    quotas = np.asarray(quotas, dtype=np.float64).reshape(-1, 4)
+    if (quotas < 0).any():
         raise ValueError("quotas must be non-negative")
-    active = list(range(n))
-    greens = [0] * n
+    active = np.ones(quotas.shape, dtype=bool)
     while True:
-        remaining = budget - MIN_GREEN * (n - len(active))
-        weights = [quotas[i] for i in active]
-        s = sum(weights)
-        if s <= 0:
-            scaled = [remaining / len(active)] * len(active)
-        else:
-            scaled = [w / s * remaining for w in weights]
-        allocated = largest_remainder(scaled, remaining)
-        low = [i for i, g in zip(active, allocated) if g < MIN_GREEN]
-        if not low:
-            for i, g in zip(active, allocated):
-                greens[i] = g
-            return tuple(greens)
-        for i in low:
-            greens[i] = MIN_GREEN
-        active = [i for i in active if i not in low]
-        if not active:
-            # Budget exactly n*MIN_GREEN: everything is pinned at the floor.
-            return tuple([MIN_GREEN] * n)
-
-
-def static_plan(cycle: int, yellow: int = DEFAULT_YELLOW) -> tuple[int, int, int, int]:
-    """Equal greens; leftover seconds after the integer split go to the earliest phases."""
-    budget = cycle - 4 * yellow
-    base, extra = divmod(budget, 4)
-    if base < MIN_GREEN:
-        raise ValueError(
-            f"cycle {cycle}s with {yellow}s yellows cannot give 4 greens of {MIN_GREEN}s"
-        )
-    return tuple(base + 1 if i < extra else base for i in range(4))
-
-
-def dynamic_plan(counts: Sequence[int], cycle: int, yellow: int = DEFAULT_YELLOW) -> tuple[int, int, int, int]:
-    """Greens proportional to the critical counts of one minute: share_i * cycle - yellow, integerized.
-
-    Zero counts fall back to the static plan; after rounding, surplus or
-    deficit seconds are redistributed by largest remainder so the cycle is
-    conserved exactly.
-    """
-    crit = critical_counts(counts)
-    total = sum(crit)
-    if total == 0:
-        return static_plan(cycle, yellow)
-    quotas = [max(x / total * cycle - yellow, 0.0) for x in crit]
-    return allocate_greens(quotas, cycle - 4 * yellow)
+        k = active.sum(axis=1)
+        remaining = budget - MIN_GREEN * (4 - k)
+        weights = np.where(active, quotas, 0.0)
+        s = _row_sums(weights)
+        even = s <= 0
+        shares = weights / np.where(even, 1.0, s)[:, None]
+        scaled = np.where(even[:, None], (remaining / k)[:, None], shares * remaining[:, None])
+        greens = largest_remainder(scaled, remaining, where=active)
+        low = active & (greens < MIN_GREEN)
+        if not low.any():
+            return np.where(active, greens, MIN_GREEN)
+        active &= ~low
 
 
 DEFAULT_PEAK_MINUTES = frozenset(range(60, 180))
@@ -167,10 +149,11 @@ def build_program(
 ) -> SignalProgram:
     """Per-minute program under the requested policy.
 
-    static: one equal split repeated; dynamic: per-minute proportional greens;
-    hybrid: dynamic inside ``peak_minutes`` (default: minutes 60-179 of a
-    four-hour run), static elsewhere. All three use protected lefts. rl: the
-    greedy split-phasing greens of the trained allocator ``q``.
+    A policy is a quota row per minute. static: zero rows. dynamic:
+    ``max(crit / total * cycle - yellow, 0)`` of the minute's critical counts,
+    a zero row where they total 0. hybrid: dynamic's rows inside
+    ``peak_minutes`` (default: minutes 60-179 of a four-hour run), zero rows
+    elsewhere. All three use protected lefts. rl: ``rl.build_rl_program``.
     """
     if policy == "rl":
         if q is None:
@@ -180,15 +163,21 @@ def build_program(
         return rl_mod.build_rl_program(q, minute_tmcs, cycle, yellow)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    peaks = DEFAULT_PEAK_MINUTES if peak_minutes is None else frozenset(peak_minutes)
-    fixed = static_plan(cycle, yellow)
-    greens = [
-        dynamic_plan(counts, cycle, yellow)
-        if policy == "dynamic" or (policy == "hybrid" and minute in peaks)
-        else fixed
-        for minute, counts in enumerate(minute_tmcs.counts.tolist())
-    ]
-    return SignalProgram(PROTECTED_LEFT, greens, yellow, cycle)
+    budget = cycle - 4 * yellow
+    if budget < 4 * MIN_GREEN:
+        raise ValueError(f"cycle {cycle}s with {yellow}s yellows cannot give 4 greens of {MIN_GREEN}s")
+    if policy == "hybrid":
+        peaks = DEFAULT_PEAK_MINUTES if peak_minutes is None else peak_minutes
+        dynamic = np.isin(np.arange(len(minute_tmcs)), list(peaks))
+    else:
+        dynamic = policy == "dynamic"
+    crit = critical_counts(minute_tmcs.counts)
+    total = _row_sums(crit)
+    rows = dynamic & (total > 0)
+    quotas = np.zeros_like(crit)
+    if rows.any():  # a static program never scales by the cycle, which may not fit a float
+        quotas[rows] = np.maximum(crit[rows] / total[rows, None] * cycle - yellow, 0.0)
+    return SignalProgram(PROTECTED_LEFT, allocate_greens(quotas, budget), yellow, cycle)
 
 
 # --- CSV interchange ------------------------------------------------------------------

@@ -99,7 +99,7 @@ def assign_lanes(geo: IntersectionGeometry) -> tuple[float, ...]:
     total = sum(SHARED_LANE_WEIGHTS)
     for n in geo.lanes_in:
         if n >= 3:
-            through, right = largest_remainder([2 / 3 * (n - 1), 1 / 3 * (n - 1)], n - 1)
+            through, right = largest_remainder([[2 / 3 * (n - 1), 1 / 3 * (n - 1)]], n - 1)[0].tolist()
             eff += [1.0, float(through), float(right)]
         else:
             eff += [n * w / total for w in SHARED_LANE_WEIGHTS]
@@ -164,6 +164,7 @@ def _simulate(
 
     # One rate-index column per run of consecutive cells that share a program.
     runs, cell_run, full = [], np.empty(cells, dtype=np.int64), np.empty((cells, 12))
+    lanes_of = {geo: assign_lanes(geo) for geo in set(geometries)}
     previous = None
     for b, (geo, program) in enumerate(zip(geometries, programs, strict=True)):
         if program is not previous:
@@ -171,7 +172,7 @@ def _simulate(
             _rate_index(program, horizon, runs[-1])
             previous = program
         cell_run[b] = len(runs) - 1
-        full[b] = [lanes / cfg.saturation_headway for lanes in assign_lanes(geo)]
+        full[b] = [lanes / cfg.saturation_headway for lanes in lanes_of[geo]]
     rate_index = np.array(runs, dtype=np.uint8).reshape(-1, horizon).T.copy()
 
     # A column is a distinct (demand, program run, movement, full-rate bits);

@@ -29,7 +29,7 @@ from typing import Literal
 import numpy as np
 
 from tmcsignal.apportion import proportional_split
-from tmcsignal.model import MOVEMENT_INDEX, MOVEMENT_NAMES, MOVEMENTS
+from tmcsignal.model import MAX_COUNT, MOVEMENT_INDEX, MOVEMENT_NAMES, MOVEMENTS
 from tmcsignal.model import check_minutes, check_unique_ids, convert_column, count_matrix, read_csv, write_csv
 
 HourKind = Literal["offpeak", "peak"]
@@ -47,7 +47,11 @@ DEFAULT_TURN_FRACTIONS = (1 / 3, 1 / 2, 1 / 6)
 
 @dataclass(frozen=True)
 class BimodalProfile:
-    """Two-level daily volume profile (vehicles/hour) with an hour-kind schedule."""
+    """Two-level daily volume profile (vehicles/hour) with an hour-kind schedule.
+
+    ``ValueError`` for a mean or sigma that is not finite or not below
+    ``MAX_COUNT`` (2**32), a negative sigma or an unknown hour kind.
+    """
 
     mu_offpeak: float = 2500.0
     sigma_offpeak: float = 300.0
@@ -57,8 +61,12 @@ class BimodalProfile:
 
     def __post_init__(self) -> None:
         for name in ("mu_offpeak", "sigma_offpeak", "mu_peak", "sigma_peak"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            # Hourly totals are drawn around it and apportioned as int64 counts.
+            if value >= MAX_COUNT:
+                raise ValueError(f"{name} must be below 2**32, got {value}")
         if self.sigma_offpeak < 0 or self.sigma_peak < 0:
             raise ValueError("sigmas must be non-negative")
         for kind in self.hours:
@@ -95,6 +103,8 @@ class TurnRatio:
         if len(self.by_zone) != 4:
             raise ValueError("expected one (left, through, right) triple per zone")
         for triple in self.by_zone:
+            if not all(map(math.isfinite, triple)):
+                raise ValueError(f"turn fractions must be finite, got {triple}")
             if any(f < 0 for f in triple):
                 raise ValueError("turn fractions must be non-negative")
             if abs(sum(triple) - 1.0) > 1e-9:

@@ -24,15 +24,7 @@ from tmcsignal.model import (
 )
 from tmcsignal.rl import ACTIONS, train
 from tmcsignal.sim import SimConfig, evaluate, run
-from tmcsignal.signals import (
-    PROTECTED_LEFT,
-    SignalProgram,
-    build_program,
-    critical_counts,
-    dynamic_plan,
-    static_plan,
-    write_program,
-)
+from tmcsignal.signals import PROTECTED_LEFT, SignalProgram, build_program, critical_counts, write_program
 from tmcsignal.sumo_io import emit_tls, parse_routes, routes_xml
 from tmcsignal.trafficgen import (
     PATTERNS,
@@ -53,6 +45,11 @@ PUBLISHED_RATES = {
     "INT5": ((388, 1946, 954, 761, 1175, 1451, 569, 1001), 483),
     "INT6": ((447, 555, 684, 456, 533, 1795, 198, 381), 294),
 }
+
+
+def one_minute_greens(counts, policy: str, cycle: int) -> tuple[int, ...]:
+    """The greens ``build_program`` gives a one-minute stream of ``counts``, with 3 s yellows."""
+    return tuple(build_program(MinuteTmc([counts]), policy, cycle, 3).greens[0].tolist())
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -89,7 +86,7 @@ def test_criterion_2_pattern_algebra():
 def test_criterion_3_dynamic_allocation_oracle():
     ids, counts = read_tmc_tables()
     observed = counts[ids.index("INT1")].tolist()
-    crit = critical_counts(observed)
+    crit = critical_counts([observed])[0].tolist()
     quotas = [x / sum(crit) * 90 - 3 for x in crit]
 
     # Independent oracle: the integer split of 78 closest (L2) to the quotas.
@@ -104,13 +101,13 @@ def test_criterion_3_dynamic_allocation_oracle():
                 if best_cost is None or cost < best_cost - 1e-12:
                     best, best_cost = (g1, g2, g3, g4), cost
     ok = best == (29, 21, 20, 8)
-    ok &= dynamic_plan(observed, 90, 3) == (29, 21, 20, 8)
+    ok &= one_minute_greens(observed, "dynamic", 90) == (29, 21, 20, 8)
 
     rng = np.random.default_rng(2025)
     for _ in range(1000):
         tmc = rng.integers(0, 4000, size=12).tolist()
         cycle = int(rng.choice([60, 90, 120, 150]))
-        ok &= sum(dynamic_plan(tmc, cycle, 3)) + 4 * 3 == cycle
+        ok &= sum(one_minute_greens(tmc, "dynamic", cycle)) + 4 * 3 == cycle
     report(3, "dynamic greens (29,21,20,8); cycle conserved on 1000 tables", ok)
 
 
@@ -207,14 +204,15 @@ def test_criterion_6_conservation_and_trace():
             for i, t in enumerate(departs)
         ])
         cycle = int(rng.choice([60, 90]))
-        program = SignalProgram(PROTECTED_LEFT, [static_plan(cycle, 3)] * math.ceil(horizon / 60), 3, cycle)
+        static = one_minute_greens((0,) * 12, "static", cycle)
+        program = SignalProgram(PROTECTED_LEFT, [static] * math.ceil(horizon / 60), 3, cycle)
         result = run([geo], [plans], [program], SimConfig(horizon=horizon))[0]
         injected = sum(1 for t in departs if t < horizon)
         ok &= result.injected == injected
         ok &= result.served + result.residual_queue == injected
 
     geo = read_geometries()["INT1"]
-    program = SignalProgram(PROTECTED_LEFT, [static_plan(90, 3)] * 60, 3, 90)
+    program = SignalProgram(PROTECTED_LEFT, [one_minute_greens((0,) * 12, "static", 90)] * 60, 3, 90)
     trace = run(
         [geo],
         [departures([("v0", 0, Movement.NBT)])],

@@ -14,7 +14,7 @@ import pytest
 
 from tmcsignal.cli import main
 from tmcsignal.rl import QFunction
-from tmcsignal.signals import SPLIT_PHASE, read_program
+from tmcsignal.signals import SPLIT_PHASE, build_program, read_program
 from tmcsignal.sumo_io import read_routes
 from tmcsignal.trafficgen import MinuteTmc, read_departures, read_minute_tmc, write_minute_tmc
 from tmcsignal.trajectory import (
@@ -260,6 +260,36 @@ class TestValidationFailures:
         bad.write_text("pattern = NOPE\n")
         assert run_cli("gen", "--demand-spec", bad, "--out-dir", tmp_path / "g") == 1
 
+    @pytest.mark.parametrize(
+        "policy, window, fragment",
+        [
+            pytest.param("hybrid", (300, 400), "must satisfy 0 <= start < end <= 240", id="outside-the-stream"),
+            pytest.param("hybrid", (230, 241), "must satisfy 0 <= start < end <= 240", id="one-past-the-stream"),
+            pytest.param("hybrid", (10, 10), "must satisfy 0 <= start < end <= 240", id="empty"),
+            pytest.param("hybrid", (20, 10), "must satisfy 0 <= start < end <= 240", id="negative"),
+            pytest.param("hybrid", (-1, 10), "must satisfy 0 <= start < end <= 240", id="before-the-stream"),
+            pytest.param("dynamic", (60, 180), "apply to the hybrid policy only, not dynamic", id="dynamic"),
+            pytest.param("static", (None, 180), "apply to the hybrid policy only, not static", id="static-end-only"),
+        ],
+    )
+    def test_peak_window_plan_would_ignore(self, tmp_path, capsys, policy, window, fragment):
+        tmc_file = tmp_path / "tmc.csv"
+        write_minute_tmc(MinuteTmc([(minute % 7,) * 12 for minute in range(240)]), tmc_file)
+        flags = [f for flag, value in zip(("--peak-start", "--peak-end"), window) if value is not None
+                 for f in (flag, value)]
+        code = run_cli("plan", "--tmc", tmc_file, "--policy", policy, *flags, "--out", tmp_path / "p.csv")
+        err = capsys.readouterr().err
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: ") and fragment in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_whole_stream_peak_window_is_the_dynamic_program(self, tmp_path):
+        tmc_file = tmp_path / "tmc.csv"
+        tables = MinuteTmc([(minute % 7, 3, 1) * 4 for minute in range(240)])
+        write_minute_tmc(tables, tmc_file)
+        argv = ("plan", "--tmc", tmc_file, "--policy", "hybrid", "--peak-start", 0, "--peak-end", 240)
+        assert run_cli(*argv, "--out", tmp_path / "p.csv") == 0
+        assert read_program(tmp_path / "p.csv") == build_program(tables, "dynamic", 90)
+
     def test_incomplete_peak_window(self, tmp_path):
         tmc_file = tmp_path / "tmc.csv"
         write_minute_tmc(MinuteTmc([(0,) * 12]), tmc_file)
@@ -416,6 +446,13 @@ class TestMalformedInputs:
             pytest.param("gen", "mu_peak = 1e400", "mu_peak must be finite, got inf", id="gen-mu-1e400"),
             pytest.param("gen", "mu_peak = nan", "mu_peak must be finite, got nan", id="gen-mu-nan"),
             pytest.param("gen", "sigma_offpeak = -inf", "sigma_offpeak must be finite, got -inf", id="gen-sigma-inf"),
+            pytest.param("gen", "mu_peak = 1e25", "mu_peak must be below 2**32, got 1e+25", id="gen-mu-1e25"),
+            pytest.param("gen", "sigma_peak = 4294967296", "sigma_peak must be below 2**32, got 4294967296.0",
+                         id="gen-sigma-2**32"),
+            pytest.param("gen", "turn_ratios = nan, 0.5, 0.5", "turn fractions must be finite, got (nan, 0.5, 0.5)",
+                         id="gen-turn-nan"),
+            pytest.param("experiment", "mu_peak = 4294967296", "mu_peak must be below 2**32, got 4294967296.0",
+                         id="grid-mu-2**32"),
             pytest.param("experiment", "mu_offpeak = inf", "mu_offpeak must be finite, got inf", id="grid-mu-inf"),
             pytest.param("experiment", "sigma_peak = nan", "sigma_peak must be finite, got nan", id="grid-sigma-nan"),
             pytest.param("experiment", "cycles = 60, x", "invalid literal for int() with base 10: 'x'",

@@ -189,6 +189,8 @@ def read_alone(reader, path) -> int:
 @settings(max_examples=500, deadline=None)
 @given(mutated_inputs())
 @example(("demand.txt", 0, VALID["demand.txt"].replace("mu_peak = 60", "mu_peak = inf")))
+@example(("demand.txt", 0, VALID["demand.txt"].replace("mu_peak = 60", "mu_peak = 1e25")))
+@example(("demand.txt", 0, VALID["demand.txt"].replace("turn_ratios = 0.25, 0.5, 0.25", "turn_ratios = nan, 0.5, 0.5")))
 def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_factory, mutation):
     name, command, text = mutation
     work = tmp_path_factory.mktemp("mutation")
@@ -206,6 +208,8 @@ def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_fa
         code = main(argv) if argv else read_alone(reader, paths[name])
     if code == 1:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()
+        # A spec is checked whole when it is read, so its every fault is the file's and names it.
+        assert not name.endswith(".txt") or str(paths[name]) in err.getvalue(), err.getvalue()
         return
     assert code == 0 and err.getvalue() == ""
     value = reader(paths[name])

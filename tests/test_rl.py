@@ -6,6 +6,7 @@ import csv
 import math
 import multiprocessing
 import os
+import re
 import signal
 import tempfile
 import time
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plan_oracle import action_fractions, rl_plan
 from tmcsignal import rl as rl_mod
 from tmcsignal.model import write_csv
 from tmcsignal.rl import (
@@ -28,9 +30,7 @@ from tmcsignal.rl import (
     Hyperparams,
     QFunction,
     _stream_tables,
-    action_fractions,
     build_rl_program,
-    rl_plan,
     train,
 )
 from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE
@@ -108,6 +108,11 @@ def best_action_by_exhaustion(volumes: Sequence[float], usable_green: float) -> 
 
 def constant_stream(counts: Sequence[int], minutes: int = 60) -> MinuteTmc:
     return MinuteTmc([counts] * minutes)
+
+
+def one_minute_greens(q: QFunction, counts: Sequence[int], cycle: int) -> tuple[int, ...]:
+    """The greens ``build_rl_program`` gives a one-minute stream of ``counts``."""
+    return tuple(build_rl_program(q, MinuteTmc([counts]), cycle).greens[0].tolist())
 
 
 # The one-stream training loop that `train` replaced, kept unchanged as the
@@ -392,7 +397,7 @@ class TestRlPlan:
         stream = constant_stream(SYMMETRIC, 1)
         hp = Hyperparams(lr_decay=0.999)
         [q] = train([stream], episodes=3000, seeds=[2], hp=hp)
-        greens = rl_plan(q, SYMMETRIC, cycle=90)
+        greens = one_minute_greens(q, SYMMETRIC, cycle=90)
         assert sum(greens) + 4 * 3 == 90
         # within one quantization step: shares differ by at most 0.1 of usable green
         assert max(greens) - min(greens) <= 0.1 * 78 + 1
@@ -401,12 +406,12 @@ class TestRlPlan:
         # Seed 4's allocator of the shared batch has the bits of
         # train([constant_stream(DOMINANT_WB, 60)], episodes=100, seeds=[4]).
         q = dominant_wb_allocators[4]
-        greens = rl_plan(q, DOMINANT_WB, cycle=90)
+        greens = one_minute_greens(q, DOMINANT_WB, cycle=90)
         assert greens[0] == max(greens)
 
     def test_zero_demand_plan_still_conserves_cycle(self):
         q = QFunction(seed=0)
-        assert sum(rl_plan(q, (0,) * 12, cycle=120)) + 4 * 3 == 120
+        assert sum(one_minute_greens(q, (0,) * 12, cycle=120)) + 4 * 3 == 120
 
     def test_split_phasing_structure(self):
         q = QFunction(seed=0)
@@ -419,6 +424,24 @@ class TestRlPlan:
         q = QFunction(seed=1)
         program = build_rl_program(q, stream, cycle=90)
         assert len(program) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 400)] * 12), min_size=1, max_size=5),
+        st.integers(0, 3),
+        st.integers(12, 150),
+        st.integers(0, 5),
+    )
+    def test_program_equals_the_per_minute_oracle(self, tables, seed, cycle, yellow):
+        """The greens, or the error text, of one ``rl_plan`` per minute, the build the quota matrix replaced."""
+        q = QFunction(seed=seed, norm=max(max(map(direction_volumes, tables))) or 1.0)
+        try:
+            expected = [list(rl_plan(q, t, cycle, yellow)) for t in tables]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                build_rl_program(q, MinuteTmc(tables), cycle, yellow)
+            return
+        assert build_rl_program(q, MinuteTmc(tables), cycle, yellow).greens.tolist() == expected
 
 
 def test_weights_roundtrip(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plan_oracle
 from tmcsignal import rl
 from tmcsignal.model import Movement
 from tmcsignal.signals import (
@@ -20,9 +21,7 @@ from tmcsignal.signals import (
     allocate_greens,
     build_program,
     critical_counts,
-    dynamic_plan,
     read_program,
-    static_plan,
     write_program,
 )
 from tmcsignal.trafficgen import MinuteTmc
@@ -31,6 +30,19 @@ tmc_tables = st.tuples(*[st.integers(0, 3000)] * 12)
 cycles = st.sampled_from([60, 90, 120, 150])
 
 INT1_COUNTS = (505, 0, 0, 233, 757, 214, 0, 1345, 10, 99, 645, 0)
+
+
+def plan(counts, policy: str, cycle: int, yellow: int = 3) -> tuple[int, ...]:
+    """The greens ``build_program`` gives a one-minute stream of ``counts``."""
+    return tuple(build_program(MinuteTmc([counts]), policy, cycle, yellow).greens[0].tolist())
+
+
+def static_plan(cycle: int, yellow: int = 3) -> tuple[int, ...]:
+    return plan((0,) * 12, "static", cycle, yellow)
+
+
+def dynamic_plan(counts, cycle: int, yellow: int = 3) -> tuple[int, ...]:
+    return plan(counts, "dynamic", cycle, yellow)
 
 
 def lit(state: str, light: str) -> set[Movement]:
@@ -56,15 +68,15 @@ def brute_force_allocation(quotas, budget, min_green=MIN_GREEN):
 
 class TestCriticalCounts:
     def test_observed_counts_example(self):
-        cc = critical_counts(INT1_COUNTS)
-        assert cc == (677.5, 505.0, 485.5, 233.0)
+        cc = critical_counts([INT1_COUNTS])
+        assert cc.dtype == np.float64 and cc.tolist() == [[677.5, 505.0, 485.5, 233.0]]
 
     def test_zero_table(self):
-        assert critical_counts((0,) * 12) == (0, 0, 0, 0)
+        assert critical_counts([(0,) * 12]).tolist() == [[0, 0, 0, 0]]
 
     def test_symmetric_table(self):
-        cc = critical_counts((100,) * 12)
-        assert cc == (100.0, 100.0, 100.0, 100.0)
+        cc = critical_counts([(100,) * 12, INT1_COUNTS])
+        assert cc.tolist() == [[100.0, 100.0, 100.0, 100.0], [677.5, 505.0, 485.5, 233.0]]
 
 
 class TestStaticPlan:
@@ -82,8 +94,9 @@ class TestStaticPlan:
         assert sum(greens) + 4 * 3 == 32
 
     def test_too_small_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            static_plan(31, 3)
+        for policy in ("static", "dynamic", "hybrid"):
+            with pytest.raises(ValueError, match=re.escape("cycle 31s with 3s yellows cannot give 4 greens of 5s")):
+                build_program(MinuteTmc([INT1_COUNTS]), policy, 31)
 
     def test_phase_structure(self):
         assert lit(PROTECTED_LEFT[1], "G") == {Movement.WBL, Movement.EBL}
@@ -94,7 +107,7 @@ class TestStaticPlan:
 
 class TestDynamicPlan:
     def test_observed_counts_oracle(self):
-        cc = critical_counts(INT1_COUNTS)
+        cc = critical_counts([INT1_COUNTS])[0].tolist()
         quotas = [x / sum(cc) * 90 - 3 for x in cc]
         assert brute_force_allocation(quotas, 78) == (29, 21, 20, 8)
         assert dynamic_plan(INT1_COUNTS, 90, 3) == (29, 21, 20, 8)
@@ -111,16 +124,15 @@ class TestDynamicPlan:
 
     @given(tmc_tables, cycles)
     def test_a_matrix_row_plans_as_its_table(self, tmc, cycle):
-        row = MinuteTmc([tmc]).counts.tolist()[0]
-        assert dynamic_plan(row, cycle, 3) == dynamic_plan(tmc, cycle, 3)
-        assert critical_counts(row) == critical_counts(tmc)
+        assert dynamic_plan(tmc, cycle, 3) == plan_oracle.dynamic_plan(tmc, cycle, 3)
+        assert critical_counts([tmc])[0].tolist() == list(plan_oracle.critical_counts(tmc))
 
     @given(tmc_tables, st.sampled_from([60, 90]))
     @settings(max_examples=40, deadline=None)
     def test_achieves_brute_force_optimum_when_no_clamp(self, tmc, cycle):
         # Largest remainder minimizes the L2 distance to the fractional quotas;
         # ties between equal-cost splits may resolve differently, so compare costs.
-        cc = critical_counts(tmc)
+        cc = plan_oracle.critical_counts(tmc)
         if sum(cc) == 0:
             return
         quotas = [x / sum(cc) * cycle - 3 for x in cc]
@@ -133,7 +145,7 @@ class TestDynamicPlan:
 
     @given(tmc_tables, cycles)
     def test_proportionality_within_one_second(self, tmc, cycle):
-        cc = critical_counts(tmc)
+        cc = plan_oracle.critical_counts(tmc)
         if sum(cc) == 0:
             return
         quotas = [x / sum(cc) * cycle - 3 for x in cc]
@@ -151,19 +163,21 @@ class TestDynamicPlan:
 
 class TestAllocateGreens:
     def test_clamped_phase_pins_at_min_green(self):
-        greens = allocate_greens([70.0, 4.0, 2.0, 2.0], 78)
-        assert sum(greens) == 78
-        assert greens[1] == greens[2] == greens[3] == MIN_GREEN
+        greens = allocate_greens([[70.0, 4.0, 2.0, 2.0]], 78)
+        assert greens.dtype == np.int64 and greens.shape == (1, 4)
+        assert greens.sum() == 78
+        assert greens[0, 1] == greens[0, 2] == greens[0, 3] == MIN_GREEN
 
     def test_budget_too_small(self):
-        with pytest.raises(ValueError):
-            allocate_greens([1, 1, 1, 1], 19)
+        for quotas in ([[1, 1, 1, 1]], np.zeros((0, 4))):
+            with pytest.raises(ValueError, match=re.escape("budget 19s cannot give 4 phases 5s each")):
+                allocate_greens(quotas, 19)
 
-    @given(st.lists(st.floats(0, 1000), min_size=4, max_size=4), cycles)
+    @given(st.lists(st.lists(st.floats(0, 1000), min_size=4, max_size=4), min_size=1, max_size=3), cycles)
     def test_always_conserves_and_respects_floor(self, quotas, cycle):
         greens = allocate_greens(quotas, cycle - 12)
-        assert sum(greens) == cycle - 12
-        assert min(greens) >= MIN_GREEN
+        assert (greens.sum(axis=1) == cycle - 12).all()
+        assert greens.min() >= MIN_GREEN
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +194,7 @@ class TestBuildProgram:
         program = build_program(minute_tmcs, "static", 90)
         assert len(program) == 240
         assert program.layout == PROTECTED_LEFT
-        assert (program.greens == static_plan(90)).all()
+        assert (program.greens == plan_oracle.static_plan(90)).all()
 
     def test_hybrid_empty_peaks_equals_static(self, minute_tmcs):
         hybrid = build_program(minute_tmcs, "hybrid", 90, peak_minutes=())
@@ -200,6 +214,31 @@ class TestBuildProgram:
         for minute in range(240):
             expected = dynamic if 60 <= minute < 180 else static
             assert hybrid.greens[minute].tolist() == expected.greens[minute].tolist(), minute
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(tmc_tables, st.just((0,) * 12)), min_size=1, max_size=6),
+        st.sampled_from(["static", "dynamic", "hybrid"]),
+        st.integers(18, 160),
+        st.integers(0, 6),
+        st.sets(st.integers(-1, 7)),
+    )
+    def test_every_policy_equals_the_per_minute_oracle(self, tables, policy, cycle, yellow, peaks):
+        """The programs, or the error texts, of the per-minute build that the quota matrix replaced."""
+        try:
+            fixed = plan_oracle.static_plan(cycle, yellow)
+            expected = [
+                plan_oracle.dynamic_plan(t, cycle, yellow)
+                if policy == "dynamic" or (policy == "hybrid" and minute in peaks)
+                else fixed
+                for minute, t in enumerate(tables)
+            ]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                build_program(MinuteTmc(tables), policy, cycle, yellow, peaks)
+            return
+        program = build_program(MinuteTmc(tables), policy, cycle, yellow, peaks)
+        assert program.greens.tolist() == [list(greens) for greens in expected]
 
     def test_unknown_policy_rejected(self, minute_tmcs):
         with pytest.raises(ValueError):

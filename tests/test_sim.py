@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from departure_rows import departures, rows_of
+from tmcsignal import sim
 from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone
 from tmcsignal.sim import (
     SimConfig,
@@ -29,9 +30,9 @@ from tmcsignal.signals import (
     SPLIT_PHASE,
     SignalProgram,
     allocate_greens,
-    static_plan,
+    build_program,
 )
-from tmcsignal.trafficgen import Departures
+from tmcsignal.trafficgen import Departures, MinuteTmc
 
 
 # --- the scalar reference: one cell, one second, one movement at a time ---------------
@@ -165,7 +166,7 @@ def scalar_run(
 
 
 def static_program(cycle: int = 90, minutes: int = 60) -> SignalProgram:
-    return SignalProgram(PROTECTED_LEFT, [static_plan(cycle, 3)] * minutes, 3, cycle)
+    return build_program(MinuteTmc(np.zeros((minutes, 12), dtype=np.int64)), "static", cycle, 3)
 
 
 def sorted_plans(raw: list[tuple[int, Movement]]) -> Departures:
@@ -200,6 +201,15 @@ class TestAssignLanes:
                 assert all(
                     lanes[m] > 0 for m in Movement if m.origin is zone
                 )
+
+    def test_a_batch_assigns_each_distinct_geometry_once(self, geometries, monkeypatch):
+        assigned = []
+        monkeypatch.setattr(sim, "assign_lanes", lambda geo: assigned.append(geo.id) or assign_lanes(geo))
+        cells = [geometries["INT1"], geometries["INT2"], geometries["INT1"], geometries["INT1"]]
+        plans = departures([("v0", 0, Movement.WBT), ("v1", 3, Movement.NBL)])
+        results = run(cells, [plans] * 4, [static_program()] * 4, SimConfig(horizon=120))
+        assert sorted(assigned) == ["INT1", "INT2"]
+        assert results[0] == results[2] == run(cells[:1], [plans], [static_program()], SimConfig(horizon=120))[0]
 
 
 class TestRunBasics:
@@ -343,7 +353,7 @@ def signal_programs(draw, minutes: int, cycles=st.sampled_from([60, 90]), vary_y
     cycle = draw(cycles)
     yellow = draw(st.integers(0, min(5, (cycle - 4 * MIN_GREEN) // 4))) if vary_yellow else 3
     quotas = st.lists(st.integers(0, 50), min_size=4, max_size=4)
-    pool = [allocate_greens(q, cycle - 4 * yellow) for q in draw(st.lists(quotas, min_size=1, max_size=3))]
+    pool = allocate_greens(draw(st.lists(quotas, min_size=1, max_size=3)), cycle - 4 * yellow).tolist()
     pattern = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
     greens = [pool[pattern[i % len(pattern)]] for i in range(minutes)]
     return SignalProgram(draw(st.sampled_from(LAYOUTS)), greens, yellow, cycle)

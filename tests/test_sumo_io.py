@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from departure_rows import departures, rows_of
 from tmcsignal.model import Movement
-from tmcsignal.signals import PROTECTED_LEFT, SPLIT_PHASE, SignalProgram, build_program, static_plan
+from tmcsignal.signals import SPLIT_PHASE, SignalProgram, build_program
 from tmcsignal.sumo_io import (
     XML_DECLARATION,
     emit_tls,
@@ -188,7 +188,7 @@ class TestRoutes:
 
 
 def static_program(minutes: int) -> SignalProgram:
-    return SignalProgram(PROTECTED_LEFT, [static_plan(90, 3)] * minutes, 3, 90)
+    return build_program(MinuteTmc([(0,) * 12] * minutes), "static", 90, 3)
 
 
 class TestTls:
@@ -239,9 +239,7 @@ class TestTls:
     @given(st.tuples(*[st.integers(0, 500)] * 12), st.sampled_from([60, 90, 120, 150]))
     @settings(max_examples=40)
     def test_every_document_sums_to_cycle(self, tmc, cycle):
-        from tmcsignal.signals import dynamic_plan
-
-        program = SignalProgram(PROTECTED_LEFT, [dynamic_plan(tmc, cycle, 3)], 3, cycle)
+        program = build_program(MinuteTmc([tmc]), "dynamic", cycle, 3)
         docs, _ = emit_tls(program)
         for entries in docs.values():
             assert len(entries) == 8
