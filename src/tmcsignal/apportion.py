@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
 
 import numpy as np
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row of an (n, k) float array summed left to right, ``((a + b) + c) + d``, as Python's ``sum`` adds."""
+    return functools.reduce(np.add, np.asarray(x).T, np.zeros(len(x)))
 
 
 def largest_remainder(quotas, total, where=True) -> np.ndarray:
@@ -41,8 +46,3 @@ def largest_remainder(quotas, total, where=True) -> np.ndarray:
     k, leftover = np.maximum(k, 1)[:, None], leftover[:, None]
     return ints + where * (leftover // k + (rank < leftover % k))
 
-
-def proportional_split(weights: Sequence[float], total: int) -> list[int]:
-    """Split ``total`` into integer parts proportional to ``weights``, of a positive sum (largest remainder)."""
-    s = sum(weights)
-    return largest_remainder([[w / s * total for w in weights]], total)[0].tolist()

@@ -17,7 +17,7 @@ from tmcsignal.experiment import (
 )
 from tmcsignal.model import read_geometries
 from tmcsignal.sim import SimConfig, evaluate, write_queue_series, write_summary
-from tmcsignal.signals import POLICIES, build_program, read_program, write_program
+from tmcsignal.signals import DEFAULT_PEAK_MINUTES, POLICIES, build_program, read_program, write_program
 from tmcsignal.sumo_io import write_routes, write_tls
 from tmcsignal.trafficgen import (
     PATTERNS,
@@ -92,6 +92,9 @@ def cmd_plan(args) -> int:
                 f"0 <= start < end <= {len(minute_tmc)}, the minutes in {args.tmc}"
             )
         peaks = range(args.peak_start, args.peak_end)
+    elif args.policy == "hybrid" and min(DEFAULT_PEAK_MINUTES) >= len(minute_tmc):
+        window = f"minutes {min(DEFAULT_PEAK_MINUTES)}-{max(DEFAULT_PEAK_MINUTES)}"
+        raise ValueError(f"the default hybrid peak, {window}, lies past {args.tmc}; give --peak-start and --peak-end")
     program = build_program(minute_tmc, args.policy, args.cycle, args.yellow, peaks, q=q)
     write_program(program, args.out)
     print(f"{args.policy} program, {len(program)} minutes, cycle {args.cycle}s -> {args.out}")

@@ -116,6 +116,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
     call trains the patterns in lockstep, split over the usable CPUs with forked
     children; each allocator has the bits it would have if trained alone, so
     the report does not depend on the CPU count.
+    A hybrid program is dynamic in the minutes of the profile's peak hours.
     A program depends only on (pattern, policy, cycle), so each is built once
     and serves every geometry; programs are built while the kernel reads them,
     so one program is held at a time.
@@ -152,6 +153,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
         )
         allocators = dict(zip(demands, trained))
 
+    peaks = spec.profile.peak_minutes
     # Cells that share a program are consecutive: one per geometry.
     keys = [
         (geo_id, pattern, policy, cycle)
@@ -165,7 +167,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
         for i, (geo_id, pattern, policy, cycle) in enumerate(keys):
             if i % len(geometries) == 0:
                 try:
-                    program = build_program(demands[pattern][1], policy, cycle, q=allocators.get(pattern))
+                    program = build_program(
+                        demands[pattern][1], policy, cycle, peak_minutes=peaks, q=allocators.get(pattern)
+                    )
                 except ValueError as exc:
                     raise ExperimentError(
                         f"cell geometry={geo_id} pattern={pattern} "

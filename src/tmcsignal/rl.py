@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from tmcsignal.model import write_csv
-from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, SignalProgram, allocate_greens
+from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, SignalProgram, allocate_greens, check_budget
 from tmcsignal.trafficgen import MinuteTmc
 
 # Allocation actions: every split of 10 tenths over 4 directions with at least
@@ -170,12 +170,13 @@ class QFunction:
         if len(sizes) != 4 or sizes[0] != 4 or sizes[-1] != N_ACTIONS or not sizes[1] == sizes[2] >= 1:
             raise ValueError(f"{path}: unexpected layer sizes {sizes}")
         seed, norm = parse(*header["seed"], _non_negative_int), parse(*header["norm"], _positive_norm)
-        q = cls(hidden_width=sizes[1], seed=seed, norm=norm)
-        q.episodes_trained = parse(*header["episodes"], _non_negative_int)
         flat = np.array([parse(lineno, text, _finite) for lineno, text in enumerate(lines[4:], start=5)])
         expected = sum(a * b for a, b in zip(sizes, sizes[1:])) + sum(sizes[1:])
+        # Checked before the network is built, so the file's length bounds what is allocated.
         if flat.size != expected:
             raise ValueError(f"{path}: expected {expected} weights, found {flat.size}")
+        q = cls(hidden_width=sizes[1], seed=seed, norm=norm)
+        q.episodes_trained = parse(*header["episodes"], _non_negative_int)
         offset = 0
         for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
             q.weights[i] = flat[offset : offset + n_in * n_out].reshape(n_in, n_out)
@@ -253,6 +254,7 @@ def train(
             raise ValueError(f"stream {i}: seed must be a non-negative integer, got {seed!r}")
     if log_path is not None and len(minute_tmcs) != 1:
         raise ValueError("a training log needs a batch of one stream")
+    check_budget(cycle - 4 * yellow)  # before the rewards scale by it
     hp = hp or Hyperparams()
     streams = [_stream_tables(m, cycle, yellow) for m in minute_tmcs]
     groups: dict[int, list[int]] = {}

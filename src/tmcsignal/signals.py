@@ -23,9 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from tmcsignal.apportion import largest_remainder
+from tmcsignal.apportion import largest_remainder, row_sums
 from tmcsignal.model import check_minutes, convert_column, read_csv, write_csv
-from tmcsignal.trafficgen import MinuteTmc
+from tmcsignal.trafficgen import BimodalProfile, MinuteTmc
 
 DEFAULT_YELLOW = 3
 MIN_GREEN = 5
@@ -96,9 +96,10 @@ def critical_counts(counts) -> np.ndarray:
     return np.stack([np.maximum(x[:, z], x[:, z + 2]) for z in (0, 1) for x in (through, left)], axis=1)
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Each row of an (n, 4) array summed in order, ``((a + b) + c) + d``, as Python's ``sum`` adds four floats."""
-    return ((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3]
+def check_budget(budget: int) -> None:
+    """``ValueError`` unless the usable green ``budget`` is below 2**53, where floats count seconds exactly."""
+    if budget >= 2**53:
+        raise ValueError(f"budget {budget}s is not below 2**53")
 
 
 def allocate_greens(quotas, budget: int) -> np.ndarray:
@@ -114,8 +115,7 @@ def allocate_greens(quotas, budget: int) -> np.ndarray:
     """
     if budget < 4 * MIN_GREEN:
         raise ValueError(f"budget {budget}s cannot give 4 phases {MIN_GREEN}s each")
-    if budget >= 2**53:
-        raise ValueError(f"budget {budget}s is not below 2**53")
+    check_budget(budget)
     quotas = np.asarray(quotas, dtype=np.float64).reshape(-1, 4)
     if (quotas < 0).any():
         raise ValueError("quotas must be non-negative")
@@ -124,7 +124,7 @@ def allocate_greens(quotas, budget: int) -> np.ndarray:
         k = active.sum(axis=1)
         remaining = budget - MIN_GREEN * (4 - k)
         weights = np.where(active, quotas, 0.0)
-        s = _row_sums(weights)
+        s = row_sums(weights)
         even = s <= 0
         shares = weights / np.where(even, 1.0, s)[:, None]
         scaled = np.where(even[:, None], (remaining / k)[:, None], shares * remaining[:, None])
@@ -135,7 +135,7 @@ def allocate_greens(quotas, budget: int) -> np.ndarray:
         active &= ~low
 
 
-DEFAULT_PEAK_MINUTES = frozenset(range(60, 180))
+DEFAULT_PEAK_MINUTES = BimodalProfile().peak_minutes
 POLICIES = ("static", "dynamic", "hybrid", "rl")
 
 
@@ -152,9 +152,11 @@ def build_program(
     A policy is a quota row per minute. static: zero rows. dynamic:
     ``max(crit / total * cycle - yellow, 0)`` of the minute's critical counts,
     a zero row where they total 0. hybrid: dynamic's rows inside
-    ``peak_minutes`` (default: minutes 60-179 of a four-hour run), zero rows
+    ``peak_minutes`` (default: the default profile's peak, minutes 60-179), zero rows
     elsewhere. All three use protected lefts. rl: ``rl.build_rl_program``.
     """
+    budget = cycle - 4 * yellow
+    check_budget(budget)  # before any quota is scaled by the cycle, which may not fit a float
     if policy == "rl":
         if q is None:
             raise ValueError("the rl policy needs a trained allocator")
@@ -163,7 +165,6 @@ def build_program(
         return rl_mod.build_rl_program(q, minute_tmcs, cycle, yellow)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    budget = cycle - 4 * yellow
     if budget < 4 * MIN_GREEN:
         raise ValueError(f"cycle {cycle}s with {yellow}s yellows cannot give 4 greens of {MIN_GREEN}s")
     if policy == "hybrid":
@@ -172,7 +173,7 @@ def build_program(
     else:
         dynamic = policy == "dynamic"
     crit = critical_counts(minute_tmcs.counts)
-    total = _row_sums(crit)
+    total = row_sums(crit)
     rows = dynamic & (total > 0)
     quotas = np.zeros_like(crit)
     if rows.any():  # a static program never scales by the cycle, which may not fit a float

@@ -88,22 +88,20 @@ class SimResult:
     queue_series: tuple[tuple[int, int, int, int], ...]
 
 
-def assign_lanes(geo: IntersectionGeometry) -> tuple[float, ...]:
-    """Effective lane count serving each movement, WBL..SBR, summing to lanes_in per zone.
+def assign_lanes(geometries: Sequence[IntersectionGeometry]) -> np.ndarray:
+    """Effective lanes serving each movement, a float64 (geometries, 12) matrix whose zones sum to their lanes_in.
 
     With three or more lanes the left turn gets one dedicated lane and the rest
-    split 2:1 between through and right by largest remainder; narrower
-    approaches share fractionally in proportion 1:2:1.
+    split 2:1 between through and right, all such approaches in one largest
+    remainder call; narrower approaches share fractionally in proportion 1:2:1.
     """
-    eff: list[float] = []
-    total = sum(SHARED_LANE_WEIGHTS)
-    for n in geo.lanes_in:
-        if n >= 3:
-            through, right = largest_remainder([[2 / 3 * (n - 1), 1 / 3 * (n - 1)]], n - 1)[0].tolist()
-            eff += [1.0, float(through), float(right)]
-        else:
-            eff += [n * w / total for w in SHARED_LANE_WEIGHTS]
-    return tuple(eff)
+    lanes = np.array([geo.lanes_in for geo in geometries], dtype=np.int64).reshape(-1, 4)
+    eff = lanes[..., None] * np.array(SHARED_LANE_WEIGHTS) / sum(SHARED_LANE_WEIGHTS)
+    wide = lanes >= 3
+    rest = lanes[wide] - 1
+    eff[wide, 0] = 1.0
+    eff[wide, 1:] = largest_remainder(np.stack([2 / 3 * rest, 1 / 3 * rest], axis=1), rest)
+    return eff.reshape(-1, 12)
 
 
 def _count_arrivals(plans: Departures, out: np.ndarray) -> None:
@@ -163,16 +161,15 @@ def _simulate(
     injected = arrivals.sum(axis=(0, 2), dtype=np.int64)[cell_demand]
 
     # One rate-index column per run of consecutive cells that share a program.
-    runs, cell_run, full = [], np.empty(cells, dtype=np.int64), np.empty((cells, 12))
-    lanes_of = {geo: assign_lanes(geo) for geo in set(geometries)}
+    runs, cell_run = [], np.empty(cells, dtype=np.int64)
     previous = None
-    for b, (geo, program) in enumerate(zip(geometries, programs, strict=True)):
+    for b, (_, program) in enumerate(zip(geometries, programs, strict=True)):  # one program per geometry
         if program is not previous:
             runs.append(np.empty(horizon, dtype=np.uint8))
             _rate_index(program, horizon, runs[-1])
             previous = program
         cell_run[b] = len(runs) - 1
-        full[b] = [lanes / cfg.saturation_headway for lanes in lanes_of[geo]]
+    full = assign_lanes(geometries) / cfg.saturation_headway
     rate_index = np.array(runs, dtype=np.uint8).reshape(-1, horizon).T.copy()
 
     # A column is a distinct (demand, program run, movement, full-rate bits);

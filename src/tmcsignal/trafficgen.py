@@ -4,6 +4,10 @@ Counts are int64 (n, 12) matrices, a column per movement (WBL..SBR): one row
 per hour for the drawn demand, one per minute for its TMC, which the CSV file
 holds and the signal policies and the RL allocator read.
 
+The hourly totals are one normal draw over the schedule. Each split after it,
+totals over the zone weights and zone counts over the turn fractions, is one
+apportionment of a count matrix (``split_counts``).
+
 Departures are held as columns. A ``Departures`` keeps three arrays, in
 departure order: the departure seconds (int64), the movements (int8) and the
 ids. Generated demand keeps its ids as serial numbers and spells them
@@ -28,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from tmcsignal.apportion import proportional_split
+from tmcsignal.apportion import largest_remainder, row_sums
 from tmcsignal.model import MAX_COUNT, MOVEMENT_INDEX, MOVEMENT_NAMES, MOVEMENTS
 from tmcsignal.model import check_minutes, check_unique_ids, convert_column, count_matrix, read_csv, write_csv
 
@@ -73,10 +77,10 @@ class BimodalProfile:
             if kind not in ("offpeak", "peak"):
                 raise ValueError(f"unknown hour kind {kind!r}")
 
-    def params_for(self, kind: HourKind) -> tuple[float, float]:
-        if kind == "peak":
-            return self.mu_peak, self.sigma_peak
-        return self.mu_offpeak, self.sigma_offpeak
+    @property
+    def peak_minutes(self) -> frozenset[int]:
+        """The minutes of the peak hours, counted from the start of the schedule."""
+        return frozenset(60 * h + m for h, kind in enumerate(self.hours) if kind == "peak" for m in range(60))
 
 
 @dataclass(frozen=True)
@@ -232,45 +236,23 @@ PATTERNS: dict[str, ZonePattern] = {
 UNIVERSAL_WEIGHTS = (0.5, 0.5, 0.5, 0.5)
 
 
-def hourly_counts(profile: BimodalProfile, seed) -> list[int]:
-    """One rounded, zero-clamped normal draw per scheduled hour."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for kind in profile.hours:
-        mu, sigma = profile.params_for(kind)
-        out.append(max(0, int(round(rng.normal(mu, sigma)))))
-    return out
+def split_counts(counts, fractions, mode: SplitMode = "deterministic", seeds=()) -> np.ndarray:
+    """Split count j of each row of the (rows, k) ``counts`` by row j of the (k, parts) ``fractions``, of positive sums.
 
-
-def split_by_zone(
-    total: int,
-    pattern: ZonePattern,
-    mode: SplitMode = "deterministic",
-    seed=None,
-) -> tuple[int, int, int, int]:
-    """Split an hour's total into four zone counts; the total is always conserved."""
-    if total < 0:
-        raise ValueError("total must be non-negative")
+    Returns the int64 (rows, k * parts) parts; every count is conserved.
+    Deterministic: one largest-remainder call on ``fraction / row sum * count``.
+    Sampled: row r is one multinomial call on a Generator seeded with ``seeds[r]``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    fractions = np.asarray(fractions, dtype=np.float64)
+    (rows, k), parts = counts.shape, fractions.shape[1]
     if mode == "deterministic":
-        return tuple(proportional_split(pattern.weights, total))
-    rng = np.random.default_rng(seed)
-    return tuple(int(c) for c in rng.multinomial(total, pattern.weights))
-
-
-def split_by_movement(
-    zone_counts: Sequence[int],
-    ratios: TurnRatio,
-    mode: SplitMode = "deterministic",
-    seed=None,
-) -> tuple[int, ...]:
-    """Apportion each zone's count into (left, through, right): the 12 movement counts, totals preserved."""
-    rng = np.random.default_rng(seed) if mode == "sampled" else None
-    counts: list[int] = []
-    for n, triple in zip(map(int, zone_counts), ratios.by_zone, strict=True):
-        if n < 0:
-            raise ValueError("zone counts must be non-negative")
-        counts += proportional_split(triple, n) if rng is None else rng.multinomial(n, triple).tolist()
-    return tuple(counts)
+        quotas = fractions / row_sums(fractions)[:, None] * counts[..., None]
+        split = largest_remainder(quotas.reshape(rows * k, parts), counts.ravel())
+    else:
+        draws = [np.random.default_rng(seed).multinomial(row, fractions) for row, seed in zip(counts, seeds)]
+        split = np.array(draws, dtype=np.int64)
+    return split.reshape(rows, k * parts)
 
 
 def schedule_departures(hourly: np.ndarray, seed) -> Departures:
@@ -335,20 +317,21 @@ class DemandSpec:
 def generate_demand(spec: DemandSpec) -> tuple[Departures, MinuteTmc]:
     """Run the full pipeline: hourly draws -> zone split -> turn split -> departures.
 
-    Each stage draws from its own stream spawned off the master seed, so the
+    Each stage draws from its own stream spawned off the master seed, and a
+    sampled split from one stream per hour spawned off its stage's, so the
     whole pipeline is deterministic per seed and stages stay independent.
     """
-    ss = np.random.SeedSequence(spec.seed)
-    s_hour, s_zone, s_move, s_depart = ss.spawn(4)
-    totals = hourly_counts(spec.profile, s_hour)
-    zone_seeds = s_zone.spawn(len(totals))
-    move_seeds = s_move.spawn(len(totals))
-    hourly = []
-    for h, total in enumerate(totals):
-        zones = split_by_zone(total, spec.pattern, spec.mode, zone_seeds[h])
-        hourly.append(split_by_movement(zones, spec.ratios, spec.mode, move_seeds[h]))
-    plans = schedule_departures(np.array(hourly, dtype=np.int64).reshape(-1, 12), s_depart)
-    return plans, aggregate_per_minute(plans, minutes=60 * len(totals))
+    s_hour, s_zone, s_move, s_depart = np.random.SeedSequence(spec.seed).spawn(4)
+    profile = spec.profile
+    peak = np.array(profile.hours, dtype=str) == "peak"
+    mu = np.where(peak, profile.mu_peak, profile.mu_offpeak)
+    sigma = np.where(peak, profile.sigma_peak, profile.sigma_offpeak)
+    totals = np.maximum(np.rint(np.random.default_rng(s_hour).normal(mu, sigma)), 0).astype(np.int64)
+    hours = len(totals)
+    zones = split_counts(totals[:, None], [spec.pattern.weights], spec.mode, s_zone.spawn(hours))
+    hourly = split_counts(zones, spec.ratios.by_zone, spec.mode, s_move.spawn(hours))
+    plans = schedule_departures(hourly, s_depart)
+    return plans, aggregate_per_minute(plans, minutes=60 * hours)
 
 
 def parse_keyed(text: str) -> dict[str, str]:

@@ -290,6 +290,18 @@ class TestValidationFailures:
         assert run_cli(*argv, "--out", tmp_path / "p.csv") == 0
         assert read_program(tmp_path / "p.csv") == build_program(tables, "dynamic", 90)
 
+    @pytest.mark.parametrize("minutes, code", [(60, 1), (61, 0)])
+    def test_default_peak_window_past_the_stream(self, tmp_path, capsys, minutes, code):
+        tmc_file = tmp_path / "tmc.csv"
+        write_minute_tmc(MinuteTmc([(minute % 7, 3, 1) * 4 for minute in range(minutes)]), tmc_file)
+        assert run_cli("plan", "--tmc", tmc_file, "--policy", "hybrid", "--out", tmp_path / "p.csv") == code
+        err = capsys.readouterr().err
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("error: the default hybrid peak, minutes 60-179,")
+            assert str(tmc_file) in err and not (tmp_path / "p.csv").exists()
+        else:
+            assert err == "" and read_program(tmp_path / "p.csv").greens[60].tolist() != [18] * 4
+
     def test_incomplete_peak_window(self, tmp_path):
         tmc_file = tmp_path / "tmc.csv"
         write_minute_tmc(MinuteTmc([(0,) * 12]), tmc_file)
@@ -388,6 +400,8 @@ class TestMalformedInputs:
             pytest.param("layers 4 4 5 84\n", "unexpected layer sizes", id="unequal-hidden-widths"),
             pytest.param("layers 4 0 0 84\n", "unexpected layer sizes", id="no-hidden-units"),
             pytest.param("layers 4 5 5 84\n", "expected 559 weights, found 460", id="weights-for-other-sizes"),
+            pytest.param("layers 4 1000000 1000000 84\n", "expected 1000090000084 weights", id="wide-layers"),
+            pytest.param(f"layers 4 {'9' * 401} {'9' * 401} 84\n", "weights, found 460", id="width-of-401-digits"),
         ],
     )
     def test_snapshot_of_other_layer_sizes_names_the_file(self, tmp_path, capsys, text, fragment):
@@ -399,6 +413,29 @@ class TestMalformedInputs:
             "plan", "--tmc", tmc_file, "--policy", "rl", "--weights", weights, "--out", tmp_path / "p.csv"
         )
         self.assert_one_error_line(capsys, code, "weights.txt: ", fragment)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(("plan", "--policy", "dynamic", "--out", "{out}/p.csv"), id="plan-dynamic"),
+            pytest.param(("plan", "--policy", "rl", "--weights", "{weights}", "--out", "{out}/p.csv"), id="plan-rl"),
+            pytest.param(("rl-train", "--episodes", "1", "--out", "{out}/w.txt"), id="rl-train"),
+            pytest.param(
+                ("simulate", "--geometry", "INT1", "--departures", "{departures}", "--policy", "dynamic",
+                 "--out-dir", "{out}"),
+                id="simulate-dynamic",
+            ),
+        ],
+    )
+    def test_cycle_past_the_float_range(self, tmp_path, capsys, command):
+        (tmp_path / "departures.csv").write_text("id,depart,movement\nv0,0,WBT\nv1,4,NBT\n")
+        write_minute_tmc(MinuteTmc([(minute % 7, 3, 1) * 4 for minute in range(3)]), tmp_path / "tmc.csv")
+        QFunction(hidden_width=4).save(tmp_path / "weights.txt")
+        paths = {"out": tmp_path / "out", "weights": tmp_path / "weights.txt"}
+        argv = [arg.format_map({**paths, "departures": tmp_path / "departures.csv"}) for arg in command]
+        tmc = [] if argv[0] == "simulate" else ["--tmc", tmp_path / "tmc.csv"]
+        code = run_cli(*argv, *tmc, "--cycle", 10**400)
+        self.assert_one_error_line(capsys, code, f"budget {10**400 - 12}s is not below 2**53")
 
     @pytest.mark.parametrize(
         "command",

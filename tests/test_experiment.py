@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from tmcsignal import experiment
 from tmcsignal.experiment import (
     DEFAULT_CYCLES,
     ExperimentError,
@@ -18,6 +20,7 @@ from tmcsignal.experiment import (
 )
 from tmcsignal.sim import SimResult
 from tmcsignal.experiment import ExperimentMatrix
+from tmcsignal.signals import build_program
 from tmcsignal.trafficgen import BimodalProfile
 
 QUICK_PROFILE = BimodalProfile(
@@ -144,6 +147,21 @@ class TestGrid:
             "report.csv": "76332836f06f2a2229e74103225c1df90a24da4e4ac2294a42a356a16ae2b7d4",
             "winners.csv": "00f277118a26b48a582861d87d7d99f90105417561dddb43bd5bd42a4ac72e6e",
         }
+
+    def test_hybrid_is_dynamic_in_the_profile_peak_only(self, monkeypatch):
+        built = {}
+
+        def spy(minute_tmcs, policy, cycle, *args, **kwargs):
+            built[policy] = build_program(minute_tmcs, policy, cycle, *args, **kwargs)
+            return built[policy]
+
+        monkeypatch.setattr(experiment, "build_program", spy)
+        profile = replace(QUICK_PROFILE, hours=("peak", "offpeak"))
+        run_experiment(quick_spec(geometry_ids=("INT1",), patterns=("PC",), policies=("static", "dynamic", "hybrid"),
+                                  profile=profile, seed=7))
+        static, dynamic, hybrid = (built[policy].greens.tolist() for policy in ("static", "dynamic", "hybrid"))
+        assert hybrid[:60] == dynamic[:60] != static[:60]
+        assert hybrid[60:] == static[60:]
 
     def test_unknown_geometry_id(self):
         with pytest.raises(ValueError):

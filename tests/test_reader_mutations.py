@@ -1,8 +1,8 @@
 """Every file reader either returns what its writer wrote or fails with one ``error:`` line.
 
 One valid small input per reader is mutated once: truncated, a line deleted or
-duplicated, or one field (a CSV field, or a keyed-text key or list item)
-replaced from a pool of hostile values. The mutated file goes through
+duplicated, or one field (a CSV field, a keyed-text key or list item, or a
+line of an allocator snapshot) replaced from a pool of hostile values. The mutated file goes through
 ``cli.main``, or straight to its reader when no command reads it alone, with
 warnings raised as errors. The run must exit 0, and then the value the reader
 returns must read back equal after its writer writes it; or it must exit 1
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from tmcsignal.cli import main
 from tmcsignal.experiment import ExperimentSpec, read_experiment_spec
 from tmcsignal.model import TMC_TABLE_FIELDS, read_geometries, read_tmc_tables, write_csv, write_geometries
+from tmcsignal.rl import QFunction
 from tmcsignal.signals import read_program, write_program
 from tmcsignal.sumo_io import read_routes
 from tmcsignal.trafficgen import (
@@ -71,6 +72,8 @@ VALID = {
         "geometries = INT1, INT2\npatterns = PA, PC\npolicies = static, rl\ncycles = 60, 90\nseed = 7\n"
         "rl_episodes = 2\nhours = offpeak\nmu_offpeak = 100\ngeometry_file = g.csv\n"
     ),
+    # An allocator of hidden width 1: 4 + 1 + 84 weights and 1 + 1 + 84 biases.
+    "weights.txt": "layers 4 1 1 84\nseed 3\nepisodes 2\nnorm 5.0\n" + "0.25\n-1.5\n" * 87 + "2.0\n",
 }
 
 
@@ -82,6 +85,13 @@ def read_tmc_table_rows(path):
 def write_tmc_table_rows(tables, path) -> None:
     ids, rows = tables
     write_csv(path, TMC_TABLE_FIELDS, ([tid, *row] for tid, row in zip(ids, rows)))
+
+
+def read_snapshot(path) -> str:
+    """The text ``QFunction.save`` writes for the allocator ``QFunction.load`` reads from ``path``."""
+    saved = Path(f"{path}.saved")
+    QFunction.load(path).save(saved)
+    return saved.read_text()
 
 
 def profile_text(profile: BimodalProfile) -> str:
@@ -149,6 +159,11 @@ READERS = {
     "demand.txt": ([("gen", "--demand-spec", "{demand}", "--out-dir", "{out}")], read_demand_spec, write_demand_spec),
     # ``experiment --spec`` would run the grid, so the grid file goes to its reader alone.
     "grid.txt": ([None], read_experiment_spec, write_experiment_spec),
+    "weights.txt": (
+        [("plan", "--tmc", "{tmc}", "--policy", "rl", "--weights", "{weights}", "--out", "{out}/p.csv")],
+        read_snapshot,
+        lambda text, path: Path(path).write_text(text),
+    ),
 }
 
 
@@ -191,9 +206,11 @@ def read_alone(reader, path) -> int:
 @example(("demand.txt", 0, VALID["demand.txt"].replace("mu_peak = 60", "mu_peak = inf")))
 @example(("demand.txt", 0, VALID["demand.txt"].replace("mu_peak = 60", "mu_peak = 1e25")))
 @example(("demand.txt", 0, VALID["demand.txt"].replace("turn_ratios = 0.25, 0.5, 0.25", "turn_ratios = nan, 0.5, 0.5")))
+@example(("weights.txt", 0, VALID["weights.txt"].replace("layers 4 1 1 84", f"layers 4 {'9' * 401} {'9' * 401} 84")))
 def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_factory, mutation):
     name, command, text = mutation
     work = tmp_path_factory.mktemp("mutation")
+    (work / "out").mkdir()  # so that ``plan --out`` and ``tmc --out`` can write
     paths = {file_name: work / file_name for file_name in READERS}
     for file_name, content in VALID.items():
         paths[file_name].write_text(content)

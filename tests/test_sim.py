@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import demand_oracle
 from departure_rows import departures, rows_of
 from tmcsignal import sim
 from tmcsignal.model import MOVEMENTS, IntersectionGeometry, Movement, Zone
@@ -51,7 +53,7 @@ def _service_rates(
     Phases cycle continuously; a minute plan takes effect at the first cycle
     boundary inside that minute, so phases are never truncated mid-green.
     """
-    lanes = assign_lanes(geo)
+    lanes = demand_oracle.assign_lanes(geo)
     rates = np.zeros((cfg.horizon, 12))
     full = np.array([lanes[m] / cfg.saturation_headway for m in MOVEMENTS])
     t = 0
@@ -182,19 +184,20 @@ def geometries():
 class TestAssignLanes:
     def test_six_lane_approach(self):
         geo = IntersectionGeometry("X", (6, 6, 6, 6), (4, 4, 4, 4))
-        lanes = assign_lanes(geo)
+        lanes = assign_lanes([geo])[0]
         assert lanes[Movement.WBL] == 1.0
         assert lanes[Movement.WBT] == 3.0
         assert lanes[Movement.WBR] == 2.0
 
     def test_single_lane_shared_fractionally(self):
         geo = IntersectionGeometry("X", (1, 1, 1, 1), (1, 1, 1, 1))
-        lanes = assign_lanes(geo)
-        assert lanes[:3] == (0.25, 0.5, 0.25)
+        lanes = assign_lanes([geo])
+        assert lanes.shape == (1, 12) and lanes.dtype == np.float64
+        assert lanes[0, :3].tolist() == [0.25, 0.5, 0.25]
 
     def test_zone_sums_preserved_for_bundled_geometries(self, geometries):
         for geo in geometries.values():
-            lanes = assign_lanes(geo)
+            lanes = assign_lanes([geo])[0]
             for zone in Zone:
                 share = sum(lanes[m] for m in Movement if m.origin is zone)
                 assert share == pytest.approx(geo.lanes_in[zone.index])
@@ -202,13 +205,25 @@ class TestAssignLanes:
                     lanes[m] > 0 for m in Movement if m.origin is zone
                 )
 
+    def test_every_lane_combination_equals_the_per_zone_oracle(self):
+        counts = (1, 2, 3, 4, 5, 7, 10, 99, 2**31 - 1)
+        grid = [IntersectionGeometry("X", lanes, (1, 1, 1, 1)) for lanes in itertools.product(counts, repeat=4)]
+        expected = np.array([demand_oracle.assign_lanes(geo) for geo in grid])
+        assert assign_lanes(grid).tobytes() == expected.tobytes()
+        assert assign_lanes([]).shape == (0, 12)
+
     def test_a_batch_assigns_each_distinct_geometry_once(self, geometries, monkeypatch):
         assigned = []
-        monkeypatch.setattr(sim, "assign_lanes", lambda geo: assigned.append(geo.id) or assign_lanes(geo))
+
+        def spy(geos):
+            assigned.append([geo.id for geo in geos])
+            return assign_lanes(geos)
+
+        monkeypatch.setattr(sim, "assign_lanes", spy)
         cells = [geometries["INT1"], geometries["INT2"], geometries["INT1"], geometries["INT1"]]
         plans = departures([("v0", 0, Movement.WBT), ("v1", 3, Movement.NBL)])
         results = run(cells, [plans] * 4, [static_program()] * 4, SimConfig(horizon=120))
-        assert sorted(assigned) == ["INT1", "INT2"]
+        assert assigned == [["INT1", "INT2", "INT1", "INT1"]]
         assert results[0] == results[2] == run(cells[:1], [plans], [static_program()], SimConfig(horizon=120))[0]
 
 

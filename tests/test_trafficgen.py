@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import demand_oracle
 from departure_rows import Row, departures, rows_of
 from tmcsignal.model import MOVEMENTS, Movement, Zone
 from tmcsignal.trafficgen import (
@@ -22,13 +23,11 @@ from tmcsignal.trafficgen import (
     aggregate_per_minute,
     departure_order,
     generate_demand,
-    hourly_counts,
     parse_demand_spec,
     read_departures,
     read_minute_tmc,
     schedule_departures,
-    split_by_movement,
-    split_by_zone,
+    split_counts,
     write_departures,
     write_minute_tmc,
 )
@@ -70,15 +69,30 @@ def aggregate_per_minute_oracle(plans, minutes=None) -> MinuteTmc:
 
 
 def generate_demand_oracle(spec: DemandSpec) -> tuple[list[Row], MinuteTmc]:
-    s_hour, s_zone, s_move, s_depart = np.random.SeedSequence(spec.seed).spawn(4)
-    totals = hourly_counts(spec.profile, s_hour)
-    zone_seeds, move_seeds = s_zone.spawn(len(totals)), s_move.spawn(len(totals))
-    tables = [
-        split_by_movement(split_by_zone(total, spec.pattern, spec.mode, zone_seeds[h]), spec.ratios, spec.mode, move_seeds[h])
-        for h, total in enumerate(totals)
-    ]
+    tables, s_depart = demand_oracle.hourly_tables(spec)
     plans = schedule_departures_oracle(tables, s_depart)
-    return plans, aggregate_per_minute_oracle(plans, minutes=60 * len(totals))
+    return plans, aggregate_per_minute_oracle(plans, minutes=60 * len(tables))
+
+
+def split_counts_oracle(counts, fractions, mode, seeds) -> list[list[int]]:
+    """Each count of each row split on its own by the scalar splits: one Generator per row in sampled mode."""
+    out = []
+    for r, row in enumerate(counts):
+        rng = np.random.default_rng(seeds[r]) if mode == "sampled" else None
+        parts = []
+        for count, triple in zip(row, fractions):
+            if rng is None:
+                parts += demand_oracle.proportional_split(triple, count)
+            else:
+                parts += rng.multinomial(count, triple).tolist()
+        out.append(parts)
+    return out
+
+
+def hourly_totals(profile: BimodalProfile, seed: int) -> list[int]:
+    """The vehicles of each hour of the demand ``profile`` and ``seed`` give."""
+    _, minute_tmc = generate_demand(DemandSpec(profile=profile, seed=seed))
+    return minute_tmc.counts.reshape(len(profile.hours), -1).sum(axis=1).tolist()
 
 
 # Up to three hours of up to 60 vehicles per movement: enough same-second ties
@@ -92,33 +106,40 @@ weight_vectors = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda ws: ZonePattern(tuple(w / sum(ws) for w in ws))
 )
 
+# A zone's (left, through, right) shares: zeros and ties as well as any mix.
+turn_triples = (
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.01, 1.0)), min_size=3, max_size=3)
+    .filter(lambda fs: sum(fs) > 0)
+    .map(lambda fs: tuple(f / sum(fs) for f in fs))
+)
+
 
 class TestHourlyCounts:
     def test_default_profile_peak_hours_within_five_sigma(self):
         profile = BimodalProfile()
         for seed in range(20):
-            counts = hourly_counts(profile, seed)
+            counts = hourly_totals(profile, seed)
             assert len(counts) == 4
             for peak_hour in (1, 2):
                 assert 18000 <= counts[peak_hour] <= 22000
 
     def test_degenerate_sigma_returns_means_exactly(self):
         profile = BimodalProfile(100, 0, 200, 0)
-        assert hourly_counts(profile, 123) == [100, 200, 200, 100]
+        assert hourly_totals(profile, 123) == [100, 200, 200, 100]
 
     def test_deterministic_per_seed(self):
         profile = BimodalProfile()
-        assert hourly_counts(profile, 7) == hourly_counts(profile, 7)
+        assert hourly_totals(profile, 7) == hourly_totals(profile, 7)
 
     def test_mean_of_offpeak_hour_over_200_seeds(self):
-        profile = BimodalProfile()
-        mean = sum(hourly_counts(profile, s)[0] for s in range(200)) / 200
+        profile = BimodalProfile(hours=("offpeak",))
+        mean = sum(hourly_totals(profile, s)[0] for s in range(200)) / 200
         half_width = 4 * profile.sigma_offpeak / 200**0.5
         assert abs(mean - profile.mu_offpeak) <= half_width
 
     def test_negative_draws_clamped(self):
         profile = BimodalProfile(mu_offpeak=1, sigma_offpeak=1000, hours=("offpeak",) * 50)
-        assert min(hourly_counts(profile, 3)) == 0
+        assert min(hourly_totals(profile, 3)) == 0
 
 
 class TestPatternLibrary:
@@ -145,47 +166,94 @@ class TestPatternLibrary:
 
 class TestSplitByZone:
     def test_uniform_worked_example(self):
-        assert split_by_zone(100, PATTERNS["PA"]) == (25, 25, 25, 25)
+        assert split_counts([[100]], [PATTERNS["PA"].weights]).tolist() == [[25, 25, 25, 25]]
 
     def test_zero_total(self):
-        assert split_by_zone(0, PATTERNS["PB"]) == (0, 0, 0, 0)
+        assert split_counts([[0]], [PATTERNS["PB"].weights]).tolist() == [[0, 0, 0, 0]]
 
     def test_largest_remainder_example(self):
-        assert split_by_zone(10, PATTERNS["PB"]) == (4, 4, 1, 1)
+        assert split_counts([[10]], [PATTERNS["PB"].weights]).tolist() == [[4, 4, 1, 1]]
 
     @given(st.integers(0, 100_000), weight_vectors)
     def test_deterministic_mode_conserves_total(self, total, pattern):
-        assert sum(split_by_zone(total, pattern)) == total
+        assert split_counts([[total]], [pattern.weights]).sum() == total
 
     @given(st.integers(0, 10_000), weight_vectors, st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_sampled_mode_conserves_total(self, total, pattern, seed):
-        assert sum(split_by_zone(total, pattern, "sampled", seed)) == total
+        assert split_counts([[total]], [pattern.weights], "sampled", [seed]).sum() == total
 
 
 class TestSplitByMovement:
     def test_hand_example(self):
         ratios = TurnRatio.uniform(0.25, 0.60, 0.15)
-        table = split_by_movement((20, 0, 0, 0), ratios)
+        table = split_counts([[20, 0, 0, 0]], ratios.by_zone)[0]
         assert (table[Movement.WBL], table[Movement.WBT], table[Movement.WBR]) == (5, 12, 3)
 
     def test_all_left(self):
-        table = split_by_movement((7, 8, 9, 10), TurnRatio.uniform(1, 0, 0))
+        table = split_counts([[7, 8, 9, 10]], TurnRatio.uniform(1, 0, 0).by_zone)[0]
         assert all(table[m] == 0 for m in Movement if m.turn != 0)
-        assert sum(table) == 34
+        assert table.sum() == 34
 
     @given(st.tuples(*[st.integers(0, 5000)] * 4))
     def test_total_preserved(self, zone_counts):
-        table = split_by_movement(zone_counts, TurnRatio.default())
-        assert len(table) == 12 and all(type(c) is int for c in table)
-        assert sum(table) == sum(zone_counts)
+        table = split_counts([zone_counts], TurnRatio.default().by_zone)
+        assert table.shape == (1, 12) and table.dtype == np.int64
         for zone in Zone:
-            zone_total = sum(table[m] for m in Movement if m.origin is zone)
+            zone_total = sum(table[0, m] for m in Movement if m.origin is zone)
             assert zone_total == zone_counts[zone.index]
 
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
             TurnRatio.uniform(0.5, 0.6, 0.2)
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "sampled"])
+def test_split_counts_of_no_rows(mode):
+    split = split_counts(np.zeros((0, 4), dtype=np.int64), TurnRatio.default().by_zone, mode, [])
+    assert split.shape == (0, 12) and split.dtype == np.int64
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "sampled"])
+def test_no_hours_is_an_empty_demand(mode):
+    departures, minute_tmc = generate_demand(DemandSpec(profile=BimodalProfile(hours=()), mode=mode))
+    assert len(departures) == 0 and minute_tmc.counts.shape == (0, 12)
+
+
+@st.composite
+def split_cases(draw):
+    """(counts, fractions, mode, seeds): up to 4 rows of up to 4 counts, each split over 1-4 parts.
+
+    The counts hold zeros, and the fractions zeros and ties; every fraction row
+    has a positive sum. A sampled split needs rows that sum to 1, so it gets
+    them normalised; a deterministic one keeps them as drawn, so that the order
+    of the row sum shows.
+    """
+    rows, k, parts = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["deterministic", "sampled"]))
+    count = st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 10**6))
+    counts = draw(st.lists(st.lists(count, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    value = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.4, 1.0]), st.floats(0, 10))
+    fractions = []
+    for _ in range(k):
+        row = draw(st.lists(value, min_size=parts, max_size=parts).filter(lambda r: sum(r) > 0))
+        fractions.append([f / sum(row) for f in row] if mode == "sampled" else row)
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=rows, max_size=rows))
+    return counts, fractions, mode, seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+@example(([[10], [0]], [[0.4, 0.4, 0.1, 0.1]], "deterministic", [0, 0]))
+# Row sums added out of order show: reversed in the first, pairwise in the second.
+@example(([[3, 152]], [[0.7, 0.6, 0.2], [0.1, 0.1, 0.7]], "deterministic", [0]))
+@example(([[8]], [[0.6, 0.7, 0.6, 0.1]], "deterministic", [0]))
+def test_split_counts_equals_the_scalar_splits(case):
+    counts, fractions, mode, seeds = case
+    k = len(fractions)
+    got = split_counts(np.array(counts, dtype=np.int64).reshape(len(counts), k), fractions, mode, seeds)
+    assert got.dtype == np.int64
+    assert got.tolist() == split_counts_oracle(counts, fractions, mode, seeds)
 
 
 class TestScheduleDepartures:
@@ -223,18 +291,20 @@ class TestColumnsEqualTheListPipeline:
         assert rows_of(departures) == expected
         assert aggregate_per_minute(departures, minutes) == aggregate_per_minute_oracle(expected, minutes)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         st.integers(0, 2**32),
-        st.floats(0, 400),
-        st.floats(0, 1500),
-        st.lists(st.sampled_from(["offpeak", "peak"]), min_size=1, max_size=3),
-        st.sampled_from(sorted(PATTERNS)),
+        st.tuples(st.floats(0, 400), st.floats(0, 200), st.floats(0, 1500), st.floats(0, 200)),
+        st.lists(st.sampled_from(["offpeak", "peak"]), max_size=4),
+        st.one_of(st.sampled_from(list(PATTERNS.values())), weight_vectors),
+        st.one_of(st.just(TurnRatio.default()), st.tuples(*[turn_triples] * 4).map(TurnRatio)),
         st.sampled_from(["deterministic", "sampled"]),
     )
-    def test_generate_demand(self, seed, mu_offpeak, mu_peak, hours, pattern, mode):
-        profile = BimodalProfile(mu_offpeak, 30.0, mu_peak, 60.0, tuple(hours))
-        spec = DemandSpec(profile=profile, pattern=PATTERNS[pattern], seed=seed, mode=mode)
+    @example(0, (101.5, 0.0, 200.5, 0.0), ["offpeak", "peak"], PATTERNS["PB"], TurnRatio.default(), "deterministic")
+    @example(7, (50.0, 5.0, 80.0, 5.0), ["offpeak", "peak"], PATTERNS["PC"], TurnRatio.default(), "sampled")
+    def test_generate_demand(self, seed, levels, hours, pattern, ratios, mode):
+        profile = BimodalProfile(*levels, tuple(hours))
+        spec = DemandSpec(profile=profile, pattern=pattern, ratios=ratios, seed=seed, mode=mode)
         departures, minute_tmc = generate_demand(spec)
         expected, expected_tmc = generate_demand_oracle(spec)
         assert rows_of(departures) == expected
