@@ -104,8 +104,8 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     geometry = _geometry(args)
     plans = read_departures(args.departures)
-    horizon = args.horizon if args.horizon else (int(plans.departs.max()) // 60 + 1) * 60 if len(plans) else 3600
-    cfg = SimConfig(horizon=horizon)
+    horizon = (int(plans.departs.max()) // 60 + 1) * 60 if len(plans) else 3600
+    cfg = SimConfig(horizon=horizon if args.horizon is None else args.horizon)
     result = evaluate(
         geometry,
         plans,

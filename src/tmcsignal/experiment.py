@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 from tmcsignal import rl as rl_mod
 from tmcsignal.model import read_geometries, write_csv
-from tmcsignal.sim import SUMMARY_FIELDS, SimConfig, SimResult, run, summary_row
+from tmcsignal.sim import MAX_HORIZON, SUMMARY_FIELDS, SimConfig, SimResult, run, summary_row
 from tmcsignal.signals import POLICIES, build_program
 from tmcsignal.trafficgen import (
     PATTERNS,
@@ -54,6 +54,8 @@ class ExperimentSpec:
             raise ValueError("need at least one cycle time")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 1 <= len(self.profile.hours) <= MAX_HORIZON // 3600:
+            raise ValueError(f"need 1 to {MAX_HORIZON // 3600} hours, got {len(self.profile.hours)}")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ directions: for volumes v and greens g = action / 10 * usable green it is
 ``-(((v0 / g0 + v1 / g1) + v2 / g2) + v3 / g3)``, added in that order.
 
 ``train`` learns a batch of allocators in lockstep, one per TMC stream, and
-each comes out with the bits it would have if trained alone. The networks'
-weights and biases, gradients and Adam moments are each one flat buffer, seen
-per layer as (streams, in, out) views, so one minute of every stream is one
-stacked greedy forward, one stacked TD forward and backward pass, and one Adam
-update of about a dozen in-place ufunc calls. Each stream keeps its own
+each comes out with the bits it would have if trained alone. A network's
+parameters are one flat vector, each layer's weights row-major and then each
+layer's biases, as a snapshot lists them; the batch stacks them, and its
+gradients and Adam moments, as (streams, parameters) buffers, seen per layer
+as (streams, in, out) views. So one minute of every stream is one stacked
+greedy forward, one stacked TD forward and backward pass, and one Adam update
+of about a dozen in-place ufunc calls. Each stream keeps its own
 ``Generator``, called as a lone run calls it: ``random()``, then
 ``integers(84)`` only when exploring, then the replay sample. Rewards come from
 a (minutes, 84) table per stream, added in the order above. This is exact
@@ -25,14 +27,14 @@ states serves only the streams whose sample holds no terminal transition, and
 any other stream is recomputed on its own non-terminal rows. For the same
 reason ``build_rl_program`` runs one greedy forward per minute, never one
 (minutes, 4) product, since a last-bit change can flip an argmax near a tie.
-Streams of unequal length train in separate lockstep groups.
 
 Because no stream's bits depend on the streams trained beside it, ``train``
-also splits its streams into at most one job per usable CPU, each job a few
-lockstep calls on parts of the length groups. The calling process runs the
-first job; every other job runs in a child forked from it, which inherits the
-stream tables without copying and sends its allocators back through a pipe.
-Any split gives the same bits as one call for all streams.
+also splits its streams, which share one length, into at most one contiguous
+part per usable CPU, each part one lockstep call, and ``_run_jobs`` runs the
+parts: the first in the calling process, every other in a child forked from
+it, which inherits the stream tables without copying and sends its allocators
+back through a pipe. Any split gives the same bits as one call for all
+streams.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from tmcsignal.model import write_csv
-from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, SignalProgram, allocate_greens, check_budget
+from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, SignalProgram, allocate_greens, usable_green
 from tmcsignal.trafficgen import MinuteTmc
 
 # Allocation actions: every split of 10 tenths over 4 directions with at least
@@ -101,8 +104,29 @@ class Hyperparams:
         return max(self.lr_floor, self.learning_rate * self.lr_decay**episode)
 
 
+def _views(params: np.ndarray, sizes: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's weights as (..., in, out) and biases as (..., 1, out) views of (..., P) ``params``."""
+    shapes = [*zip(sizes, sizes[1:]), *((1, n) for n in sizes[1:])]
+    views, offset = [], 0
+    for n_in, n_out in shapes:
+        views.append(params[..., offset : offset + n_in * n_out].reshape(*params.shape[:-1], n_in, n_out))
+        offset += n_in * n_out
+    return views[: len(sizes) - 1], views[len(sizes) - 1 :]
+
+
+def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], h: np.ndarray) -> np.ndarray:
+    """ReLU hidden layers, then a linear output layer."""
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+    return h @ weights[-1] + biases[-1]
+
+
 class QFunction:
-    """Three-layer ReLU action-value network (4 -> hidden -> hidden -> 84)."""
+    """Three-layer ReLU action-value network (4 -> hidden -> hidden -> 84).
+
+    ``params`` is the float64 (P,) vector a snapshot lists; ``weights`` and
+    ``biases`` are per-layer (in, out) and (1, out) views of it.
+    """
 
     def __init__(self, hidden_width: int = 32, seed: int = 0, norm: float = 1.0):
         rng = np.random.default_rng(seed)
@@ -110,19 +134,14 @@ class QFunction:
         self.seed = seed
         self.episodes_trained = 0
         self.norm = float(norm)
-        self.weights = []
-        self.biases = []
-        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
-            scale = np.sqrt(2.0 / n_in)
-            self.weights.append(rng.normal(0.0, scale, size=(n_in, n_out)))
-            self.biases.append(np.zeros(n_out))
+        pairs = list(zip(self.sizes, self.sizes[1:]))
+        initial = [rng.normal(0.0, np.sqrt(2.0 / n_in), size=n_in * n_out) for n_in, n_out in pairs]
+        self.params = np.concatenate([*initial, np.zeros(sum(self.sizes[1:]))])
+        self.weights, self.biases = _views(self.params, self.sizes)
 
     def forward(self, states: np.ndarray) -> np.ndarray:
         """Action values for a batch of states, shape (batch, 84)."""
-        h = np.atleast_2d(np.asarray(states, dtype=float))
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        return h @ self.weights[-1] + self.biases[-1]
+        return _forward(self.weights, self.biases, np.atleast_2d(np.asarray(states, dtype=float)))
 
     def greedy_action(self, state: Sequence[float]) -> tuple[int, int, int, int]:
         """Best quantized allocation for a normalized state (lowest index on ties)."""
@@ -130,16 +149,13 @@ class QFunction:
         return ACTIONS[int(np.argmax(q))]
 
     def save(self, path: str | Path) -> None:
-        """Snapshot: header (layer sizes, seed, episodes, norm) + flat weight list."""
-        flat = np.concatenate(
-            [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        )
+        """Snapshot: header (layer sizes, seed, episodes, norm) + ``params``, one value a line."""
         with open(path, "w") as fh:
             fh.write("layers " + " ".join(str(s) for s in self.sizes) + "\n")
             fh.write(f"seed {self.seed}\n")
             fh.write(f"episodes {self.episodes_trained}\n")
             fh.write(f"norm {self.norm!r}\n")
-            for value in flat:
+            for value in self.params:
                 fh.write(f"{float(value)!r}\n")
 
     @classmethod
@@ -177,13 +193,7 @@ class QFunction:
             raise ValueError(f"{path}: expected {expected} weights, found {flat.size}")
         q = cls(hidden_width=sizes[1], seed=seed, norm=norm)
         q.episodes_trained = parse(*header["episodes"], _non_negative_int)
-        offset = 0
-        for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-            q.weights[i] = flat[offset : offset + n_in * n_out].reshape(n_in, n_out)
-            offset += n_in * n_out
-        for i, n_out in enumerate(sizes[1:]):
-            q.biases[i] = flat[offset : offset + n_out]
-            offset += n_out
+        q.params[:] = flat
         return q
 
 
@@ -206,16 +216,13 @@ def _positive_norm(text: str) -> float:
     return norm
 
 
-def _stream_tables(minute_tmcs: MinuteTmc, cycle: int, yellow: int) -> tuple[np.ndarray, float, np.ndarray]:
+def _stream_tables(minute_tmcs: MinuteTmc, budget: int) -> tuple[np.ndarray, float, np.ndarray]:
     """One stream's (minutes, 4) states, its norm and its (minutes, 84) rewards, added in the order given above."""
     if len(minute_tmcs) == 0:
         raise ValueError("need at least one minute of TMC data")
     volumes = minute_tmcs.counts.reshape(-1, 4, 3).sum(axis=2)
     norm = float(volumes.max()) or 1.0
-    usable_green = cycle - 4 * yellow
-    if usable_green <= 0:
-        raise ValueError("cycle leaves no usable green time")
-    ratios = volumes[:, None, :] / (np.array(ACTIONS) / 10 * usable_green)
+    ratios = volumes[:, None, :] / (np.array(ACTIONS) / 10 * budget)
     rewards = -(((ratios[..., 0] + ratios[..., 1]) + ratios[..., 2]) + ratios[..., 3])
     return volumes / norm, norm, rewards
 
@@ -232,18 +239,18 @@ def train(
     """Epsilon-greedy one-step TD learning with a small uniform replay buffer.
 
     Trains one allocator per stream, seeded by the matching entry of ``seeds``,
-    all in lockstep; returns them in stream order. Deterministic for fixed
-    seeds, and each allocator is the one its stream and seed give alone. For a
-    batch of one, ``log_path`` gets one ``episode,epsilon,mean_reward`` CSV row
-    per episode.
+    all in lockstep; returns them in stream order. The streams must share one
+    length. Deterministic for fixed seeds, and each allocator is the one its
+    stream and seed give alone. For a batch of one, ``log_path`` gets one
+    ``episode,epsilon,mean_reward`` CSV row per episode.
 
-    With more than one stream and more than one usable CPU, the streams are
-    split into at most one job per CPU, balanced by stream count (7 streams on
-    2 CPUs train as 4 here and 3 in one forked child). That cannot move a bit,
-    since each stream trains as it would alone. Every argument, seeds included,
-    is checked before any child starts; an error in a child is raised here, and
-    no child outlives the call. With one job the training runs in this process
-    and forks nothing.
+    The streams are split into at most one contiguous part per usable CPU (7
+    streams on 2 CPUs train as 4 here and 3 in one forked child), each part
+    one lockstep call, and ``_run_jobs`` runs the parts. That cannot move a
+    bit, since each stream trains as it would alone. Every argument, seeds and
+    lengths included, is checked before any part starts; an error in a child
+    is raised here, and no child outlives the call. With one part the training
+    runs in this process and forks nothing.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -252,20 +259,18 @@ def train(
     for i, seed in enumerate(seeds):
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"stream {i}: seed must be a non-negative integer, got {seed!r}")
+    if len(lengths := sorted({len(m) for m in minute_tmcs})) != 1:
+        raise ValueError(f"need one or more streams of one length, got lengths {lengths}")
     if log_path is not None and len(minute_tmcs) != 1:
         raise ValueError("a training log needs a batch of one stream")
-    check_budget(cycle - 4 * yellow)  # before the rewards scale by it
+    budget = usable_green(cycle, yellow)  # before the rewards scale by it
     hp = hp or Hyperparams()
-    streams = [_stream_tables(m, cycle, yellow) for m in minute_tmcs]
-    groups: dict[int, list[int]] = {}
-    for i, (states, _, _) in enumerate(streams):
-        groups.setdefault(len(states), []).append(i)
-    jobs = _jobs(list(groups.values()), _usable_cpus())
-    if len(jobs) == 1:
-        trained = _train_job(jobs[0], streams, episodes, seeds, hp, log_path)
-    else:
-        trained = _train_forked(jobs, streams, episodes, seeds, hp)
-    return [trained[i] for i in range(len(streams))]
+    streams = [_stream_tables(m, budget) for m in minute_tmcs]
+    parts = np.array_split(np.arange(len(streams)), min(_usable_cpus(), len(streams)))
+    jobs = [
+        partial(_train_lockstep, [streams[i] for i in p], episodes, [seeds[i] for i in p], hp, log_path) for p in parts
+    ]
+    return [q for qs in _run_jobs(jobs) for q in qs]
 
 
 def _usable_cpus() -> int:
@@ -273,78 +278,54 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _jobs(groups: list[list[int]], cpus: int) -> list[list[list[int]]]:
-    """Stream indices per job and per lockstep call: at most ``cpus`` jobs, balanced by stream count.
+def _run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
+    """Each zero-argument job's result, in order: the first job runs in this process, each other in a forked child.
 
-    The largest piece of a length group is halved until there is a piece per
-    CPU or none holds two streams. With more pieces than CPUs, each piece,
-    largest first, joins the job with the fewest streams.
+    A child's exception is raised here, a child that dies without a result is
+    a ``RuntimeError`` naming its exit code, and every child is terminated and
+    reaped before this returns or raises. ``fork`` rather than ``spawn``: a
+    forked child shares the jobs' data and the imported modules with this
+    process, where a spawned one would import numpy and this package again and
+    be sent every argument. One job forks nothing and imports no
+    ``multiprocessing``.
     """
-    pieces = sorted(groups, key=len, reverse=True)
-    while len(pieces) < cpus and len(pieces[0]) > 1:
-        largest = pieces.pop(0)
-        half = (len(largest) + 1) // 2
-        pieces = sorted([*pieces, largest[:half], largest[half:]], key=len, reverse=True)
-    jobs: list[list[list[int]]] = [[] for _ in range(min(cpus, len(pieces)))]
-    for piece in pieces:
-        min(jobs, key=lambda job: sum(map(len, job))).append(piece)
-    return jobs
-
-
-def _train_job(job, streams, episodes, seeds, hp, log_path) -> dict[int, QFunction]:
-    """One job's lockstep calls, in this process; the allocators by stream index."""
-    trained = {}
-    for members in job:
-        qs = _train_lockstep([streams[i] for i in members], episodes, [seeds[i] for i in members], hp, log_path)
-        trained.update(zip(members, qs))
-    return trained
-
-
-def _train_forked(jobs, streams, episodes, seeds, hp) -> dict[int, QFunction]:
-    """Job 0 in this process and each other job in a forked child; every child is reaped before returning.
-
-    ``fork`` rather than ``spawn``: a forked child shares the stream tables
-    and the imported modules with this process, where a spawned one would
-    import numpy and this package again and be sent every table. The child
-    runs only numpy arithmetic and one pipe write, then exits.
-    """
+    if len(jobs) < 2:
+        return [job() for job in jobs]
     import multiprocessing  # here, so that importing the package imports no multiprocessing
+
+    def run_child(sender, job) -> None:
+        try:
+            result = (True, job())
+        except Exception as exc:
+            result = (False, exc)
+        sender.send(result)
 
     context = multiprocessing.get_context("fork")
     children = []
     try:
         for job in jobs[1:]:
             receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_train_child, args=(sender, job, streams, episodes, seeds, hp))
+            child = context.Process(target=run_child, args=(sender, job))
             child.start()
             sender.close()  # the child holds the only write end, so its death ends the pipe
             children.append((child, receiver))
-        trained = _train_job(jobs[0], streams, episodes, seeds, hp, None)
+        results = [jobs[0]()]
         for child, receiver in children:
             try:
                 ok, result = receiver.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(f"training child exited with code {child.exitcode} and sent no allocators") from None
+                raise RuntimeError(f"child exited with code {child.exitcode} and sent no result") from None
             if not ok:
                 raise result
-            trained.update(result)
+            results.append(result)
             child.join()
-        return trained
+        return results
     finally:
         for child, receiver in children:
             receiver.close()
             child.terminate()  # no-op for a child already joined
             child.join()
-
-
-def _train_child(sender, job, streams, episodes, seeds, hp) -> None:
-    """A forked child's job: sends ``(True, allocators by stream)``, or ``(False, exception)`` if training raised."""
-    try:
-        result = (True, _train_job(job, streams, episodes, seeds, hp, None))
-    except Exception as exc:
-        result = (False, exc)
-    sender.send(result)
 
 
 def build_rl_program(q: QFunction, minute_tmcs: MinuteTmc, cycle: int, yellow: int = DEFAULT_YELLOW) -> SignalProgram:
@@ -361,50 +342,31 @@ def build_rl_program(q: QFunction, minute_tmcs: MinuteTmc, cycle: int, yellow: i
 class _Lockstep:
     """S same-shape networks trained together with Adam.
 
-    Weights and biases, their gradients and Adam's two moments are each one
-    flat buffer, seen per layer as (S, in, out) and (S, 1, out) views.
+    Their parameters, gradients and Adam's two moments are each one (S, P)
+    buffer, each row in ``QFunction.params`` order and seen per layer through
+    ``_views``.
     """
 
     def __init__(self, qs: Sequence[QFunction], beta1=0.9, beta2=0.999, eps=1e-8):
-        sizes = qs[0].sizes
-        shapes = [*zip(sizes, sizes[1:]), *((1, n) for n in sizes[1:])]
-        self.params = np.concatenate(
-            [np.stack(layer).ravel() for layer in zip(*(q.weights + q.biases for q in qs))]
-        )
+        self.sizes = qs[0].sizes
+        self.params = np.stack([q.params for q in qs])
         self.grads = np.empty_like(self.params)
         self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
         self._a, self._b = np.empty_like(self.params), np.empty_like(self.params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        layers = len(sizes) - 1
-        params, grads = self._views(self.params, len(qs), shapes), self._views(self.grads, len(qs), shapes)
-        self.weights, self.biases = params[:layers], params[layers:]
-        self.grad_weights, self.grad_biases = grads[:layers], grads[layers:]
-
-    @staticmethod
-    def _views(flat: np.ndarray, stack: int, shapes) -> list[np.ndarray]:
-        views, offset = [], 0
-        for n_in, n_out in shapes:
-            views.append(flat[offset : offset + stack * n_in * n_out].reshape(stack, n_in, n_out))
-            offset += stack * n_in * n_out
-        return views
-
-    def forward(self, states: np.ndarray, s=slice(None)) -> np.ndarray:
-        """Action values of every network for (S, batch, 4) states, or of network ``s`` for (batch, 4)."""
-        h = states
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w[s] + b[s], 0.0)
-        return h @ self.weights[-1][s] + self.biases[-1][s]
+        self.weights, self.biases = _views(self.params, self.sizes)
+        self.grad_weights, self.grad_biases = _views(self.grads, self.sizes)
 
     def td_update(self, states, actions, rewards, next_states, non_terminal, gamma: float, lr: float) -> None:
         """One TD step on each network's (batch,) sample: MSE on the taken actions, then Adam."""
         targets = rewards.copy()
         full = non_terminal.all(axis=1)
         if full.any():
-            targets[full] += gamma * self.forward(next_states).max(axis=2)[full]
+            targets[full] += gamma * _forward(self.weights, self.biases, next_states).max(axis=2)[full]
         for s in np.flatnonzero(~full & non_terminal.any(axis=1)):
             rows = non_terminal[s]
-            targets[s, rows] += gamma * self.forward(next_states[s, rows], s).max(axis=1)
+            targets[s, rows] += gamma * _forward(*_views(self.params[s], self.sizes), next_states[s, rows]).max(axis=1)
 
         hs, zs = [states], []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -476,7 +438,7 @@ def _train_lockstep(
         for t in range(minutes):
             explore = [rng.random() < eps for rng in rngs]
             if not all(explore):
-                greedy = nets.forward(states[:, t : t + 1]).argmax(axis=2)[:, 0]
+                greedy = _forward(nets.weights, nets.biases, states[:, t : t + 1]).argmax(axis=2)[:, 0]
             for s, rng in enumerate(rngs):
                 taken[s, t] = rng.integers(N_ACTIONS) if explore[s] else greedy[s]
             slot = stored % capacity
@@ -500,7 +462,6 @@ def _train_lockstep(
     if log_path is not None:
         write_csv(log_path, ("episode", "epsilon", "mean_reward"), log_rows)
     for s, q in enumerate(qs):
-        q.weights = [w[s].copy() for w in nets.weights]
-        q.biases = [b[s, 0].copy() for b in nets.biases]
+        q.params[:] = nets.params[s]
         q.episodes_trained = episodes
     return qs

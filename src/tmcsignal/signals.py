@@ -96,10 +96,19 @@ def critical_counts(counts) -> np.ndarray:
     return np.stack([np.maximum(x[:, z], x[:, z + 2]) for z in (0, 1) for x in (through, left)], axis=1)
 
 
-def check_budget(budget: int) -> None:
-    """``ValueError`` unless the usable green ``budget`` is below 2**53, where floats count seconds exactly."""
-    if budget >= 2**53:
-        raise ValueError(f"budget {budget}s is not below 2**53")
+def usable_green(cycle: int, yellow: int) -> int:
+    """The green seconds a cycle leaves after four yellows.
+
+    ``ValueError`` for a negative yellow, a cycle not below 2**53, where floats
+    count seconds exactly, or fewer than ``4 * MIN_GREEN`` seconds left.
+    """
+    if yellow < 0:
+        raise ValueError("yellow must be non-negative")
+    if cycle >= 2**53:
+        raise ValueError(f"cycle {cycle}s is not below 2**53")
+    if (budget := cycle - 4 * yellow) < 4 * MIN_GREEN:
+        raise ValueError(f"cycle {cycle}s with {yellow}s yellows cannot give 4 greens of {MIN_GREEN}s")
+    return budget
 
 
 def allocate_greens(quotas, budget: int) -> np.ndarray:
@@ -115,7 +124,8 @@ def allocate_greens(quotas, budget: int) -> np.ndarray:
     """
     if budget < 4 * MIN_GREEN:
         raise ValueError(f"budget {budget}s cannot give 4 phases {MIN_GREEN}s each")
-    check_budget(budget)
+    if budget >= 2**53:
+        raise ValueError(f"budget {budget}s is not below 2**53")
     quotas = np.asarray(quotas, dtype=np.float64).reshape(-1, 4)
     if (quotas < 0).any():
         raise ValueError("quotas must be non-negative")
@@ -155,8 +165,7 @@ def build_program(
     ``peak_minutes`` (default: the default profile's peak, minutes 60-179), zero rows
     elsewhere. All three use protected lefts. rl: ``rl.build_rl_program``.
     """
-    budget = cycle - 4 * yellow
-    check_budget(budget)  # before any quota is scaled by the cycle, which may not fit a float
+    budget = usable_green(cycle, yellow)  # before any quota is scaled by the cycle, which may not fit a float
     if policy == "rl":
         if q is None:
             raise ValueError("the rl policy needs a trained allocator")
@@ -165,8 +174,6 @@ def build_program(
         return rl_mod.build_rl_program(q, minute_tmcs, cycle, yellow)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if budget < 4 * MIN_GREEN:
-        raise ValueError(f"cycle {cycle}s with {yellow}s yellows cannot give 4 greens of {MIN_GREEN}s")
     if policy == "hybrid":
         peaks = DEFAULT_PEAK_MINUTES if peak_minutes is None else peak_minutes
         dynamic = np.isin(np.arange(len(minute_tmcs)), list(peaks))

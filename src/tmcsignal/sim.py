@@ -60,6 +60,10 @@ from tmcsignal.trafficgen import Departures, aggregate_per_minute
 # approach's lanes are shared fractionally.
 SHARED_LANE_WEIGHTS = (1, 2, 1)
 
+# The longest horizon, one week: the kernel holds a (horizon, demands, 12) int32
+# arrival count array, 29 MB a demand at this cap, and ticks once a second.
+MAX_HORIZON = 7 * 86400
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -70,8 +74,8 @@ class SimConfig:
     permissive_left_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least one second")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must be 1 to {MAX_HORIZON} seconds (one week), got {self.horizon}")
         if self.saturation_headway <= 0:
             raise ValueError("saturation headway must be positive")
         if not 0 <= self.permissive_left_factor <= 1:

@@ -15,6 +15,7 @@ import pytest
 from tmcsignal.cli import main
 from tmcsignal.rl import QFunction
 from tmcsignal.signals import SPLIT_PHASE, build_program, read_program
+from tmcsignal.sim import MAX_HORIZON
 from tmcsignal.sumo_io import read_routes
 from tmcsignal.trafficgen import MinuteTmc, read_departures, read_minute_tmc, write_minute_tmc
 from tmcsignal.trajectory import (
@@ -428,14 +429,62 @@ class TestMalformedInputs:
         ],
     )
     def test_cycle_past_the_float_range(self, tmp_path, capsys, command):
-        (tmp_path / "departures.csv").write_text("id,depart,movement\nv0,0,WBT\nv1,4,NBT\n")
+        code = self.run_timed(tmp_path, command, "--cycle", 10**400)
+        self.assert_one_error_line(capsys, code, f"cycle {10**400}s is not below 2**53")
+
+    def run_timed(self, tmp_path, command, *timing, departures="id,depart,movement\nv0,0,WBT\nv1,4,NBT\n") -> int:
+        """``command`` with ``timing`` on a 3-minute TMC stream (or ``departures``) and a hidden-width-4 allocator."""
+        (tmp_path / "departures.csv").write_text(departures)
         write_minute_tmc(MinuteTmc([(minute % 7, 3, 1) * 4 for minute in range(3)]), tmp_path / "tmc.csv")
         QFunction(hidden_width=4).save(tmp_path / "weights.txt")
         paths = {"out": tmp_path / "out", "weights": tmp_path / "weights.txt"}
         argv = [arg.format_map({**paths, "departures": tmp_path / "departures.csv"}) for arg in command]
         tmc = [] if argv[0] == "simulate" else ["--tmc", tmp_path / "tmc.csv"]
-        code = run_cli(*argv, *tmc, "--cycle", 10**400)
-        self.assert_one_error_line(capsys, code, f"budget {10**400 - 12}s is not below 2**53")
+        return run_cli(*argv, *tmc, *timing)
+
+    @pytest.mark.parametrize(
+        "command, timing, fragment",
+        [
+            pytest.param(("plan", "--policy", "rl", "--weights", "{weights}", "--out", "{out}/p.csv"),
+                         ("--yellow", 10**400), f"cycle 90s with {10**400}s yellows cannot give 4 greens of 5s",
+                         id="plan-rl-yellow-past-the-float-range"),
+            pytest.param(("plan", "--policy", "dynamic", "--out", "{out}/p.csv"),
+                         ("--cycle", 4 * 10**400 + 100, "--yellow", 10**400),
+                         f"cycle {4 * 10**400 + 100}s is not below 2**53", id="plan-dynamic-both-past-the-float-range"),
+            pytest.param(("simulate", "--geometry", "INT1", "--departures", "{departures}", "--policy", "dynamic",
+                          "--out-dir", "{out}"), ("--cycle", 4 * 10**400 + 100, "--yellow", 10**400),
+                         f"cycle {4 * 10**400 + 100}s is not below 2**53",
+                         id="simulate-dynamic-both-past-the-float-range"),
+            pytest.param(("rl-train", "--episodes", "1", "--out", "{out}/w.txt"), ("--cycle", 30),
+                         "cycle 30s with 3s yellows cannot give 4 greens of 5s", id="rl-train-short-cycle"),
+            pytest.param(("rl-train", "--episodes", "1", "--out", "{out}/w.txt"), ("--yellow", -1),
+                         "yellow must be non-negative", id="rl-train-negative-yellow"),
+        ],
+    )
+    def test_timing_without_four_usable_greens(self, tmp_path, capsys, command, timing, fragment):
+        self.assert_one_error_line(capsys, self.run_timed(tmp_path, command, *timing), fragment)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "departures, horizon",
+        [
+            pytest.param(f"id,depart,movement\nv0,0,WBT\nv1,{10**12},NBT\n", (), id="departure-at-10**12"),
+            pytest.param(f"id,depart,movement\nv0,{MAX_HORIZON},WBT\n", (), id="departure-at-the-cap"),
+            pytest.param("id,depart,movement\nv0,0,WBT\n", ("--horizon", MAX_HORIZON + 1), id="horizon-flag"),
+            pytest.param("id,depart,movement\nv0,0,WBT\n", ("--horizon", 10**400), id="horizon-of-401-digits"),
+            pytest.param("id,depart,movement\nv0,0,WBT\n", ("--horizon", 0), id="horizon-of-0"),
+        ],
+    )
+    def test_horizon_outside_one_second_to_one_week(self, tmp_path, capsys, departures, horizon):
+        command = ("simulate", "--geometry", "INT1", "--departures", "{departures}", "--policy", "static",
+                   "--out-dir", "{out}")
+        code = self.run_timed(tmp_path, command, *horizon, departures=departures)
+        self.assert_one_error_line(capsys, code, f"horizon must be 1 to {MAX_HORIZON} seconds (one week), got ")
+
+    def test_grid_of_more_hours_than_the_horizon_cap_names_the_spec(self, tmp_path, capsys):
+        (tmp_path / "grid.txt").write_text("policies = static\nhours = " + ", ".join(["offpeak"] * 169) + "\n")
+        code = run_cli("experiment", "--spec", tmp_path / "grid.txt", "--out-dir", tmp_path / "exp")
+        self.assert_one_error_line(capsys, code, f"grid.txt: need 1 to {MAX_HORIZON // 3600} hours, got 169")
 
     @pytest.mark.parametrize(
         "command",

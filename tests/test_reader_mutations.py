@@ -1,12 +1,12 @@
 """Every file reader either returns what its writer wrote or fails with one ``error:`` line.
 
 One valid small input per reader is mutated once: truncated, a line deleted or
-duplicated, or one field (a CSV field, a keyed-text key or list item, or a
-line of an allocator snapshot) replaced from a pool of hostile values. The mutated file goes through
-``cli.main``, or straight to its reader when no command reads it alone, with
-warnings raised as errors. The run must exit 0, and then the value the reader
-returns must read back equal after its writer writes it; or it must exit 1
-with exactly one ``error:`` line.
+duplicated, or one field (a CSV field, a keyed-text key or list item, a line
+of an allocator snapshot, or an XML attribute value) replaced from a pool of
+hostile values. The mutated file goes through ``cli.main``, or straight to its
+reader when no command reads it alone, with warnings raised as errors. The
+run must exit 0, and then the value the reader returns must read back equal
+after its writer writes it; or it must exit 1 with exactly one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from tmcsignal.experiment import ExperimentSpec, read_experiment_spec
 from tmcsignal.model import TMC_TABLE_FIELDS, read_geometries, read_tmc_tables, write_csv, write_geometries
 from tmcsignal.rl import QFunction
 from tmcsignal.signals import read_program, write_program
-from tmcsignal.sumo_io import read_routes
+from tmcsignal.sumo_io import read_routes, write_routes
 from tmcsignal.trafficgen import (
     BimodalProfile,
     DemandSpec,
@@ -74,6 +74,12 @@ VALID = {
     ),
     # An allocator of hidden width 1: 4 + 1 + 84 weights and 1 + 1 + 84 biases.
     "weights.txt": "layers 4 1 1 84\nseed 3\nepisodes 2\nnorm 5.0\n" + "0.25\n-1.5\n" * 87 + "2.0\n",
+    "routes.xml": '<?xml version="1.0" encoding="UTF-8"?>\n<routes>\n'
+    + "".join(
+        f'  <vehicle id="v{i}" depart="{depart}.00">\n    <route edges="{edges}" />\n  </vehicle>\n'
+        for i, (depart, edges) in enumerate([(0, "1i 3o"), (4, "2i 4o"), (4, "3i 4o"), (30, "4i 3o")])
+    )
+    + "</routes>\n",
 }
 
 
@@ -164,6 +170,8 @@ READERS = {
         read_snapshot,
         lambda text, path: Path(path).write_text(text),
     ),
+    # No command reads a route document, so it goes to its reader alone.
+    "routes.xml": ([None], read_routes, write_routes),
 }
 
 
@@ -183,8 +191,9 @@ def mutated_inputs(draw):
         elif kind == "duplicate":
             lines.insert(k, lines[k])
         else:
-            # Fields and their separators alternate: "key = a, b" is ["key ", "=", " a", ",", " b"].
-            fields = re.split("([=,])", lines[k].rstrip("\n"))
+            # Fields and their separators alternate: "key = a, b" is ["key ", "=", " a", ",", " b"], and
+            # the quotes split off an XML attribute's value: 'id="v0">' is ["id", "=", "", '"', "v0", '"', ">"].
+            fields = re.split('([=,"])', lines[k].rstrip("\n"))
             fields[2 * draw(st.integers(0, len(fields) // 2))] = draw(st.sampled_from(POOL))
             lines[k] = "".join(fields) + "\n"
         text = "".join(lines)
@@ -206,6 +215,7 @@ def read_alone(reader, path) -> int:
 @example(("demand.txt", 0, VALID["demand.txt"].replace("mu_peak = 60", "mu_peak = inf")))
 @example(("demand.txt", 0, VALID["demand.txt"].replace("mu_peak = 60", "mu_peak = 1e25")))
 @example(("demand.txt", 0, VALID["demand.txt"].replace("turn_ratios = 0.25, 0.5, 0.25", "turn_ratios = nan, 0.5, 0.5")))
+@example(("departures.csv", 0, f"id,depart,movement\nv0,{10**18},WBT\n"))
 @example(("weights.txt", 0, VALID["weights.txt"].replace("layers 4 1 1 84", f"layers 4 {'9' * 401} {'9' * 401} 84")))
 def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_factory, mutation):
     name, command, text = mutation

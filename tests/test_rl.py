@@ -305,7 +305,7 @@ class TestEnv:
         action = (4, 3, 2, 1)
         reward, _, _ = env.step(action)
         assert reward == pytest.approx(-10.1496, abs=1e-3)
-        _, _, rewards = _stream_tables(constant_stream(table, 2), 90, 3)
+        _, _, rewards = _stream_tables(constant_stream(table, 2), 90 - 4 * 3)
         assert rewards[0, ACTIONS.index(action)] == reward
 
 
@@ -317,7 +317,7 @@ class TestEnv:
 def test_stream_tables_equal_the_env_bit_for_bit(rows, timing):
     cycle, yellow = timing
     stream = MinuteTmc(rows)
-    states, norm, rewards = _stream_tables(stream, cycle, yellow)
+    states, norm, rewards = _stream_tables(stream, cycle - 4 * yellow)
     env = VolumeStreamEnv(stream, cycle, yellow)
     assert norm == env.norm
     assert states.tolist() == [list(state) for state in env.states]
@@ -329,7 +329,7 @@ def test_stream_tables_equal_the_env_bit_for_bit(rows, timing):
 def test_training_needs_a_minute_and_some_green():
     with pytest.raises(ValueError, match="at least one minute"):
         train([MinuteTmc(np.zeros((0, 12), dtype=np.int64))], episodes=1, seeds=[0])
-    with pytest.raises(ValueError, match="no usable green"):
+    with pytest.raises(ValueError, match="cycle 12s with 3s yellows cannot give 4 greens of 5s"):
         train([constant_stream(DOMINANT_WB, 2)], episodes=1, seeds=[0], cycle=12, yellow=3)
 
 
@@ -460,6 +460,22 @@ def test_weights_roundtrip(tmp_path):
     assert loaded.greedy_action(state) == q.greedy_action(state)
 
 
+def test_weights_and_biases_are_views_of_the_saved_params(tmp_path):
+    q = QFunction(hidden_width=3, seed=5)
+    state = np.array([[0.5, 0.25, 1.0, 0.0]])
+    before = q.forward(state)
+    q.params[:] = np.arange(q.params.size) / 1000
+    assert q.weights[0].tolist() == (np.arange(12).reshape(4, 3) / 1000).tolist()
+    assert q.biases[2].shape == (1, N_ACTIONS) and q.biases[2][0, 0] == (q.params.size - N_ACTIONS) / 1000
+    after = q.forward(state)
+    assert not np.array_equal(before, after)
+    h = np.maximum(np.maximum(state @ q.weights[0] + q.biases[0], 0.0) @ q.weights[1] + q.biases[1], 0.0)
+    assert np.array_equal(after, h @ q.weights[2] + q.biases[2])
+    q.save(tmp_path / "weights.txt")
+    lines = (tmp_path / "weights.txt").read_text().splitlines()
+    assert [float(line) for line in lines[4:]] == q.params.tolist()
+
+
 def test_snapshot_header_lines_in_any_order_but_all_present(tmp_path):
     q = QFunction(hidden_width=4, seed=2, norm=50.0)
     path = tmp_path / "weights.txt"
@@ -477,17 +493,17 @@ def test_snapshot_header_lines_in_any_order_but_all_present(tmp_path):
 
 @st.composite
 def training_batches(draw):
-    """Streams of unequal length (some all zero), a replay ring that wraps, seeds and episodes."""
+    """Streams of one length (some all zero), a replay ring that wraps, seeds and episodes."""
     tables = st.one_of(
         st.just((0,) * 12),
         st.tuples(*[st.integers(0, 60)] * 12),
     )
+    minutes = draw(st.integers(1, 12))
     streams = [
-        MinuteTmc(draw(st.lists(tables, min_size=minutes, max_size=minutes)))
-        for minutes in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+        MinuteTmc(draw(st.lists(tables, min_size=minutes, max_size=minutes))) for _ in range(draw(st.integers(1, 4)))
     ]
     episodes = draw(st.integers(1, 4))
-    steps = episodes * max(len(stream) for stream in streams)
+    steps = episodes * minutes
     hp = Hyperparams(
         buffer_capacity=draw(st.integers(1, max(1, steps - 1))),
         batch_size=draw(st.integers(1, 12)),
@@ -528,12 +544,22 @@ def test_training_log_needs_a_batch_of_one(tmp_path):
 
 def test_every_seed_is_checked_before_training(monkeypatch):
     monkeypatch.setattr(rl_mod, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(rl_mod, "_train_forked", lambda *args: pytest.fail("training started"))
+    monkeypatch.setattr(rl_mod, "_train_lockstep", lambda *args: pytest.fail("training started"))
     streams = [constant_stream(DOMINANT_WB, 3)] * 3
     for bad in (-1, 1.0, "1", None):
         with pytest.raises(ValueError, match=f"stream 2: seed must be a non-negative integer, got {bad!r}"):
             train(streams, episodes=1, seeds=[0, 1, bad])
+    monkeypatch.undo()
     assert len(train(streams[:1], episodes=1, seeds=[np.int64(0)])) == 1
+
+
+def test_streams_of_unequal_length_are_rejected_before_training(monkeypatch):
+    monkeypatch.setattr(rl_mod, "_train_lockstep", lambda *args: pytest.fail("training started"))
+    streams = [constant_stream(DOMINANT_WB, 3), constant_stream(DOMINANT_WB, 4), constant_stream(DOMINANT_WB, 3)]
+    with pytest.raises(ValueError, match=re.escape("streams of one length, got lengths [3, 4]")):
+        train(streams, episodes=1, seeds=[0, 1, 2])
+    with pytest.raises(ValueError, match=re.escape("streams of one length, got lengths []")):
+        train([], episodes=1, seeds=[])
 
 
 # --- one job per CPU: forked children ---------------------------------------------------
@@ -559,39 +585,31 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def unequal_streams() -> list[MinuteTmc]:
-    """Five streams in two length groups (6 and 4 minutes), interleaved."""
+def five_streams() -> list[MinuteTmc]:
+    """Five random streams of 6 minutes."""
     rng = np.random.default_rng(3)
-    return [MinuteTmc(rng.integers(0, 30, size=(minutes, 12))) for minutes in (6, 4, 6, 6, 4)]
+    return [MinuteTmc(rng.integers(0, 30, size=(6, 12))) for _ in range(5)]
 
 
 def test_job_count_does_not_change_the_result(monkeypatch):
-    streams, seeds = unequal_streams(), [11, 0, 7, 2**32 - 1, 5]
+    streams, seeds = five_streams(), [11, 0, 7, 2**32 - 1, 5]
     hp = Hyperparams(buffer_capacity=8, batch_size=4, hidden_width=5)
-    job_counts, jobs = [], rl_mod._jobs
+    parts, run_jobs = [], rl_mod._run_jobs
 
-    def counted_jobs(*args):
-        split = jobs(*args)
-        job_counts.append(len(split))
-        return split
+    def counted_run_jobs(jobs):
+        parts.append([len(job.args[0]) for job in jobs])
+        return run_jobs(jobs)
 
-    monkeypatch.setattr(rl_mod, "_jobs", counted_jobs)
+    monkeypatch.setattr(rl_mod, "_run_jobs", counted_run_jobs)
     results = {}
     for cpus in (1, 2, 3, len(streams)):
         monkeypatch.setattr(rl_mod, "_usable_cpus", lambda: cpus)
         with time_limit(60):
             results[cpus] = trained_bits(train(streams, episodes=3, seeds=seeds, hp=hp))
         assert multiprocessing.active_children() == []
-    assert job_counts == [1, 2, 3, len(streams)]
+    assert parts == [[5], [3, 2], [2, 2, 1], [1, 1, 1, 1, 1]]
     lone = [trained_bits(train([stream], episodes=3, seeds=[seed], hp=hp))[0] for stream, seed in zip(streams, seeds)]
     assert all(bits == lone for bits in results.values())
-
-
-def test_jobs_split_length_groups_by_stream_count():
-    assert rl_mod._jobs([list(range(7))], 2) == [[[0, 1, 2, 3]], [[4, 5, 6]]]
-    assert rl_mod._jobs([[0, 2, 3], [1, 4]], 1) == [[[0, 2, 3], [1, 4]]]
-    assert rl_mod._jobs([[0], [1], [2]], 2) == [[[0], [2]], [[1]]]
-    assert rl_mod._jobs([[0, 1]], 8) == [[[0]], [[1]]]
 
 
 def split_lockstep(in_parent, in_child):
@@ -621,5 +639,5 @@ def test_a_failed_job_raises_and_leaves_no_child(monkeypatch, in_parent, in_chil
     monkeypatch.setattr(rl_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(rl_mod, "_train_lockstep", split_lockstep(in_parent, in_child))
     with time_limit(20), pytest.raises(error, match=match):
-        train(unequal_streams(), episodes=2, seeds=range(5))
+        train(five_streams(), episodes=2, seeds=range(5))
     assert multiprocessing.active_children() == []
