@@ -17,7 +17,7 @@ from tmcsignal.experiment import (
 )
 from tmcsignal.model import read_geometries
 from tmcsignal.sim import SimConfig, evaluate, write_queue_series, write_summary
-from tmcsignal.signals import DEFAULT_PEAK_MINUTES, POLICIES, build_program, read_program, write_program
+from tmcsignal.signals import DEFAULT_PEAK_MINUTES, DEFAULT_YELLOW, POLICIES, build_program, read_program, write_program
 from tmcsignal.sumo_io import write_routes, write_tls
 from tmcsignal.trafficgen import (
     PATTERNS,
@@ -29,7 +29,13 @@ from tmcsignal.trafficgen import (
     write_departures,
     write_minute_tmc,
 )
-from tmcsignal.trajectory import count_movements, read_trajectories, read_typical_paths
+from tmcsignal.trajectory import (
+    DEFAULT_EPS,
+    DEFAULT_MIN_SIMILARITY,
+    count_movements,
+    read_trajectories,
+    read_typical_paths,
+)
 
 
 def _out_dir(args) -> Path:
@@ -139,11 +145,11 @@ def cmd_experiment(args) -> int:
     spec = read_experiment_spec(args.spec) if args.spec else ExperimentSpec()
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    matrix = run_experiment(spec)
+    results = run_experiment(spec)
     out = _out_dir(args)
-    write_report(matrix, out / "report.csv")
-    write_winners(matrix, spec, out / "winners.csv")
-    print(f"{len(matrix.results)} cells -> {out / 'report.csv'}, {out / 'winners.csv'}")
+    write_report(results, out / "report.csv")
+    write_winners(results, out / "winners.csv")
+    print(f"{len(results)} cells -> {out / 'report.csv'}, {out / 'winners.csv'}")
     return 0
 
 
@@ -179,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     tmc = sub.add_parser("tmc", help="classify trajectory files into a TMC table")
     tmc.add_argument("--trajectories", required=True, help="CSV id,class,frame,x,y")
     tmc.add_argument("--paths", required=True, help="CSV movement,x,y reference paths")
-    tmc.add_argument("--eps", type=float, default=25.0, help="matching radius, pixels")
-    tmc.add_argument("--min-sim", type=float, default=0.6, help="acceptance similarity")
+    tmc.add_argument("--eps", type=float, default=DEFAULT_EPS, help="matching radius, pixels")
+    tmc.add_argument("--min-sim", type=float, default=DEFAULT_MIN_SIMILARITY, help="acceptance similarity")
     tmc.add_argument("--out", required=True)
     tmc.set_defaults(func=cmd_tmc)
 
@@ -188,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--tmc", required=True, help="per-minute TMC CSV")
     plan.add_argument("--policy", required=True, choices=POLICIES)
     plan.add_argument("--cycle", type=int, default=90)
-    plan.add_argument("--yellow", type=int, default=3)
+    plan.add_argument("--yellow", type=int, default=DEFAULT_YELLOW)
     plan.add_argument("--peak-start", type=int, default=None, help="first hybrid peak minute")
     plan.add_argument("--peak-end", type=int, default=None, help="one past the last peak minute")
     plan.add_argument("--weights", help="trained allocator snapshot (rl policy)")
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--departures", required=True, help="departures CSV from gen")
     simulate.add_argument("--policy", required=True, choices=POLICIES)
     simulate.add_argument("--cycle", type=int, default=90)
-    simulate.add_argument("--yellow", type=int, default=3)
+    simulate.add_argument("--yellow", type=int, default=DEFAULT_YELLOW)
     simulate.add_argument("--horizon", type=int, default=None, help="seconds (default: cover departures)")
     simulate.add_argument("--seed", type=int, default=None, help="rl training seed")
     simulate.add_argument("--out-dir", required=True)
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     rl_train.add_argument("--episodes", type=int, default=100)
     rl_train.add_argument("--seed", type=int, default=None)
     rl_train.add_argument("--cycle", type=int, default=90)
-    rl_train.add_argument("--yellow", type=int, default=3)
+    rl_train.add_argument("--yellow", type=int, default=DEFAULT_YELLOW)
     rl_train.add_argument("--log", default=None, help="training log CSV")
     rl_train.add_argument("--out", required=True)
     rl_train.set_defaults(func=cmd_rl_train)

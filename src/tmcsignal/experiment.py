@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from tmcsignal import rl as rl_mod
 from tmcsignal.model import read_geometries, write_csv
@@ -56,17 +58,11 @@ class ExperimentSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= len(self.profile.hours) <= MAX_HORIZON // 3600:
             raise ValueError(f"need 1 to {MAX_HORIZON // 3600} hours, got {len(self.profile.hours)}")
-
-
-@dataclass(frozen=True)
-class ExperimentMatrix:
-    """Complete grid of simulation results plus the demand horizon used."""
-
-    results: Mapping[CellKey, SimResult]
-    horizon: int
-
-    def nwt(self, key: CellKey) -> float:
-        return self.results[key].nwt
+        for name in ("geometry_ids", "patterns", "policies", "cycles"):
+            values = getattr(self, name)
+            repeated = [value for i, value in enumerate(values) if value in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} lists {repeated[0]!r} more than once")
 
 
 def parse_experiment_spec(text: str) -> ExperimentSpec:
@@ -107,8 +103,8 @@ def read_experiment_spec(path: str | Path) -> ExperimentSpec:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
-    """Simulate every grid cell deterministically, all cells in one batch.
+def run_experiment(spec: ExperimentSpec) -> dict[CellKey, SimResult]:
+    """Simulate every grid cell deterministically, all cells in one batch; one result per cell key.
 
     Demand is drawn once per pattern (seeded from the grid seed and the
     pattern's index) and shared across intersections, policies, and cycles.
@@ -120,8 +116,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
     the report does not depend on the CPU count.
     A hybrid program is dynamic in the minutes of the profile's peak hours.
     A program depends only on (pattern, policy, cycle), so each is built once
-    and serves every geometry; programs are built while the kernel reads them,
-    so one program is held at a time.
+    and every geometry's cell passes that same object to the kernel, which
+    shares inputs by identity.
     """
     geometries = read_geometries(spec.geometry_file)
     if spec.geometry_ids:
@@ -156,77 +152,58 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentMatrix:
         allocators = dict(zip(demands, trained))
 
     peaks = spec.profile.peak_minutes
-    # Cells that share a program are consecutive: one per geometry.
-    keys = [
-        (geo_id, pattern, policy, cycle)
-        for pattern in spec.patterns
-        for policy in spec.policies
-        for cycle in spec.cycles
-        for geo_id in geometries
-    ]
+    programs = {}
+    # A geometry file of no rows makes a grid of no cells, and no program to build.
+    grid = itertools.product(spec.patterns, spec.policies, spec.cycles) if geometries else ()
+    for pattern, policy, cycle in grid:
+        try:
+            programs[pattern, policy, cycle] = build_program(
+                demands[pattern][1], policy, cycle, peak_minutes=peaks, q=allocators.get(pattern)
+            )
+        except ValueError as exc:
+            raise ExperimentError(
+                f"cell geometry={next(iter(geometries))} pattern={pattern} "
+                f"policy={policy} cycle={cycle}: {exc}"
+            ) from exc
 
-    def programs():
-        for i, (geo_id, pattern, policy, cycle) in enumerate(keys):
-            if i % len(geometries) == 0:
-                try:
-                    program = build_program(
-                        demands[pattern][1], policy, cycle, peak_minutes=peaks, q=allocators.get(pattern)
-                    )
-                except ValueError as exc:
-                    raise ExperimentError(
-                        f"cell geometry={geo_id} pattern={pattern} "
-                        f"policy={policy} cycle={cycle}: {exc}"
-                    ) from exc
-            yield program
-
+    keys = [(geo_id, *program_key) for program_key in programs for geo_id in geometries]
     results = run(
         [geometries[key[0]] for key in keys],
         [demands[key[1]][0] for key in keys],
-        programs(),
+        [programs[key[1:]] for key in keys],
         cfg,
     )
-    return ExperimentMatrix(dict(zip(keys, results)), horizon)
+    return dict(zip(keys, results))
 
 
-def best_by_policy(
-    matrix: ExperimentMatrix, geo_id: str, pattern: str, policies: Sequence[str], cycles: Sequence[int]
-) -> dict[str, float]:
-    """Minimum NWT over the cycle set, per policy."""
-    return {
-        policy: min(matrix.nwt((geo_id, pattern, policy, cycle)) for cycle in cycles)
-        for policy in policies
-    }
-
-
-def winners(matrix: ExperimentMatrix, spec: ExperimentSpec) -> dict[tuple[str, str], str]:
+def winners(results: Mapping[CellKey, SimResult]) -> dict[tuple[str, str], str]:
     """Per (geometry, pattern): the policy with the lowest best-cycle NWT.
 
+    A policy's best-cycle NWT is its minimum over the cycles of its cells.
     Policies within WINNER_TIE_THRESHOLD of the minimum tie, resolved in the
     fixed order static < dynamic < hybrid < rl.
     """
-    geo_ids = spec.geometry_ids or tuple(sorted({k[0] for k in matrix.results}))
+    best: dict[tuple[str, str], dict[str, float]] = {}
+    for (geo_id, pattern, policy, _), result in results.items():
+        by_policy = best.setdefault((geo_id, pattern), {})
+        by_policy[policy] = min(result.nwt, by_policy.get(policy, math.inf))
     out = {}
-    for geo_id in geo_ids:
-        for pattern in spec.patterns:
-            best = best_by_policy(matrix, geo_id, pattern, spec.policies, spec.cycles)
-            floor = min(best.values())
-            for policy in POLICIES:
-                if policy in best and best[policy] <= floor * (1 + WINNER_TIE_THRESHOLD):
-                    out[(geo_id, pattern)] = policy
-                    break
+    for pair, by_policy in best.items():
+        floor = min(by_policy.values())
+        out[pair] = next(p for p in POLICIES if by_policy.get(p, math.inf) <= floor * (1 + WINNER_TIE_THRESHOLD))
     return out
 
 
 REPORT_FIELDS = ("geometry", "pattern", "policy", "cycle", *SUMMARY_FIELDS)
 
 
-def write_report(matrix: ExperimentMatrix, path: str | Path) -> None:
+def write_report(results: Mapping[CellKey, SimResult], path: str | Path) -> None:
     """Deterministic CSV sorted by (geometry, pattern, policy, cycle)."""
-    rows = ((*key, *summary_row(matrix.results[key])) for key in sorted(matrix.results))
+    rows = ((*key, *summary_row(results[key])) for key in sorted(results))
     write_csv(path, REPORT_FIELDS, rows)
 
 
-def write_winners(matrix: ExperimentMatrix, spec: ExperimentSpec, path: str | Path) -> None:
-    table = winners(matrix, spec)
+def write_winners(results: Mapping[CellKey, SimResult], path: str | Path) -> None:
+    table = winners(results)
     rows = ((geo_id, pattern, policy) for (geo_id, pattern), policy in sorted(table.items()))
     write_csv(path, ("geometry", "pattern", "winner"), rows)

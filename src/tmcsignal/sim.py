@@ -20,8 +20,10 @@ departure columns. Service rates are a per-program index per second into a
 fixed table of multiplier rows: an all-red row, then one row per phase of each
 layout in ``signals.LAYOUTS``, read off the phase's green-state string (``G``
 1, ``g`` the permissive left factor, ``r`` 0); each column's row is scaled by
-its full rate. Consecutive cells that share a program object share its index
-column. Once a minute the kernel sums each column's waits and, for each
+its full rate. Demands and programs are told apart by object identity: cells
+that pass the same ``Departures`` share its arrival counts, and cells that pass
+the same ``SignalProgram`` share its index column, wherever they sit in the
+batch. Once a minute the kernel sums each column's waits and, for each
 distinct triple of columns that forms a zone of some cell, the per-second zone
 queues and their maximum; index arrays map columns and zone triples back to
 cells.
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,43 +147,44 @@ def _rate_index(program: SignalProgram, horizon: int, out: np.ndarray) -> None:
     out[:] = np.repeat(rows, durations.ravel())[:horizon]
 
 
+def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct objects of ``items`` by identity, in first-seen order, and each item's index among them."""
+    by_id = {id(item): item for item in items}
+    row_of = {key: row for row, key in enumerate(by_id)}
+    return list(by_id.values()), np.array([row_of[id(item)] for item in items], dtype=np.intp)
+
+
 def _simulate(
     geometries: Sequence[IntersectionGeometry],
     demands: Sequence[Departures],
-    programs: Iterable[SignalProgram],
+    programs: Sequence[SignalProgram],
     cfg: SimConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The batched kernel: per cell, vehicles injected, total wait, final queue and per-minute zone maxima."""
     if len(demands) != len(geometries):
         raise ValueError(f"{len(geometries)} geometries but {len(demands)} demands")
+    if len(programs) != len(geometries):
+        raise ValueError(f"{len(geometries)} geometries but {len(programs)} programs")
     cells, horizon = len(geometries), cfg.horizon
 
-    distinct = list({id(plans): plans for plans in demands}.values())
-    row_of = {id(plans): d for d, plans in enumerate(distinct)}
-    cell_demand = np.array([row_of[id(plans)] for plans in demands], dtype=np.intp)
-    arrivals = np.zeros((horizon, len(distinct), 12), dtype=np.int32)
-    for d, plans in enumerate(distinct):
+    distinct_demands, cell_demand = _distinct(demands)
+    arrivals = np.zeros((horizon, len(distinct_demands), 12), dtype=np.int32)
+    for d, plans in enumerate(distinct_demands):
         _count_arrivals(plans, arrivals[:, d])
     injected = arrivals.sum(axis=(0, 2), dtype=np.int64)[cell_demand]
 
-    # One rate-index column per run of consecutive cells that share a program.
-    runs, cell_run = [], np.empty(cells, dtype=np.int64)
-    previous = None
-    for b, (_, program) in enumerate(zip(geometries, programs, strict=True)):  # one program per geometry
-        if program is not previous:
-            runs.append(np.empty(horizon, dtype=np.uint8))
-            _rate_index(program, horizon, runs[-1])
-            previous = program
-        cell_run[b] = len(runs) - 1
+    distinct_programs, cell_program = _distinct(programs)
+    rate_index = np.empty((horizon, len(distinct_programs)), dtype=np.uint8)
+    for p, program in enumerate(distinct_programs):
+        _rate_index(program, horizon, rate_index[:, p])
     full = assign_lanes(geometries) / cfg.saturation_headway
-    rate_index = np.array(runs, dtype=np.uint8).reshape(-1, horizon).T.copy()
 
-    # A column is a distinct (demand, program run, movement, full-rate bits);
+    # A column is a distinct (demand, program, movement, full-rate bits);
     # cell_col maps each cell's 12 movements to their columns, and cell_zone
     # each cell's 4 zones to the distinct column triples that make them up.
     keys = np.empty((cells, 12, 4), dtype=np.int64)
     keys[..., 0] = cell_demand[:, None]
-    keys[..., 1] = cell_run[:, None]
+    keys[..., 1] = cell_program[:, None]
     keys[..., 2] = np.arange(12)
     keys[..., 3] = full.view(np.int64)
     columns, cell_col = np.unique(keys.reshape(-1, 4), axis=0, return_inverse=True)
@@ -189,7 +192,7 @@ def _simulate(
     zones, cell_zone = np.unique(cell_col.reshape(-1, 3), axis=0, return_inverse=True)
     cell_zone = cell_zone.reshape(cells, 4)
     zone_a, zone_b, zone_c = zones.T
-    col_demand, col_run, col_move = columns[:, :3].T
+    col_demand, col_program, col_move = columns[:, :3].T
     col_full = columns[:, 3].copy().view(np.float64)
     width = len(columns)
     # Entry r * width + u is row r of the rate table times column u's full
@@ -217,7 +220,7 @@ def _simulate(
         t0 = 60 * minute
         m = min(60, horizon - t0)
         # Every index is in range by construction; "clip" only spares take a buffer.
-        row = rate_index[t0 : t0 + m].take(col_run, axis=1) * np.intp(width) + lane
+        row = rate_index[t0 : t0 + m].take(col_program, axis=1) * np.intp(width) + lane
         np.take(rate_table, row, out=rates[:m], mode="clip")
         np.greater(rates[:m], 0.0, out=green[:m])
         np.take(arrival_cols[t0 : t0 + m], col_arrival, axis=1, out=counted[:m], mode="clip")
@@ -247,7 +250,7 @@ def _simulate(
 def run(
     geometries: Sequence[IntersectionGeometry],
     demands: Sequence[Departures],
-    programs: Iterable[SignalProgram],
+    programs: Sequence[SignalProgram],
     cfg: SimConfig,
 ) -> list[SimResult]:
     """Simulate one cell per (geometry, demand, program) over the horizon; one result per cell.
@@ -255,10 +258,9 @@ def run(
     All cells advance together, one step per second over the batch's distinct
     (demand, program, movement, full rate) columns. Cells that share a demand
     should pass the same ``Departures`` object, whose arrivals are then counted
-    once, and cells that share a program should be consecutive and pass the
-    same object, which then shares its columns. ``programs`` is read one
-    program at a time, so it may be a generator; it must yield exactly one
-    program per geometry.
+    once, and cells that share a program the same ``SignalProgram`` object,
+    whose rate-index column is then built once; the cells may come in any
+    order. ``demands`` and ``programs`` hold one entry per geometry.
     """
     injected, total_wait, residual, zone_max = _simulate(geometries, demands, programs, cfg)
     return [

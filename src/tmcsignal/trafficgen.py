@@ -28,7 +28,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -312,6 +312,8 @@ class DemandSpec:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.mode not in get_args(SplitMode):
+            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def generate_demand(spec: DemandSpec) -> tuple[Departures, MinuteTmc]:
@@ -393,8 +395,6 @@ def parse_demand_spec(text: str) -> DemandSpec:
         seed=int(fields.pop("seed", 0)),
         mode=fields.pop("mode", "deterministic"),
     )
-    if spec.mode not in ("deterministic", "sampled"):
-        raise ValueError(f"unknown mode {spec.mode!r}")
     if fields:
         raise ValueError(f"unknown demand spec keys: {sorted(fields)}")
     return spec

@@ -59,7 +59,6 @@ from tmcsignal.trafficgen import MinuteTmc
 
 Point = tuple[float, float]
 
-PEDESTRIAN = 0
 VEHICLE = 1
 
 DEFAULT_EPS = 25.0

@@ -265,12 +265,12 @@ def test_criterion_7_policy_ordering_and_grid(tmp_path):
 
     start = time.perf_counter()
     spec = ExperimentSpec()
-    matrix = run_experiment(spec)
+    results = run_experiment(spec)
     grid_seconds = time.perf_counter() - start
-    ok &= len(matrix.results) == 6 * 7 * 4 * 4
+    ok &= len(results) == 6 * 7 * 4 * 4
     ok &= grid_seconds < 600
-    write_report(matrix, tmp_path / "report.csv")
-    write_winners(matrix, spec, tmp_path / "winners.csv")
+    write_report(results, tmp_path / "report.csv")
+    write_winners(results, tmp_path / "winners.csv")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_GRID_SHA256}
     assert digests == PINNED_GRID_SHA256
     report(

@@ -12,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmcsignal.cli import main
+from tmcsignal.cli import build_parser, main
 from tmcsignal.rl import QFunction
-from tmcsignal.signals import SPLIT_PHASE, build_program, read_program
+from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, build_program, read_program
 from tmcsignal.sim import MAX_HORIZON
 from tmcsignal.sumo_io import read_routes
 from tmcsignal.trafficgen import MinuteTmc, read_departures, read_minute_tmc, write_minute_tmc
 from tmcsignal.trajectory import (
+    DEFAULT_EPS,
+    DEFAULT_MIN_SIMILARITY,
     Trajectory,
     synthetic_typical_paths,
     write_trajectories,
@@ -38,6 +40,30 @@ def demand_spec_file(tmp_path):
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+@pytest.mark.parametrize(
+    "argv, option, constant",
+    [
+        pytest.param(("plan", "--tmc", "t", "--policy", "static", "--out", "p"), "yellow", DEFAULT_YELLOW, id="plan"),
+        pytest.param(
+            ("simulate", "--geometry", "INT1", "--departures", "d", "--policy", "static", "--out-dir", "o"),
+            "yellow",
+            DEFAULT_YELLOW,
+            id="simulate",
+        ),
+        pytest.param(("rl-train", "--tmc", "t", "--out", "w"), "yellow", DEFAULT_YELLOW, id="rl-train"),
+        pytest.param(("tmc", "--trajectories", "t", "--paths", "p", "--out", "o"), "eps", DEFAULT_EPS, id="tmc-eps"),
+        pytest.param(
+            ("tmc", "--trajectories", "t", "--paths", "p", "--out", "o"),
+            "min_sim",
+            DEFAULT_MIN_SIMILARITY,
+            id="tmc-min-sim",
+        ),
+    ],
+)
+def test_option_defaults_are_the_library_constants(argv, option, constant):
+    assert getattr(build_parser().parse_args(argv), option) == constant
 
 
 def test_gen_plan_simulate_export_pipeline(tmp_path, demand_spec_file):
@@ -485,6 +511,13 @@ class TestMalformedInputs:
         (tmp_path / "grid.txt").write_text("policies = static\nhours = " + ", ".join(["offpeak"] * 169) + "\n")
         code = run_cli("experiment", "--spec", tmp_path / "grid.txt", "--out-dir", tmp_path / "exp")
         self.assert_one_error_line(capsys, code, f"grid.txt: need 1 to {MAX_HORIZON // 3600} hours, got 169")
+
+    def test_grid_with_a_repeated_entry_names_the_spec(self, tmp_path, capsys):
+        spec = "geometries = INT1\npatterns = PA, PA\npolicies = static\ncycles = 90, 90\nhours = offpeak\n"
+        (tmp_path / "grid.txt").write_text(spec)
+        code = run_cli("experiment", "--spec", tmp_path / "grid.txt", "--out-dir", tmp_path / "exp")
+        self.assert_one_error_line(capsys, code, "grid.txt: patterns lists 'PA' more than once")
+        assert not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize(
         "command",

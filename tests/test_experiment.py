@@ -18,8 +18,8 @@ from tmcsignal.experiment import (
     write_report,
     write_winners,
 )
+from tmcsignal.model import write_geometries
 from tmcsignal.sim import SimResult
-from tmcsignal.experiment import ExperimentMatrix
 from tmcsignal.signals import build_program
 from tmcsignal.trafficgen import BimodalProfile
 
@@ -81,6 +81,14 @@ class TestSpecParsing:
             ExperimentSpec(cycles=())
         with pytest.raises(ValueError, match="seed must be non-negative"):
             parse_experiment_spec("seed = -1")
+        for text, repeated in [
+            ("geometries = INT1, INT2, INT1", "geometry_ids lists 'INT1'"),
+            ("patterns = PA, pa", "patterns lists 'PA'"),
+            ("policies = static, rl, static", "policies lists 'static'"),
+            ("cycles = 90, 90", "cycles lists 90"),
+        ]:
+            with pytest.raises(ValueError, match=f"{repeated} more than once"):
+                parse_experiment_spec(text)
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: key 'cycles' given twice"):
@@ -96,17 +104,17 @@ def small_matrix():
 class TestGrid:
     def test_grid_complete(self, small_matrix):
         spec, matrix = small_matrix
-        assert len(matrix.results) == 2 * 2 * 2 * 1
+        assert len(matrix) == 2 * 2 * 2 * 1
         for geo in spec.geometry_ids:
             for pattern in spec.patterns:
                 for policy in spec.policies:
                     for cycle in spec.cycles:
-                        assert (geo, pattern, policy, cycle) in matrix.results
+                        assert (geo, pattern, policy, cycle) in matrix
 
     def test_demand_shared_across_cells(self, small_matrix):
         _, matrix = small_matrix
         injected = {
-            key[0:1] + key[2:]: r.injected for key, r in matrix.results.items() if key[1] == "PA"
+            key[0:1] + key[2:]: r.injected for key, r in matrix.items() if key[1] == "PA"
         }
         assert len(set(injected.values())) == 1
 
@@ -115,7 +123,7 @@ class TestGrid:
         for name in ("a", "b"):
             matrix = run_experiment(spec)
             write_report(matrix, tmp_path / f"{name}.csv")
-            write_winners(matrix, spec, tmp_path / f"w_{name}.csv")
+            write_winners(matrix, tmp_path / f"w_{name}.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "w_a.csv").read_bytes() == (tmp_path / "w_b.csv").read_bytes()
 
@@ -127,7 +135,7 @@ class TestGrid:
         assert lines[0].startswith("geometry,pattern,policy,cycle")
         keys = [tuple(line.split(",")[:4]) for line in lines[1:]]
         assert keys == sorted(keys)
-        assert len(lines) == 1 + len(matrix.results)
+        assert len(lines) == 1 + len(matrix)
 
     def test_small_grid_golden_digests(self, tmp_path):
         # Digests of the outputs this grid produced before the policy dispatch
@@ -138,7 +146,7 @@ class TestGrid:
         )
         matrix = run_experiment(spec)
         write_report(matrix, tmp_path / "report.csv")
-        write_winners(matrix, spec, tmp_path / "winners.csv")
+        write_winners(matrix, tmp_path / "winners.csv")
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("report.csv", "winners.csv")
@@ -172,7 +180,12 @@ class TestGrid:
             geometry_ids=("INT2",), patterns=("PC",), policies=("rl",), rl_episodes=2
         )
         matrix = run_experiment(spec)
-        assert len(matrix.results) == 1
+        assert len(matrix) == 1
+
+    def test_a_geometry_file_of_no_rows_is_a_grid_of_no_cells(self, tmp_path):
+        # No cell names a geometry, so a program that cannot be built fails no cell.
+        write_geometries([], tmp_path / "none.csv")
+        assert run_experiment(quick_spec(geometry_ids=(), geometry_file=str(tmp_path / "none.csv"), cycles=(20,))) == {}
 
     def test_cell_failure_reports_coordinates(self):
         # a 20s cycle cannot fit four minimum greens plus yellows
@@ -182,12 +195,10 @@ class TestGrid:
 
 
 class TestWinners:
-    def _matrix(self, nwts: dict[str, float]) -> tuple[ExperimentSpec, ExperimentMatrix]:
-        spec = quick_spec(
-            geometry_ids=("INT1",), patterns=("PA",), policies=tuple(nwts), cycles=(90,)
-        )
-        results = {
-            ("INT1", "PA", policy, 90): SimResult(
+    def _matrix(self, nwts: dict[str, tuple[float, ...]]) -> dict:
+        """Results for INT1 x PA: policy p's NWT at the i-th of DEFAULT_CYCLES is ``nwts[p][i]``."""
+        return {
+            ("INT1", "PA", policy, cycle): SimResult(
                 injected=100,
                 served=100,
                 residual_queue=0,
@@ -195,19 +206,24 @@ class TestWinners:
                 nwt=value,
                 queue_series=((0, 0, 0, 0),),
             )
-            for policy, value in nwts.items()
+            for policy, values in nwts.items()
+            for cycle, value in zip(DEFAULT_CYCLES, values)
         }
-        return spec, ExperimentMatrix(results, 3600)
 
     def test_plain_argmin(self):
-        spec, matrix = self._matrix({"static": 30.0, "dynamic": 20.0, "hybrid": 25.0})
-        assert winners(matrix, spec)[("INT1", "PA")] == "dynamic"
+        matrix = self._matrix({"static": (30.0,), "dynamic": (20.0,), "hybrid": (25.0,)})
+        assert winners(matrix)[("INT1", "PA")] == "dynamic"
 
     def test_tie_goes_to_earlier_policy(self):
         # 0.4% apart: inside the 0.5% tie band, static outranks dynamic
-        spec, matrix = self._matrix({"static": 20.08, "dynamic": 20.0})
-        assert winners(matrix, spec)[("INT1", "PA")] == "static"
+        matrix = self._matrix({"static": (20.08,), "dynamic": (20.0,)})
+        assert winners(matrix)[("INT1", "PA")] == "static"
 
     def test_just_outside_tie_band(self):
-        spec, matrix = self._matrix({"static": 20.2, "dynamic": 20.0})
-        assert winners(matrix, spec)[("INT1", "PA")] == "dynamic"
+        matrix = self._matrix({"static": (20.2,), "dynamic": (20.0,)})
+        assert winners(matrix)[("INT1", "PA")] == "dynamic"
+
+    def test_a_policys_best_cycle_decides(self):
+        # Static is worse than dynamic at its first and its last cycle, better at its best one.
+        matrix = self._matrix({"static": (30.0, 18.0, 25.0), "dynamic": (20.0, 20.0, 20.0)})
+        assert winners(matrix) == {("INT1", "PA"): "static"}

@@ -397,11 +397,11 @@ def departure_sets(draw, horizon: int) -> Departures:
 def batches(draw):
     """A batch of cells: pooled geometries, shared demands (one empty) and programs of both layouts.
 
-    A cell may reuse the previous cell's program object, as the grid's cells of
-    one program do, so the shared rate-index column is exercised. Geometries
-    come from a pool of two or three, so cells of one demand and program share
-    the columns of movements whose lane rates agree and keep their own where
-    they differ.
+    A cell may reuse an earlier cell's program object, next to it or not, as
+    the grid's cells of one program do, so the shared rate-index column is
+    exercised. Geometries come from a pool of two or three, so cells of one
+    demand and program share the columns of movements whose lane rates agree
+    and keep their own where they differ.
     """
     horizon = draw(st.integers(1, 700))
     cfg = SimConfig(
@@ -417,7 +417,7 @@ def batches(draw):
         geometries.append(pool[draw(st.integers(0, len(pool) - 1))])
         cell_demands.append(demands[draw(st.integers(0, len(demands) - 1))])
         if programs and draw(st.booleans()):
-            programs.append(programs[-1])
+            programs.append(programs[draw(st.integers(0, len(programs) - 1))])
             continue
         programs.append(draw(signal_programs(math.ceil(horizon / 60) + draw(st.integers(0, 2)))))
     return geometries, cell_demands, programs, cfg
@@ -450,12 +450,33 @@ def grid_in_miniature():
     return [g for g, _ in cells], [plans] * len(cells), [p for _, p in cells], SimConfig(horizon=600)
 
 
+def interleaved_inputs():
+    """The six bundled geometries, each cell with one of two demands and one of two programs.
+
+    Demands alternate cell by cell and programs go in pairs, so every input
+    object recurs with other cells between its uses, and all four
+    (demand, program) pairings occur.
+    """
+    geometries = list(read_geometries().values())
+    demands = [
+        sorted_plans([(i * 7 % 600, Movement(i % 12)) for i in range(600)]),
+        sorted_plans([(i * 11 % 500, Movement(i * 5 % 12)) for i in range(400)]),
+    ]
+    programs = [
+        SignalProgram(PROTECTED_LEFT, [(20, 20, 19, 19), (30, 15, 19, 14)] * 5, 3, 90),
+        SignalProgram(SPLIT_PHASE, [(30, 30, 24, 24), (40, 20, 24, 24)] * 5, 3, 120),
+    ]
+    cells = range(len(geometries))
+    return geometries, [demands[b % 2] for b in cells], [programs[b // 2 % 2] for b in cells], SimConfig(horizon=600)
+
+
 @given(batches())
 @example(grid_in_miniature())
+@example(interleaved_inputs())
 @settings(max_examples=150, deadline=None)
 def test_batched_kernel_equals_scalar_oracle(batch):
     geometries, demands, programs, cfg = batch
-    batched = run(geometries, demands, iter(programs), cfg)
+    batched = run(geometries, demands, programs, cfg)
     assert batched == [scalar_run(g, d, p, cfg) for g, d, p in zip(geometries, demands, programs)]
 
 

@@ -394,6 +394,10 @@ class TestPipeline:
         second = generate_demand(spec)
         assert first == second
 
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'Deterministic'"):
+            DemandSpec(mode="Deterministic")
+
     def test_distinct_seeds_differ(self):
         a, _ = generate_demand(DemandSpec(seed=1))
         b, _ = generate_demand(DemandSpec(seed=2))
@@ -432,6 +436,8 @@ class TestDemandSpecFile:
             parse_demand_spec("pattern = PZ")
         with pytest.raises(ValueError):
             parse_demand_spec("pattern = PA\nweights = 0.25,0.25,0.25,0.25")
+        with pytest.raises(ValueError, match="unknown mode 'fast'"):
+            parse_demand_spec("mode = fast")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: key 'seed' given twice"):
