@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Mapping
 
 from tmcsignal import rl as rl_mod
-from tmcsignal.model import read_geometries, write_csv
+from tmcsignal.model import parse_file, read_geometries, write_csv
 from tmcsignal.sim import MAX_HORIZON, SUMMARY_FIELDS, SimConfig, SimResult, run, summary_row
 from tmcsignal.signals import POLICIES, build_program
 from tmcsignal.trafficgen import (
@@ -52,8 +52,9 @@ class ExperimentSpec:
         for p in self.policies:
             if p not in POLICIES:
                 raise ValueError(f"unknown policy {p!r}")
-        if not self.cycles:
-            raise ValueError("need at least one cycle time")
+        for name, one in (("patterns", "pattern"), ("policies", "policy"), ("cycles", "cycle time")):
+            if not getattr(self, name):
+                raise ValueError(f"need at least one {one}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= len(self.profile.hours) <= MAX_HORIZON // 3600:
@@ -96,11 +97,7 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
 
 def read_experiment_spec(path: str | Path) -> ExperimentSpec:
     """``parse_experiment_spec`` on a file; its ``ValueError`` names the file."""
-    text = Path(path).read_text()
-    try:
-        return parse_experiment_spec(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return parse_file(path, parse_experiment_spec)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict[CellKey, SimResult]:
@@ -120,6 +117,8 @@ def run_experiment(spec: ExperimentSpec) -> dict[CellKey, SimResult]:
     shares inputs by identity.
     """
     geometries = read_geometries(spec.geometry_file)
+    if not geometries:
+        raise ValueError(f"{spec.geometry_file}: no geometry rows")
     if spec.geometry_ids:
         missing = [g for g in spec.geometry_ids if g not in geometries]
         if missing:
@@ -153,9 +152,7 @@ def run_experiment(spec: ExperimentSpec) -> dict[CellKey, SimResult]:
 
     peaks = spec.profile.peak_minutes
     programs = {}
-    # A geometry file of no rows makes a grid of no cells, and no program to build.
-    grid = itertools.product(spec.patterns, spec.policies, spec.cycles) if geometries else ()
-    for pattern, policy, cycle in grid:
+    for pattern, policy, cycle in itertools.product(spec.patterns, spec.policies, spec.cycles):
         try:
             programs[pattern, policy, cycle] = build_program(
                 demands[pattern][1], policy, cycle, peak_minutes=peaks, q=allocators.get(pattern)

@@ -31,16 +31,6 @@ class Zone(IntEnum):
         """Zero-based position used wherever a 4-vector is indexed by zone."""
         return self.value - 1
 
-    @property
-    def edge_in(self) -> str:
-        """Inbound edge label, e.g. '1i' for the west approach."""
-        return f"{self.value}i"
-
-    @property
-    def edge_out(self) -> str:
-        """Outbound edge label, e.g. '2o' for the north exit."""
-        return f"{self.value}o"
-
 
 class Turn(IntEnum):
     LEFT = 0
@@ -145,7 +135,19 @@ def zone_capacity_rates(lanes_in, lanes_out, counts) -> tuple[np.ndarray, np.nda
     return tuple(np.floor(q + 0.5).astype(np.int64) for q in quotients)
 
 
-# --- CSV file interchange -----------------------------------------------------------
+# --- File interchange ---------------------------------------------------------------
+
+
+T = TypeVar("T")
+
+
+def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
+    """``parse`` of the file's UTF-8 text; its ``ValueError`` is raised again prefixed with ``<path>: ``."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
@@ -190,9 +192,6 @@ def read_csv(path: str | Path, *headers: tuple[str, ...]) -> tuple[tuple[str, ..
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return header, columns
-
-
-T = TypeVar("T")
 
 
 def convert_column(path: str | Path, values: Sequence, convert: Callable[..., T]) -> list[T]:

@@ -1,5 +1,8 @@
 """SUMO-compatible interchange: sorted route documents and tlLogic signal programs.
 
+Both documents are one string join, in exactly the bytes ElementTree's
+``indent`` and ``tostring`` give for the same tree; ElementTree only parses.
+
 A tlLogic phase is a duration and a state string over the controlled links.
 Each minute plan of a program becomes 8 phases: for each phase of its layout,
 the layout's green-state string (``signals.PROTECTED_LEFT`` or
@@ -8,14 +11,12 @@ the layout's green-state string (``signals.PROTECTED_LEFT`` or
 ordering, WBL..SBR (origin zone W,N,E,S, then left/through/right within each).
 Deployments whose connection order differs must remap the columns.
 
-The route document is written straight from the departure columns, one
-string join over all vehicles, in exactly the bytes that ElementTree's
-``indent`` and ``tostring`` give for the same tree: two-space indents,
-``depart="N.00"``, ``<route edges="..." />``, attribute values escaped for
-``& < > " \n \r \t``, and ``<routes />`` for no vehicles. An id holding a
-character XML 1.0 cannot carry is a ``ValueError``, never a document that
-cannot be read back. Departure seconds are written and read back exactly,
-never through a float; the reader returns ``Departures`` with the ids as read.
+A vehicle's route is the edge pair ``"<origin>i <destination>o"`` of its
+movement, and the reader accepts exactly the 12 pairs the writer writes. Ids
+are escaped for ``& < > " \n \r \t``; an id holding a character XML 1.0
+cannot carry is a ``ValueError``, never a document that cannot be read back.
+Departure seconds are written as ``depart="N.00"`` and read back exactly,
+never through a float.
 """
 
 from __future__ import annotations
@@ -24,17 +25,16 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from pathlib import Path
-from typing import Mapping, Sequence
 
-from tmcsignal.model import MOVEMENTS, Movement, Zone, write_csv
+from tmcsignal.model import MOVEMENTS, parse_file, write_csv
 from tmcsignal.signals import SignalProgram
 from tmcsignal.trafficgen import MAX_DEPART, Departures
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
-# origin/destination zone pair -> movement, for parsing route edges back
-_EDGE_LOOKUP = {(m.origin, m.destination): m for m in MOVEMENTS}
-_EDGES = [f"{m.origin.edge_in} {m.destination.edge_out}" for m in MOVEMENTS]
+# The route edges of each movement, in movement order, and the inverse table the reader looks them up in.
+_EDGES = [f"{m.origin.value}i {m.destination.value}o" for m in MOVEMENTS]
+_EDGE_MOVEMENTS = dict(zip(_EDGES, MOVEMENTS))
 # Characters XML 1.0 cannot carry, not even as a character reference.
 _NOT_XML = [*range(0x00, 0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF]
 # What ElementTree escapes in an attribute value; a character of _NOT_XML
@@ -72,9 +72,10 @@ def parse_routes(text: str) -> Departures:
     """Inverse of ``routes_xml``; departs are rounded half to even to whole seconds.
 
     ``ValueError`` for a document that is not well-formed XML, another root
-    element, a vehicle without a route or with an unknown edge pair, a depart
-    that is not a number in [0, 2**63 - 1], a vehicle id given twice, or
-    departures out of order.
+    element, a vehicle without an id, a depart or a route, an edge pair
+    ``routes_xml`` does not write, a depart that is not a number in
+    [0, 2**63 - 1], a vehicle id given twice, or departures out of order. A
+    vehicle without an id is named by its 1-based position in the document.
     """
     try:
         root = ET.fromstring(text)
@@ -83,13 +84,16 @@ def parse_routes(text: str) -> Departures:
     if root.tag != "routes":
         raise ValueError(f"expected <routes> document, got <{root.tag}>")
     ids, departs, movements = [], [], []
-    for vehicle in root.iter("vehicle"):
-        route = vehicle.find("route")
-        if route is None:
-            raise ValueError(f"vehicle {vehicle.get('id')!r} has no route")
-        ids.append(vehicle.get("id", ""))
-        departs.append(_depart_second(vehicle.get("depart", "0")))
-        movements.append(_movement_from_edges(route.get("edges", "")))
+    for position, vehicle in enumerate(root.iter("vehicle"), start=1):
+        ident, depart, route = vehicle.get("id"), vehicle.get("depart"), vehicle.find("route")
+        if ident is None or depart is None or route is None:
+            name = f"vehicle number {position}" if ident is None else f"vehicle {ident!r}"
+            raise ValueError(f"{name} has no {'id' if ident is None else 'depart' if depart is None else 'route'}")
+        if (movement := _EDGE_MOVEMENTS.get(route.get("edges"))) is None:
+            raise ValueError(f"unrecognized edge pair {route.get('edges', '')!r}")
+        ids.append(ident)
+        departs.append(_depart_second(depart))
+        movements.append(movement)
     if repeated := [ident for ident, n in Counter(ids).items() if n > 1]:
         raise ValueError(f"vehicle id {repeated[0]!r} appears more than once")
     plans = Departures(departs, movements, tuple(ids))
@@ -109,51 +113,29 @@ def _depart_second(text: str) -> int:
     return int(depart)
 
 
-def _movement_from_edges(edges: str) -> Movement:
-    try:
-        edge_in, edge_out = edges.split()
-        origin = int(edge_in[:-1])
-        destination = int(edge_out[:-1])
-        if edge_in[-1] != "i" or edge_out[-1] != "o":
-            raise ValueError
-        return _EDGE_LOOKUP[(Zone(origin), Zone(destination))]
-    except (ValueError, KeyError, IndexError):
-        raise ValueError(f"unrecognized edge pair {edges!r}") from None
+def tls_xml(program: SignalProgram) -> tuple[str, list[tuple[int, str]]]:
+    """The tlLogic document and the (minute, programID) switch schedule.
 
-
-def phase_entries(layout: Sequence[str], greens: Sequence[int], yellow: int) -> list[tuple[int, str]]:
-    """The 8 (duration, state) tlLogic phases of one minute plan: each green, then its yellow."""
-    entries = []
-    for state, green in zip(layout, greens, strict=True):
-        entries.append((green, state))
-        entries.append((yellow, state.translate(_TO_YELLOW)))
-    return entries
-
-
-def emit_tls(program: SignalProgram) -> tuple[dict[str, list[tuple[int, str]]], list[tuple[int, str]]]:
-    """The phase entries of each distinct minute plan under its programID, plus the minute switch schedule.
-
-    SUMO itself has no per-minute program switching; the schedule CSV pairs each
-    minute with the programID to load, leaving the switching mechanism to the
-    caller.
+    Each distinct minute plan is one tlLogic, programIDs ``p000``, ``p001``, ...
+    in order of first use. SUMO has no per-minute program switching; loading
+    the scheduled programID each minute is left to the caller.
     """
-    minute_greens = list(map(tuple, program.greens.tolist()))
     ids: dict[tuple[int, ...], str] = {}
-    for greens in minute_greens:
-        ids.setdefault(greens, f"p{len(ids):03d}")
-    docs = {program_id: phase_entries(program.layout, greens, program.yellow) for greens, program_id in ids.items()}
-    return docs, [(minute, ids[greens]) for minute, greens in enumerate(minute_greens)]
-
-
-def tls_to_xml(docs: Mapping[str, Sequence[tuple[int, str]]]) -> str:
-    """One tlLogic element per programID and its phase entries, in a SUMO additional-file document."""
-    root = ET.Element("additional")
-    for program_id, entries in docs.items():
-        logic = ET.SubElement(root, "tlLogic", id="center", type="static", programID=program_id, offset="0")
-        for duration, state in entries:
-            ET.SubElement(logic, "phase", duration=str(duration), state=state)
-    ET.indent(root)
-    return XML_DECLARATION + ET.tostring(root, encoding="unicode") + "\n"
+    schedule = [
+        (minute, ids.setdefault(greens, f"p{len(ids):03d}"))
+        for minute, greens in enumerate(map(tuple, program.greens.tolist()))
+    ]
+    phase = '    <phase duration="{}" state="{}" />\n'.format
+    logics = "".join(
+        f'  <tlLogic id="center" type="static" programID="{program_id}" offset="0">\n'
+        + "".join(
+            phase(green, state) + phase(program.yellow, state.translate(_TO_YELLOW))
+            for green, state in zip(greens, program.layout)
+        )
+        + "  </tlLogic>\n"
+        for greens, program_id in ids.items()
+    )
+    return f"{XML_DECLARATION}<additional>\n{logics}</additional>\n", schedule
 
 
 def write_routes(plans: Departures, path: str | Path) -> None:
@@ -162,14 +144,10 @@ def write_routes(plans: Departures, path: str | Path) -> None:
 
 def read_routes(path: str | Path) -> Departures:
     """``parse_routes`` on a file; its ``ValueError`` names the file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return parse_routes(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return parse_file(path, parse_routes)
 
 
 def write_tls(program: SignalProgram, xml_path: str | Path, schedule_path: str | Path) -> None:
-    docs, schedule = emit_tls(program)
-    Path(xml_path).write_text(tls_to_xml(docs), encoding="utf-8")
+    xml, schedule = tls_xml(program)
+    Path(xml_path).write_text(xml, encoding="utf-8")
     write_csv(schedule_path, ("minute", "program_id"), schedule)

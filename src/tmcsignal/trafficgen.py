@@ -33,7 +33,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from tmcsignal.apportion import largest_remainder, row_sums
-from tmcsignal.model import MAX_COUNT, MOVEMENT_INDEX, MOVEMENT_NAMES, MOVEMENTS
+from tmcsignal.model import MAX_COUNT, MOVEMENT_INDEX, MOVEMENT_NAMES, MOVEMENTS, parse_file
 from tmcsignal.model import check_minutes, check_unique_ids, convert_column, count_matrix, read_csv, write_csv
 
 HourKind = Literal["offpeak", "peak"]
@@ -402,11 +402,7 @@ def parse_demand_spec(text: str) -> DemandSpec:
 
 def read_demand_spec(path: str | Path) -> DemandSpec:
     """``parse_demand_spec`` on a file; its ``ValueError`` names the file."""
-    text = Path(path).read_text()
-    try:
-        return parse_demand_spec(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return parse_file(path, parse_demand_spec)
 
 
 # --- CSV interchange ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+import xml.etree.ElementTree as ET
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +26,7 @@ from tmcsignal.model import (
 from tmcsignal.rl import ACTIONS, train
 from tmcsignal.sim import SimConfig, evaluate, run
 from tmcsignal.signals import PROTECTED_LEFT, SignalProgram, build_program, critical_counts, write_program
-from tmcsignal.sumo_io import emit_tls, parse_routes, routes_xml
+from tmcsignal.sumo_io import parse_routes, routes_xml, tls_xml
 from tmcsignal.trafficgen import (
     PATTERNS,
     UNIVERSAL_WEIGHTS,
@@ -318,9 +319,10 @@ def test_criterion_9_interchange_roundtrip():
         tables = MinuteTmc([rng.integers(0, 300, size=12) for _ in range(30)])
         for policy in ("static", "dynamic", "hybrid"):
             program = build_program(tables, policy, cycle)
-            docs, schedule = emit_tls(program)
+            xml, schedule = tls_xml(program)
             ok &= len(schedule) == 30
-            for entries in docs.values():
-                ok &= len(entries) == 8
-                ok &= sum(d for d, _ in entries) == cycle
+            for logic in ET.fromstring(xml).iter("tlLogic"):
+                durations = [int(phase.get("duration")) for phase in logic.iter("phase")]
+                ok &= len(durations) == 8
+                ok &= sum(durations) == cycle
     report(9, "route round-trip identity; tlLogic 8 phases summing to cycle", ok)

@@ -512,6 +512,21 @@ class TestMalformedInputs:
         code = run_cli("experiment", "--spec", tmp_path / "grid.txt", "--out-dir", tmp_path / "exp")
         self.assert_one_error_line(capsys, code, f"grid.txt: need 1 to {MAX_HORIZON // 3600} hours, got 169")
 
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            pytest.param("patterns = \n", "grid.txt: need at least one pattern", id="no-patterns"),
+            pytest.param("policies = ,\n", "grid.txt: need at least one policy", id="no-policies"),
+            pytest.param("geometry_file = geometries.csv\n", "geometries.csv: no geometry rows", id="no-geometry-rows"),
+        ],
+    )
+    def test_empty_grid_names_what_is_missing(self, tmp_path, capsys, monkeypatch, text, fragment):
+        self.write_inputs(tmp_path, monkeypatch, "geometries.csv", "")  # a header and no rows
+        (tmp_path / "grid.txt").write_text(f"hours = offpeak\n{text}")
+        code = run_cli("experiment", "--spec", "grid.txt", "--out-dir", "exp")
+        self.assert_one_error_line(capsys, code, fragment)
+        assert not (tmp_path / "exp").exists()
+
     def test_grid_with_a_repeated_entry_names_the_spec(self, tmp_path, capsys):
         spec = "geometries = INT1\npatterns = PA, PA\npolicies = static\ncycles = 90, 90\nhours = offpeak\n"
         (tmp_path / "grid.txt").write_text(spec)

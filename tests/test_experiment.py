@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -79,6 +80,10 @@ class TestSpecParsing:
             parse_experiment_spec("frobnicate = 1")
         with pytest.raises(ValueError):
             ExperimentSpec(cycles=())
+        with pytest.raises(ValueError, match="^need at least one pattern$"):
+            parse_experiment_spec("patterns = ")
+        with pytest.raises(ValueError, match="^need at least one policy$"):
+            parse_experiment_spec("policies = ,")
         with pytest.raises(ValueError, match="seed must be non-negative"):
             parse_experiment_spec("seed = -1")
         for text, repeated in [
@@ -182,10 +187,10 @@ class TestGrid:
         matrix = run_experiment(spec)
         assert len(matrix) == 1
 
-    def test_a_geometry_file_of_no_rows_is_a_grid_of_no_cells(self, tmp_path):
-        # No cell names a geometry, so a program that cannot be built fails no cell.
+    def test_a_geometry_file_of_no_rows_is_rejected(self, tmp_path):
         write_geometries([], tmp_path / "none.csv")
-        assert run_experiment(quick_spec(geometry_ids=(), geometry_file=str(tmp_path / "none.csv"), cycles=(20,))) == {}
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'none.csv'))}: no geometry rows$"):
+            run_experiment(quick_spec(geometry_ids=(), geometry_file=str(tmp_path / "none.csv")))
 
     def test_cell_failure_reports_coordinates(self):
         # a 20s cycle cannot fit four minimum greens plus yellows

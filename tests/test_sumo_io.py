@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from itertools import pairwise
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 
 from departure_rows import departures, rows_of
 from tmcsignal.model import Movement
-from tmcsignal.signals import SPLIT_PHASE, SignalProgram, build_program
+from tmcsignal.signals import LAYOUTS, MIN_GREEN, SPLIT_PHASE, SignalProgram, build_program
 from tmcsignal.sumo_io import (
     XML_DECLARATION,
-    emit_tls,
     parse_routes,
     read_routes,
     routes_xml,
+    tls_xml,
     write_routes,
     write_tls,
 )
@@ -37,11 +38,52 @@ def routes_xml_oracle(plans) -> str:
     root = ET.Element("routes")
     for plan in rows_of(plans):
         vehicle = ET.SubElement(root, "vehicle", id=plan.id, depart=f"{plan.depart}.00")
-        ET.SubElement(
-            vehicle, "route", edges=f"{plan.movement.origin.edge_in} {plan.movement.destination.edge_out}"
-        )
+        ET.SubElement(vehicle, "route", edges=f"{plan.movement.origin.value}i {plan.movement.destination.value}o")
     ET.indent(root)
     return XML_DECLARATION + ET.tostring(root, encoding="unicode") + "\n"
+
+
+def tls_xml_oracle(program: SignalProgram) -> tuple[str, list[tuple[int, str]]]:
+    """The tlLogic document as ElementTree builds, indents and serialises it, and the minute switch schedule."""
+    root = ET.Element("additional")
+    ids: dict[tuple[int, ...], str] = {}
+    schedule = []
+    for minute, greens in enumerate(map(tuple, program.greens.tolist())):
+        if greens not in ids:
+            ids[greens] = f"p{len(ids):03d}"
+            logic = ET.SubElement(root, "tlLogic", id="center", type="static", programID=ids[greens], offset="0")
+            for state, green in zip(program.layout, greens):
+                ET.SubElement(logic, "phase", duration=str(green), state=state)
+                ET.SubElement(logic, "phase", duration=str(program.yellow), state=re.sub("[Gg]", "y", state))
+        schedule.append((minute, ids[greens]))
+    ET.indent(root)
+    return XML_DECLARATION + ET.tostring(root, encoding="unicode") + "\n", schedule
+
+
+def phases_of(xml: str) -> dict[str, list[tuple[int, str]]]:
+    """The (duration, state) phases of each programID of a tlLogic document, read back with ElementTree."""
+    return {
+        logic.get("programID"): [(int(phase.get("duration")), phase.get("state")) for phase in logic.iter("phase")]
+        for logic in ET.fromstring(xml).iter("tlLogic")
+    }
+
+
+@st.composite
+def signal_programs(draw):
+    """A program of either layout, yellow 0-5 s and cycle 20-180 s, whose minute plans repeat or are all distinct."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    yellow = draw(st.integers(0, 5))
+    cycle = draw(st.integers(max(20, 4 * (MIN_GREEN + yellow)), 180))
+    spare = cycle - 4 * (MIN_GREEN + yellow)
+    plan = st.lists(st.integers(0, spare), min_size=3, max_size=3).map(
+        lambda cuts: tuple(MIN_GREEN + b - a for a, b in pairwise([0, *sorted(cuts), spare]))
+    )
+    plans = draw(st.lists(plan, min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        minutes = draw(st.lists(st.sampled_from(plans), min_size=1, max_size=40))
+    else:
+        minutes = plans
+    return SignalProgram(layout, minutes, yellow, cycle)
 
 
 # Ids as a departures file can hold them, with every character ElementTree escapes.
@@ -121,6 +163,25 @@ class TestRoutes:
                 '<route edges="9i 9o"/></vehicle></routes>'
             )
 
+    @pytest.mark.parametrize("edges", [" 1i 2o", "01i 2o", "1i\t2o", "1o 2i", "1i  2o", "1i 2o ", "1i 1o", ""])
+    def test_parse_accepts_only_the_edge_pairs_the_writer_writes(self, edges):
+        # A parser reads a literal tab in an attribute as a space; a character reference keeps it a tab.
+        value = edges.replace("\t", "&#09;")
+        with pytest.raises(ValueError, match=re.escape(f"unrecognized edge pair {edges!r}")):
+            parse_routes(f'<routes><vehicle id="a" depart="0"><route edges="{value}"/></vehicle></routes>')
+
+    def test_parse_rejects_a_vehicle_without_an_id_by_its_position(self):
+        vehicles = (
+            '<vehicle id="a" depart="0"><route edges="1i 2o"/></vehicle>'
+            '<vehicle depart="1"><route edges="1i 2o"/></vehicle>'
+        )
+        with pytest.raises(ValueError, match="^vehicle number 2 has no id$"):
+            parse_routes(f"<routes>{vehicles}</routes>")
+
+    def test_parse_rejects_a_vehicle_without_a_depart_by_its_id(self):
+        with pytest.raises(ValueError, match="^vehicle 'b' has no depart$"):
+            parse_routes('<routes><vehicle id="b"><route edges="1i 2o"/></vehicle></routes>')
+
     @given(plan_lists)
     @settings(max_examples=60)
     def test_roundtrip_identity(self, plans):
@@ -193,7 +254,8 @@ def static_program(minutes: int) -> SignalProgram:
 
 class TestTls:
     def test_static_plan_has_8_entries_with_expected_durations(self):
-        docs, schedule = emit_tls(static_program(5))
+        xml, schedule = tls_xml(static_program(5))
+        docs = phases_of(xml)
         assert list(docs) == ["p000"]
         entries = docs["p000"]
         assert [d for d, _ in entries] == [20, 3, 20, 3, 19, 3, 19, 3]
@@ -201,8 +263,7 @@ class TestTls:
         assert schedule == [(m, "p000") for m in range(5)]
 
     def test_protected_left_phase_state(self):
-        docs, _ = emit_tls(static_program(1))
-        entries = docs["p000"]
+        entries = phases_of(tls_xml(static_program(1))[0])["p000"]
         # phase order: P1 green, P1 yellow, P2 green, ...
         p2_green = entries[2][1]
         assert len(p2_green) == 12
@@ -211,19 +272,19 @@ class TestTls:
         assert set(p2_green) == {"G", "r"}
 
     def test_permissive_lefts_lowercase_in_p1(self):
-        docs, _ = emit_tls(static_program(1))
-        p1_green = docs["p000"][0][1]
+        entries = phases_of(tls_xml(static_program(1))[0])["p000"]
+        p1_green = entries[0][1]
         assert p1_green[Movement.WBL] == "g"
         assert p1_green[Movement.WBT] == "G"
         assert p1_green[Movement.NBT] == "r"
-        p1_yellow = docs["p000"][1][1]
+        p1_yellow = entries[1][1]
         assert p1_yellow[Movement.WBT] == "y"
         assert p1_yellow[Movement.WBL] == "y"
         assert p1_yellow[Movement.NBT] == "r"
 
     def test_split_phase_states(self):
-        docs, _ = emit_tls(SignalProgram(SPLIT_PHASE, [(20, 20, 19, 19)], 3, 90))
-        assert docs["p000"] == [
+        xml, _ = tls_xml(SignalProgram(SPLIT_PHASE, [(20, 20, 19, 19)], 3, 90))
+        assert phases_of(xml)["p000"] == [
             (20, "GGGrrrrrrrrr"), (3, "yyyrrrrrrrrr"), (20, "rrrGGGrrrrrr"), (3, "rrryyyrrrrrr"),
             (19, "rrrrrrGGGrrr"), (3, "rrrrrryyyrrr"), (19, "rrrrrrrrrGGG"), (3, "rrrrrrrrryyy"),
         ]
@@ -231,7 +292,8 @@ class TestTls:
     def test_distinct_minute_plans_get_distinct_programs(self):
         rows = [[(1 + m * i) % 23 for m in range(12)] for i in range(30)]
         program = build_program(MinuteTmc(rows), "dynamic", 90)
-        docs, schedule = emit_tls(program)
+        xml, schedule = tls_xml(program)
+        docs = phases_of(xml)
         assert len(docs) == len({tuple(g) for g in program.greens.tolist()})
         assert len(schedule) == 30
         assert all(docs[pid][0][0] == program.greens[minute, 0] for minute, pid in schedule)
@@ -240,12 +302,16 @@ class TestTls:
     @settings(max_examples=40)
     def test_every_document_sums_to_cycle(self, tmc, cycle):
         program = build_program(MinuteTmc([tmc]), "dynamic", cycle, 3)
-        docs, _ = emit_tls(program)
-        for entries in docs.values():
+        for entries in phases_of(tls_xml(program)[0]).values():
             assert len(entries) == 8
             assert sum(d for d, _ in entries) == cycle
             assert all(len(state) == 12 for _, state in entries)
             assert all(set(state) <= set("Ggyr") for _, state in entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(signal_programs())
+    def test_document_and_schedule_equal_the_element_tree_oracle(self, program):
+        assert tls_xml(program) == tls_xml_oracle(program)
 
     def test_file_outputs(self, tmp_path):
         program = static_program(3)
@@ -253,7 +319,7 @@ class TestTls:
         schedule_path = tmp_path / "tls_schedule.csv"
         write_tls(program, xml_path, schedule_path)
         xml = xml_path.read_text()
-        assert xml.startswith('<?xml version="1.0" encoding="UTF-8"?>')
+        assert xml == tls_xml_oracle(program)[0]
         assert xml.count("<tlLogic") == 1
         lines = schedule_path.read_text().splitlines()
         assert lines[0] == "minute,program_id"
