@@ -141,9 +141,19 @@ def zone_capacity_rates(lanes_in, lanes_out, counts) -> tuple[np.ndarray, np.nda
 T = TypeVar("T")
 
 
+def read_text(path: str | Path) -> str:
+    """The file's UTF-8 text; ``ValueError`` naming the file and the line of its first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: {exc}") from None
+
+
 def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
-    """``parse`` of the file's UTF-8 text; its ``ValueError`` is raised again prefixed with ``<path>: ``."""
-    text = Path(path).read_text(encoding="utf-8")
+    """``parse`` of the file's ``read_text``; its ``ValueError`` is raised again prefixed with ``<path>: ``."""
+    text = read_text(path)
     try:
         return parse(text)
     except ValueError as exc:
@@ -152,7 +162,7 @@ def parse_file(path: str | Path, parse: Callable[[str], T]) -> T:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """Write ``header`` and then ``rows`` as one CSV file."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -170,18 +180,18 @@ def read_csv(path: str | Path, *headers: tuple[str, ...]) -> tuple[tuple[str, ..
 
     Column k lists field k of every row after the header, in file order.
     Raises ``ValueError`` naming the file for another header, or naming the
-    line for a row with another field count or a field past the csv module's
-    size limit.
+    line for a row with another field count, a field past the csv module's
+    size limit or a byte that is not UTF-8.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header not in headers:
-            expected = " or ".join(",".join(h) for h in headers)
-            raise ValueError(f"{path}: header {','.join(header)!r} is not {expected!r}")
-        columns: list[list[str]] = [[] for _ in header]
-        line = 2
         try:
+            header = tuple(next(reader, ()))
+            if header not in headers:
+                expected = " or ".join(",".join(h) for h in headers)
+                raise ValueError(f"{path}: header {','.join(header)!r} is not {expected!r}")
+            columns: list[list[str]] = [[] for _ in header]
+            line = 2
             while chunk := list(islice(reader, _CHUNK_ROWS)):
                 if set(map(len, chunk)) != {len(header)}:
                     bad = next(k for k, row in enumerate(chunk) if len(row) != len(header))
@@ -191,6 +201,11 @@ def read_csv(path: str | Path, *headers: tuple[str, ...]) -> tuple[tuple[str, ..
                 line += len(chunk)
         except csv.Error as exc:
             raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # The stream counts the bad byte's position from the start of the
+            # chunk it decodes; reading the file whole names the line.
+            read_text(path)
+            raise
     return header, columns
 
 

@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from tmcsignal.model import write_csv
+from tmcsignal.model import read_text, write_csv
 from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, SignalProgram, allocate_greens, usable_green
 from tmcsignal.trafficgen import MinuteTmc
 
@@ -150,7 +150,7 @@ class QFunction:
 
     def save(self, path: str | Path) -> None:
         """Snapshot: header (layer sizes, seed, episodes, norm) + ``params``, one value a line."""
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("layers " + " ".join(str(s) for s in self.sizes) + "\n")
             fh.write(f"seed {self.seed}\n")
             fh.write(f"episodes {self.episodes_trained}\n")
@@ -168,7 +168,7 @@ class QFunction:
         a norm that is not finite and positive, or a negative seed or episode
         count.
         """
-        lines = Path(path).read_text().splitlines()
+        lines = read_text(path).splitlines()
         header = {}
         for lineno, line in enumerate(lines[:4], start=1):
             key, _, value = line.partition(" ")

@@ -14,9 +14,12 @@ differ only through their lane rates, and two geometries with the same rate
 for a movement give that movement the same queue. On the six bundled
 geometries that is 20 columns per program instead of 72. The queues and
 credits of the batch are one vector over the distinct columns, and each
-one-second tick is the same few numpy operations on it. Arrivals are a
-(seconds x demands x 12) count array, built once per distinct demand from its
-departure columns. Service rates are a per-program index per second into a
+one-second tick is the same few numpy operations on it. Arrivals are counted
+one block of ``ARRIVAL_BLOCK`` seconds at a time from each distinct demand's
+sorted departures: one ``searchsorted`` per demand splits them at the block
+edges, and at each block start one ``bincount`` per demand refills a
+(block seconds x demands x 12) count array, so memory does not grow with the
+horizon. Service rates are a per-program index per second into a
 fixed table of multiplier rows: an all-red row, then one row per phase of each
 layout in ``signals.LAYOUTS``, read off the phase's green-state string (``G``
 1, ``g`` the permissive left factor, ``r`` 0); each column's row is scaled by
@@ -62,9 +65,14 @@ from tmcsignal.trafficgen import Departures, aggregate_per_minute
 # approach's lanes are shared fractionally.
 SHARED_LANE_WEIGHTS = (1, 2, 1)
 
-# The longest horizon, one week: the kernel holds a (horizon, demands, 12) int32
-# arrival count array, 29 MB a demand at this cap, and ticks once a second.
+# The longest horizon, one week. The kernel ticks once a second and holds a
+# one-byte rate-table row per second for each distinct program, so the cap
+# bounds both its run time and that index.
 MAX_HORIZON = 7 * 86400
+
+# Arrivals are counted this many seconds at a time. A multiple of 60, so no
+# minute of the tick loop straddles two blocks.
+ARRIVAL_BLOCK = 600
 
 
 @dataclass(frozen=True)
@@ -108,14 +116,6 @@ def assign_lanes(geometries: Sequence[IntersectionGeometry]) -> np.ndarray:
     eff[wide, 0] = 1.0
     eff[wide, 1:] = largest_remainder(np.stack([2 / 3 * rest, 1 / 3 * rest], axis=1), rest)
     return eff.reshape(-1, 12)
-
-
-def _count_arrivals(plans: Departures, out: np.ndarray) -> None:
-    """Add each plan departing before second ``len(out)`` to ``out[depart, movement]``."""
-    plans.check_sorted()
-    inside = plans.departs < len(out)
-    cells = plans.departs[inside] * 12 + plans.movements[inside]
-    out += np.bincount(cells, minlength=out.size).reshape(out.shape)
 
 
 def _multipliers(permissive_left_factor: float) -> np.ndarray:
@@ -168,10 +168,14 @@ def _simulate(
     cells, horizon = len(geometries), cfg.horizon
 
     distinct_demands, cell_demand = _distinct(demands)
-    arrivals = np.zeros((horizon, len(distinct_demands), 12), dtype=np.int32)
+    # bounds[d, k] is the first departure of demand d at or after the start of
+    # arrival block k; the last edge is the horizon.
+    edges = np.minimum(np.arange(0, horizon + ARRIVAL_BLOCK, ARRIVAL_BLOCK), horizon)
+    bounds = np.empty((len(distinct_demands), len(edges)), dtype=np.intp)
     for d, plans in enumerate(distinct_demands):
-        _count_arrivals(plans, arrivals[:, d])
-    injected = arrivals.sum(axis=(0, 2), dtype=np.int64)[cell_demand]
+        plans.check_sorted()
+        bounds[d] = np.searchsorted(plans.departs, edges)
+    injected = bounds[:, -1].astype(np.int64)[cell_demand]
 
     distinct_programs, cell_program = _distinct(programs)
     rate_index = np.empty((horizon, len(distinct_programs)), dtype=np.uint8)
@@ -199,7 +203,9 @@ def _simulate(
     # rate: the product a one-cell loop takes.
     rate_table = (_multipliers(cfg.permissive_left_factor)[:, col_move] * col_full).ravel()
     lane = np.arange(width)
-    arrival_cols = arrivals.reshape(horizon, -1)
+    # One block of arrival counts, (second in block, distinct demand, movement).
+    arrivals = np.empty((ARRIVAL_BLOCK, len(distinct_demands), 12), dtype=np.int32)
+    arrival_cols = arrivals.reshape(ARRIVAL_BLOCK, -1)
     col_arrival = col_demand * 12 + col_move
 
     # One minute of seconds at a time: rates, green flags (1.0 where the rate
@@ -219,11 +225,17 @@ def _simulate(
     for minute in range(n_minutes):
         t0 = 60 * minute
         m = min(60, horizon - t0)
+        block, r0 = divmod(t0, ARRIVAL_BLOCK)
+        if r0 == 0:
+            for d, plans in enumerate(distinct_demands):
+                first, end = bounds[d, block : block + 2]
+                slots = (plans.departs[first:end] - t0) * 12 + plans.movements[first:end]
+                arrivals[:, d] = np.bincount(slots, minlength=12 * ARRIVAL_BLOCK).reshape(ARRIVAL_BLOCK, 12)
         # Every index is in range by construction; "clip" only spares take a buffer.
         row = rate_index[t0 : t0 + m].take(col_program, axis=1) * np.intp(width) + lane
         np.take(rate_table, row, out=rates[:m], mode="clip")
         np.greater(rates[:m], 0.0, out=green[:m])
-        np.take(arrival_cols[t0 : t0 + m], col_arrival, axis=1, out=counted[:m], mode="clip")
+        np.take(arrival_cols[r0 : r0 + m], col_arrival, axis=1, out=counted[:m], mode="clip")
         np.copyto(new[:m], counted[:m])
         # Per second: queue the arrivals, add the rate to the credit, serve its
         # whole part but at most the queue, and keep its fraction only where the

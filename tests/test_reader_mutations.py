@@ -7,6 +7,8 @@ hostile values. The mutated file goes through ``cli.main``, or straight to its
 reader when no command reads it alone, with warnings raised as errors. The
 run must exit 0, and then the value the reader returns must read back equal
 after its writer writes it; or it must exit 1 with exactly one ``error:`` line.
+A second test puts the byte 0xff, which is not UTF-8, at the start of each
+input's second line; every reader must then exit 1 naming the file and line.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +213,26 @@ def read_alone(reader, path) -> int:
     return 0
 
 
+def run_reader(work: Path, name: str, command: int, data: bytes) -> tuple[int, str, dict[str, Path], list | None]:
+    """Every valid input written under ``work``, input ``name`` replaced by ``data``, then read by command ``command``.
+
+    Returns the exit code, the standard error, the input paths and the argv (None for a reader run alone).
+    """
+    (work / "out").mkdir()  # so that ``plan --out`` and ``tmc --out`` can write
+    paths = {file_name: work / file_name for file_name in READERS}
+    for file_name, content in VALID.items():
+        paths[file_name].write_text(content)
+    paths[name].write_bytes(data)
+    stems = {Path(file_name).stem: path for file_name, path in paths.items()}
+    template = READERS[name][0][command]
+    argv = template and [arg.format_map({"out": work / "out", **stems}) for arg in template]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv) if argv else read_alone(READERS[name][1], paths[name])
+    return code, err.getvalue(), paths, argv
+
+
 @settings(max_examples=500, deadline=None)
 @given(mutated_inputs())
 @example(("demand.txt", 0, VALID["demand.txt"].replace("mu_peak = 60", "mu_peak = inf")))
@@ -220,27 +243,28 @@ def read_alone(reader, path) -> int:
 def test_every_mutated_input_reads_back_or_fails_with_one_error_line(tmp_path_factory, mutation):
     name, command, text = mutation
     work = tmp_path_factory.mktemp("mutation")
-    (work / "out").mkdir()  # so that ``plan --out`` and ``tmc --out`` can write
-    paths = {file_name: work / file_name for file_name in READERS}
-    for file_name, content in VALID.items():
-        paths[file_name].write_text(content)
-    paths[name].write_text(text)
-    templates, reader, writer = READERS[name]
-    stems = {Path(file_name).stem: path for file_name, path in paths.items()}
-    template = templates[command]
-    argv = template and [arg.format_map({"out": work / "out", **stems}) for arg in template]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(argv) if argv else read_alone(reader, paths[name])
+    code, err, paths, argv = run_reader(work, name, command, text.encode())
+    _, reader, writer = READERS[name]
     if code == 1:
-        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         # A spec is checked whole when it is read, so its every fault is the file's and names it.
-        assert not name.endswith(".txt") or str(paths[name]) in err.getvalue(), err.getvalue()
+        assert not name.endswith(".txt") or str(paths[name]) in err, err
         return
-    assert code == 0 and err.getvalue() == ""
+    assert code == 0 and err == ""
     value = reader(paths[name])
     writer(value, work / "again.csv")
     assert reader(work / "again.csv") == value
     if argv and argv[0] == "export-sumo":
         assert read_routes(work / "out" / "routes.rou.xml") == read_departures(paths["departures.csv"])
+
+
+@pytest.mark.parametrize(
+    ("name", "command"),
+    [(name, command) for name, (templates, _, _) in READERS.items() for command in range(len(templates))],
+)
+def test_a_byte_that_is_not_utf8_fails_naming_the_file_and_line(tmp_path, name, command):
+    valid = VALID[name].encode()
+    second = valid.index(b"\n") + 1
+    code, err, paths, _ = run_reader(tmp_path, name, command, valid[:second] + b"\xff" + valid[second:])
+    assert code == 1 and len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: {paths[name]}, line 2: 'utf-8' codec can't decode byte 0xff"), err

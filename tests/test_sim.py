@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -384,9 +386,9 @@ def departure_sets(draw, horizon: int) -> Departures:
     over a few numbers rather than hundreds of departures.
     """
     if draw(st.booleans()):
-        return sorted_plans(
-            draw(st.lists(st.tuples(st.integers(0, horizon + 120), st.sampled_from(list(Movement))), max_size=120))
-        )
+        # One integer per vehicle, second * 12 + movement, so that a failure shrinks over fewer choices.
+        vehicles = draw(st.lists(st.integers(0, 12 * (horizon + 121) - 1), max_size=120))
+        return sorted_plans([(v // 12, Movement(v % 12)) for v in vehicles])
     pool = draw(st.lists(st.sampled_from(list(Movement)), min_size=1, max_size=3, unique=True))
     span, size = draw(st.integers(1, 600)), draw(st.integers(100, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -395,32 +397,41 @@ def departure_sets(draw, horizon: int) -> Departures:
 
 @st.composite
 def batches(draw):
-    """A batch of cells: pooled geometries, shared demands (one empty) and programs of both layouts.
+    """A batch of cells, its config and an arrival block: pooled geometries, shared demands (one empty) and programs.
 
-    A cell may reuse an earlier cell's program object, next to it or not, as
-    the grid's cells of one program do, so the shared rate-index column is
-    exercised. Geometries come from a pool of two or three, so cells of one
-    demand and program share the columns of movements whose lane rates agree
-    and keep their own where they differ.
+    Cells draw their programs from a pool of one to eight, so a program
+    object recurs in cells next to each other or not, as the grid's cells of
+    one program do, and the shared rate-index column is exercised. Geometries
+    come from a pool of two or three, so cells of one demand and program share
+    the columns of movements whose lane rates agree and keep their own where
+    they differ. Blocks of 60 to 180 s put several block edges inside a
+    horizon of up to 700 s.
+
+    The horizon, which sets what one example costs, is drawn first. Demands,
+    geometries, programs and cells are each a list whose elements are drawn
+    alike, so that shrinking drops them whole, and nothing is drawn with
+    ``st.tuples``: once a failure has shrunk, hypothesis's explain phase
+    varies each field of a tuple strategy on its own, hundreds of runs a field.
     """
     horizon = draw(st.integers(1, 700))
+    block = draw(st.sampled_from([60, 120, 180]))
     cfg = SimConfig(
         horizon=horizon,
         saturation_headway=draw(st.sampled_from([2.0, 1.7, 2.5])),
         permissive_left_factor=draw(st.sampled_from([0.5, 0.0, 1.0, 0.37])),
     )
-    demands = [departures([])] + [draw(departure_sets(horizon)) for _ in range(draw(st.integers(1, 3)))]
-    lanes = st.tuples(*[st.integers(1, 6)] * 4)
-    pool = [IntersectionGeometry("X", draw(lanes), draw(lanes)) for _ in range(draw(st.integers(2, 3)))]
-    geometries, cell_demands, programs = [], [], []
-    for _ in range(draw(st.integers(1, 8))):
-        geometries.append(pool[draw(st.integers(0, len(pool) - 1))])
-        cell_demands.append(demands[draw(st.integers(0, len(demands) - 1))])
-        if programs and draw(st.booleans()):
-            programs.append(programs[draw(st.integers(0, len(programs) - 1))])
-            continue
-        programs.append(draw(signal_programs(math.ceil(horizon / 60) + draw(st.integers(0, 2)))))
-    return geometries, cell_demands, programs, cfg
+    demands = [departures([]), *draw(st.lists(departure_sets(horizon), min_size=1, max_size=3))]
+    lanes = st.lists(st.integers(1, 6), min_size=8, max_size=8)
+    pool = [IntersectionGeometry("X", tuple(n[:4]), tuple(n[4:])) for n in draw(st.lists(lanes, min_size=2, max_size=3))]
+    program = st.integers(0, 2).flatmap(lambda extra: signal_programs(math.ceil(horizon / 60) + extra))
+    programs = draw(st.lists(program, min_size=1, max_size=8))
+
+    @st.composite
+    def cell(draw):
+        return draw(st.sampled_from(pool)), draw(st.sampled_from(demands)), draw(st.sampled_from(programs))
+
+    geometries, cell_demands, cell_programs = zip(*draw(st.lists(cell(), min_size=1, max_size=8)))
+    return list(geometries), list(cell_demands), list(cell_programs), cfg, block
 
 
 @given(st.data())
@@ -441,13 +452,13 @@ def grid_in_miniature():
 
     Queues of several vehicles build up on every movement, so cells that share
     a movement's column but not a zone's, or differ in one rate, report
-    different waits and zone maxima.
+    different waits and zone maxima. Arrivals are counted in five 120 s blocks.
     """
     geometries = list(read_geometries().values())
     plans = sorted_plans([(i * 7 % 600, Movement(i % 12)) for i in range(600)])
     programs = [SignalProgram(layout, [(20, 20, 19, 19), (30, 15, 19, 14)] * 5, 3, 90) for layout in LAYOUTS]
     cells = [(geo, program) for program in programs for geo in geometries]
-    return [g for g, _ in cells], [plans] * len(cells), [p for _, p in cells], SimConfig(horizon=600)
+    return [g for g, _ in cells], [plans] * len(cells), [p for _, p in cells], SimConfig(horizon=600), 120
 
 
 def interleaved_inputs():
@@ -455,7 +466,8 @@ def interleaved_inputs():
 
     Demands alternate cell by cell and programs go in pairs, so every input
     object recurs with other cells between its uses, and all four
-    (demand, program) pairings occur.
+    (demand, program) pairings occur. Arrival blocks of 180 s leave a last
+    block of 60 s.
     """
     geometries = list(read_geometries().values())
     demands = [
@@ -467,16 +479,49 @@ def interleaved_inputs():
         SignalProgram(SPLIT_PHASE, [(30, 30, 24, 24), (40, 20, 24, 24)] * 5, 3, 120),
     ]
     cells = range(len(geometries))
-    return geometries, [demands[b % 2] for b in cells], [programs[b // 2 % 2] for b in cells], SimConfig(horizon=600)
+    programs = [programs[b // 2 % 2] for b in cells]
+    return geometries, [demands[b % 2] for b in cells], programs, SimConfig(horizon=600), 180
+
+
+def pinned(lanes_in, demands, horizon: int, saturation_headway: float = 2.0):
+    """A batch as a kernel mutant's failure shrinks: one cell per inbound lane row, one program, 60 s blocks.
+
+    Every outbound zone has one lane, and every cell runs the same 60 s
+    protected-left program with greens of 12 s.
+    """
+    program = SignalProgram(PROTECTED_LEFT, [(12, 12, 12, 12)] * math.ceil(horizon / 60), 3, 60)
+    geometries = [IntersectionGeometry("X", lanes, (1, 1, 1, 1)) for lanes in lanes_in]
+    cfg = SimConfig(horizon=horizon, saturation_headway=saturation_headway)
+    return geometries, demands, [program] * len(geometries), cfg, 60
+
+
+def at_zero(*groups: tuple[int, Movement]) -> Departures:
+    """``count`` vehicles departing at second 0 on ``movement``, for each (count, movement) group."""
+    return sorted_plans([(0, movement) for count, movement in groups for _ in range(count)])
+
+
+ZONE_DEMAND = at_zero((44, Movement.WBL), (56, Movement.NBT))
 
 
 @given(batches())
 @example(grid_in_miniature())
 @example(interleaved_inputs())
+# The shrunk failures of five kernel mutants, each named by what it breaks.
+# Rate left out of the column key: the second cell is served at the first's rate.
+@example(pinned([(1, 1, 1, 1), (1, 2, 1, 1)], [departures([]), at_zero((100, Movement.NBL))], 37, 1.7))
+# Zone triple keyed by its first column only: the cells' north zones share NBL but not NBT.
+@example(pinned([(1, 3, 1, 1), (1, 4, 1, 1)], [ZONE_DEMAND, ZONE_DEMAND], 61))
+# Column-to-cell map rolled by one cell.
+@example(pinned([(1, 1, 1, 1)] * 2, [departures([]), at_zero((100, Movement.WBL))], 1))
+# Block edges counted one second late: the departures at second 0 fall out of block 0.
+@example(pinned([(1, 1, 1, 1)], [at_zero((100, Movement.WBL))], 1))
+# The last, partial block never counted: the departure at second 60 is lost.
+@example(pinned([(1, 1, 1, 1)], [sorted_plans([(60, Movement.WBT)])], 61))
 @settings(max_examples=150, deadline=None)
 def test_batched_kernel_equals_scalar_oracle(batch):
-    geometries, demands, programs, cfg = batch
-    batched = run(geometries, demands, programs, cfg)
+    geometries, demands, programs, cfg, block = batch
+    with mock.patch.object(sim, "ARRIVAL_BLOCK", block):
+        batched = run(geometries, demands, programs, cfg)
     assert batched == [scalar_run(g, d, p, cfg) for g, d, p in zip(geometries, demands, programs)]
 
 
@@ -488,3 +533,23 @@ def test_batch_needs_one_demand_and_one_program_per_geometry(geometries):
         run([geo, geo], [departures([]), departures([])], [static_program()], cfg)
     with pytest.raises(ValueError):
         run([geo], [departures([])], [static_program(), static_program()], cfg)
+
+
+def test_memory_does_not_grow_with_horizon_times_demands(geometries):
+    # Seven demands of a day each: a full-horizon (seconds, demands, 12) int32
+    # count array alone would take 29 MB.
+    horizon, vehicles = 86400, 100_000
+    rng = np.random.default_rng(5)
+    demands = [
+        Departures(np.sort(rng.integers(0, horizon, vehicles)), rng.integers(0, 12, vehicles), np.arange(vehicles))
+        for _ in range(7)
+    ]
+    program = static_program(minutes=horizon // 60)
+    tracemalloc.start()
+    try:
+        results = run([geometries["INT1"]] * 7, demands, [program] * 7, SimConfig(horizon=horizon))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.injected for r in results] == [vehicles] * 7
+    assert peak < 4 * 2**20
