@@ -142,9 +142,14 @@ class Departures:
 
     @property
     def ids(self) -> list[str]:
-        if isinstance(self._ids, np.ndarray):
-            return ["v%06d" % serial for serial in self._ids.tolist()]
-        return list(self._ids)
+        return self._spelled(0, len(self))
+
+    def _spelled(self, start: int, stop: int) -> list[str]:
+        """The ids of vehicles ``start`` to ``stop - 1``, spelled; only those are spelled."""
+        ids = self._ids[start:stop]
+        if isinstance(ids, np.ndarray):
+            return ["v%06d" % serial for serial in ids.tolist()]
+        return list(ids)
 
     def check_sorted(self) -> None:
         """Raise ``ValueError`` unless the departures never decrease."""

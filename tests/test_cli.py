@@ -16,7 +16,7 @@ from tmcsignal.cli import build_parser, main
 from tmcsignal.rl import QFunction
 from tmcsignal.signals import DEFAULT_YELLOW, SPLIT_PHASE, build_program, read_program
 from tmcsignal.sim import MAX_HORIZON
-from tmcsignal.sumo_io import read_routes
+from tmcsignal.sumo_io import XML_DECLARATION, read_routes
 from tmcsignal.trafficgen import MinuteTmc, read_departures, read_minute_tmc, write_minute_tmc
 from tmcsignal.trajectory import (
     DEFAULT_EPS,
@@ -369,7 +369,14 @@ class TestMalformedInputs:
         self.write_inputs(tmp_path, monkeypatch, "departures.csv", f"{ident},0,WBT\n")
         code = run_cli(*self.COMMANDS["export-sumo"])
         self.assert_one_error_line(capsys, code, f"vehicle {ident!r}: ")
-        assert not (tmp_path / "sumo" / "routes.rou.xml").exists()
+        routes = tmp_path / "sumo" / "routes.rou.xml"
+        assert not routes.exists()
+        # An earlier export is left byte for byte, not cut short by the failed one.
+        earlier = (XML_DECLARATION + "<routes />\n").encode("utf-8")
+        routes.write_bytes(earlier)
+        code = run_cli(*self.COMMANDS["export-sumo"])
+        self.assert_one_error_line(capsys, code, f"vehicle {ident!r}: ")
+        assert routes.read_bytes() == earlier
 
     def test_failing_grid_cell(self, tmp_path, capsys):
         spec = tmp_path / "grid.txt"

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from itertools import pairwise
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from departure_rows import departures, rows_of
+from tmcsignal import sumo_io
 from tmcsignal.model import Movement
 from tmcsignal.signals import LAYOUTS, MIN_GREEN, SPLIT_PHASE, SignalProgram, build_program
 from tmcsignal.sumo_io import (
@@ -22,7 +27,7 @@ from tmcsignal.sumo_io import (
     write_routes,
     write_tls,
 )
-from tmcsignal.trafficgen import MAX_DEPART, MinuteTmc, read_departures, write_departures
+from tmcsignal.trafficgen import MAX_DEPART, Departures, MinuteTmc, read_departures, write_departures
 
 plan_lists = st.lists(
     st.tuples(st.integers(0, 7200), st.sampled_from(list(Movement))), max_size=50
@@ -41,6 +46,33 @@ def routes_xml_oracle(plans) -> str:
         ET.SubElement(vehicle, "route", edges=f"{plan.movement.origin.value}i {plan.movement.destination.value}o")
     ET.indent(root)
     return XML_DECLARATION + ET.tostring(root, encoding="unicode") + "\n"
+
+
+def parse_routes_oracle(text: str) -> Departures:
+    """The route document read as one ElementTree, every vehicle judged in document order."""
+    edge_movements = {f"{m.origin.value}i {m.destination.value}o": m for m in Movement}
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise ValueError(f"malformed routes document: {exc}") from None
+    if root.tag != "routes":
+        raise ValueError(f"expected <routes> document, got <{root.tag}>")
+    ids, departs, movements = [], [], []
+    for position, vehicle in enumerate(root.iter("vehicle"), start=1):
+        ident, depart, route = vehicle.get("id"), vehicle.get("depart"), vehicle.find("route")
+        if ident is None or depart is None or route is None:
+            name = f"vehicle number {position}" if ident is None else f"vehicle {ident!r}"
+            raise ValueError(f"{name} has no {'id' if ident is None else 'depart' if depart is None else 'route'}")
+        if (movement := edge_movements.get(route.get("edges"))) is None:
+            raise ValueError(f"unrecognized edge pair {route.get('edges', '')!r}")
+        ids.append(ident)
+        departs.append(sumo_io._depart_second(depart))
+        movements.append(movement)
+    if repeated := [ident for ident, n in Counter(ids).items() if n > 1]:
+        raise ValueError(f"vehicle id {repeated[0]!r} appears more than once")
+    plans = Departures(departs, movements, tuple(ids))
+    plans.check_sorted()
+    return plans
 
 
 def tls_xml_oracle(program: SignalProgram) -> tuple[str, list[tuple[int, str]]]:
@@ -93,6 +125,56 @@ read_back_ids = st.text(
 )
 # A character outside XML 1.0's Char production, which no document may carry.
 NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+# Ids routes_xml can write, with every character it escapes.
+written_ids = st.text(
+    st.sampled_from('&<>"\r\n\t\'v0 é') | st.characters(min_codepoint=0x20, max_codepoint=0xD7FF), min_size=1, max_size=4
+)
+# Markup a mutation inserts: legal between elements but not in an attribute,
+# references legal in both, and vehicles that nest or are left open.
+SNIPPETS = (
+    "<!-- c -->", "<![CDATA[v]]>", "&#118;", "&#x26;", "&amp;", "<?pi x?>", "</vehicle>", '<vehicle depart="3">',
+    '<route edges="1i 2o" />', '<vehicle id="n" depart="0"><route edges="1i 2o" /></vehicle>',
+)
+# Each mutation other than truncate, insert and root: what it replaces, and its replacement.
+REPLACEMENTS = {
+    "drop": (re.compile(r' (?:id|depart|edges)="[^"]*"|\n *<route [^>]*>'), lambda text: st.just("")),
+    "edges": (re.compile('(?<= edges=")[^"]*'), lambda text: st.sampled_from(["1i 2o", "4i 3o", "9i 9o", "1i 2o ", ""])),
+    "depart": (
+        re.compile('(?<= depart=")[^"]*'),
+        lambda text: st.sampled_from(["0", "-1", "x", "2.50", "1e3", *re.findall('(?<= depart=")[^"]*', text)]),
+    ),
+    "repeat": (re.compile('(?<= id=")[^"]*'), lambda text: st.sampled_from(re.findall('(?<= id=")[^"]*', text))),
+    "id": (re.compile('(?<= id=")'), lambda text: st.sampled_from(SNIPPETS)),
+}
+
+
+@st.composite
+def mutated_routes(draw):
+    """A ``routes_xml`` document of up to five vehicles, then up to three mutations of its text."""
+    count = draw(st.integers(0, 5))
+    rows = [(draw(written_ids), draw(st.integers(0, 9)), draw(st.sampled_from(list(Movement)))) for _ in range(count)]
+    text = routes_xml(departures(sorted(rows, key=lambda row: row[1])))
+    for kind in draw(st.lists(st.sampled_from(["truncate", "insert", "root", *REPLACEMENTS]), max_size=3)):
+        if kind == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        elif kind == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(SNIPPETS)) + text[at:]
+        elif kind == "root":
+            text = re.sub("(?<=<)(/?)routes", rf"\g<1>{draw(st.sampled_from(['vehicle', 'route', 'other']))}", text)
+        elif matches := list(REPLACEMENTS[kind][0].finditer(text)):
+            match = matches[draw(st.integers(0, len(matches) - 1))]
+            text = text[: match.start()] + draw(REPLACEMENTS[kind][1](text)) + text[match.end() :]
+    return text
+
+
+def outcome(parse, text):
+    """What ``parse`` returns for ``text``, or the type and text of its ``ValueError``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestRoutes:
@@ -182,6 +264,39 @@ class TestRoutes:
         with pytest.raises(ValueError, match="^vehicle 'b' has no depart$"):
             parse_routes('<routes><vehicle id="b"><route edges="1i 2o"/></vehicle></routes>')
 
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_routes(), st.sampled_from([1, 7, 64, sumo_io._FEED_CHARS]))
+    @example(  # nested vehicles are numbered by start tag, and each owns only its direct route
+        '<routes><vehicle id="a" depart="0"><vehicle id="b" depart="1"><route edges="2i 3o" /></vehicle>'
+        '<route edges="1i 2o" /></vehicle></routes>',
+        1,
+    )
+    @example('<routes><vehicle id="a" depart="0"><vehicle depart="1" /><route edges="1i 2o" /></vehicle></routes>', 1)
+    @example('<routes><vehicle id="a"><vehicle depart="1"><route edges="1i 2o" /></vehicle></vehicle></routes>', 1)
+    @example(
+        '<routes><g><vehicle id="a" depart="0"><route edges="1i 2o" /></vehicle></g><vehicle depart="1" /></routes>', 7
+    )
+    @example('<routes><vehicle id="a" depart="x"><route edges="1i 2o" /></vehicle><oops></routes>', 7)  # syntax last
+    @example('<other><vehicle id="a" /></other', 7)
+    @example('<vehicle><vehicle id="a" /></vehicle>', 7)
+    @example(  # two faulty vehicles
+        '<routes><vehicle id="a" depart="0"><route edges="9i 9o" /></vehicle><vehicle id="b" depart="1" /></routes>', 7
+    )
+    @example(  # a repeated id, then a faulty vehicle
+        '<routes><vehicle id="a" depart="0"><route edges="1i 2o" /></vehicle>'
+        '<vehicle id="a" depart="1"><route edges="1i 2o" /></vehicle><vehicle id="c" depart="2" /></routes>',
+        7,
+    )
+    @example(  # departures out of order and a repeated id
+        '<routes><vehicle id="a" depart="1"><route edges="1i 2o" /></vehicle>'
+        '<vehicle id="a" depart="0"><route edges="1i 2o" /></vehicle></routes>',
+        7,
+    )
+    @example("<routes></x>\ud800", 1)  # a lone surrogate past a syntax error
+    def test_parse_equals_the_whole_tree_oracle(self, text, feed):
+        with mock.patch.object(sumo_io, "_FEED_CHARS", feed):
+            assert outcome(parse_routes, text) == outcome(parse_routes_oracle, text)
+
     @given(plan_lists)
     @settings(max_examples=60)
     def test_roundtrip_identity(self, plans):
@@ -246,6 +361,40 @@ class TestRoutes:
         texts = ["0.4", "2.50", "3.50", "9007199254740993.00", f"{MAX_DEPART}.49"]
         xml = "".join(f'<vehicle id="{t}" depart="{t}"><route edges="1i 2o"/></vehicle>' for t in texts)
         assert parse_routes(f"<routes>{xml}</routes>").departs.tolist() == [0, 2, 4, 2**53 + 1, MAX_DEPART]
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestRouteMemory:
+    """About the default peak's 45,862 vehicles, with the serial ids ``generate_demand`` gives: a file of ~3.7 MB."""
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        rng = np.random.default_rng(3)
+        vehicles = 45_000
+        return Departures(np.sort(rng.integers(0, 14400, vehicles)), rng.integers(0, 12, vehicles), np.arange(vehicles))
+
+    def test_writing_holds_less_than_the_file(self, plans, tmp_path):
+        path = tmp_path / "routes.rou.xml"
+        _, peak = traced_peak(write_routes, plans, path)
+        assert path.read_bytes() == routes_xml(plans).encode("utf-8")
+        assert peak < path.stat().st_size
+
+    def test_reading_holds_less_than_five_files(self, plans, tmp_path):
+        path = tmp_path / "routes.rou.xml"
+        write_routes(plans, path)
+        read_back, peak = traced_peak(read_routes, path)
+        assert read_back == plans
+        assert peak < 5 * path.stat().st_size
 
 
 def static_program(minutes: int) -> SignalProgram:
